@@ -25,7 +25,7 @@ from math import comb
 
 from . import __version__
 from .core import Hypergraph, load_hypergraph, save_hypergraph, write_hg_text
-from .errors import BudgetExhausted, OrderSizeError, SearchFailed
+from .errors import BudgetExhausted, FactorizationError, OrderSizeError, SearchFailed
 from .rng import SeededRNG
 from . import constructions, hbuilder, search, spectrum, stepdown, structure, values
 
@@ -144,11 +144,15 @@ def cmd_stepdown(args, ctx: RunContext) -> int:
             res = stepdown.step_to_pairs(h, args.k, args.ell)
         else:
             res = stepdown.step_once(h, args.ell)
+    except FactorizationError as e:
+        ctx.say(f"stepping down failed: {e} at {list(e.offending)}")
+        ctx.emit("stepdown.json", {"error": str(e), "offending": list(e.offending)})
+        return EXIT_VIOLATION
     except SearchFailed as e:
         ctx.say(f"stepping down failed: {e}")
         detail = {"achieved": e.detail.get("achieved", [])}
         ctx.emit("stepdown.json", {"error": str(e), **detail})
-        return EXIT_VIOLATION if "postcondition" in str(e) else EXIT_INVALID
+        return EXIT_INVALID
     ctx.say(f"X = {list(res.x)} (arity {res.arity}, k={res.k})")
     ctx.emit("stepdown.json", res.to_json_obj())
     return EXIT_OK

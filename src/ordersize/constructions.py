@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph, PalettedColoring, Tournament, pair_rank
+from .core import Hypergraph, PalettedColoring, Tournament, iter_subset_counts, pair_rank
 from .rng import SeededRNG
 from .values import g_r
 
@@ -200,7 +200,8 @@ def check_fact_gr(
     The bound is a theorem for r >= 4; at r = 3 the scan runs but the report
     is flagged advisory and exceedances are informational. Exhaustive below
     the cap (or when forced), sampled otherwise; any count above the bound is
-    recorded with its witness subset.
+    recorded with its witness subset. An exhaustive scan runs on the
+    materialized r-graph, built first when the instance is implicit.
     """
     target = g_r(inst.r, m)
     total = comb(inst.n, m)
@@ -211,9 +212,8 @@ def check_fact_gr(
     violations: list[dict] = []
     max_edges = 0
 
-    def record(subset: tuple[int, ...]) -> None:
+    def record(c: int, subset) -> None:
         nonlocal max_edges
-        c = inst.count_in_subset(subset)
         histogram[c] = histogram.get(c, 0) + 1
         if c > max_edges:
             max_edges = c
@@ -221,15 +221,17 @@ def check_fact_gr(
             violations.append({"subset": list(subset), "edges": c})
 
     if mode == "exhaustive":
-        for subset in combinations(range(inst.n), m):
-            record(subset)
+        graph = inst.graph if inst.graph is not None else materialize(inst)
+        for c, subset in iter_subset_counts(graph, m):
+            record(c, subset)
         return SubsetScanReport(
             inst.r, inst.n, m, "exhaustive", total, None, histogram, max_edges,
             target, violations, advisory,
         )
     rng = SeededRNG(seed)
     for _ in range(samples):
-        record(rng.sorted_sample(inst.n, m))
+        subset = rng.sorted_sample(inst.n, m)
+        record(inst.count_in_subset(subset), subset)
     return SubsetScanReport(
         inst.r, inst.n, m, "sampled", samples, seed, histogram, max_edges,
         target, violations, advisory,

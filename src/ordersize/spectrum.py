@@ -19,7 +19,7 @@ from .core import (
     Hypergraph,
     OrderedGraph,
     bits_of,
-    iter_combinations_from,
+    iter_subset_counts,
     mask_of,
 )
 from .errors import BudgetExhausted, FactorizationError, SearchFailed
@@ -140,11 +140,10 @@ class SpectrumReport:
 def _scan_chunk(h: Hypergraph, m: int, start: int, count: int) -> tuple[dict[int, tuple[int, ...]], int]:
     witnesses: dict[int, tuple[int, ...]] = {}
     examined = 0
-    for subset in iter_combinations_from(start, count, h.n, m):
-        f = h.edge_count_mask(mask_of(subset))
+    for f, subset in iter_subset_counts(h, m, start, count):
         examined += 1
         if f not in witnesses:
-            witnesses[f] = subset
+            witnesses[f] = tuple(subset)
     return witnesses, examined
 
 
@@ -158,10 +157,14 @@ def _scan_parallel(h: Hypergraph, m: int, total: int, threads: int):
         jobs.append((h, m, start, min(chunk, total - start)))
         start += chunk
     with mp.Pool(threads) as pool:
-        parts = pool.starmap(_scan_chunk, jobs)
+        return _merge_chunks(pool.starmap(_scan_chunk, jobs))
+
+
+def _merge_chunks(parts):
+    """Merge ``_scan_chunk`` results given in rank order; the first witness
+    by rank is kept for each value."""
     witnesses: dict[int, tuple[int, ...]] = {}
     examined = 0
-    # chunks arrive in rank order, so first-witness-by-rank is preserved
     for wit, ex in parts:
         examined += ex
         for f, w in wit.items():
@@ -215,36 +218,25 @@ def find_mf_subset(
     m: int,
     f: int,
     budget: int | None = None,
-    seed: int = 0,
-    random_restarts: int = 0,
 ) -> tuple[int, ...] | None:
     """Search for an m-set spanning exactly f edges.
 
-    Scans subsets lexicographically (then seeded random draws if requested),
-    spending one budget unit per subset. Returns a witness, or None when the
-    lexicographic scan completed without finding one (absence proven). Raises
-    BudgetExhausted when the budget ran out first.
+    Scans subsets lexicographically, spending one budget unit per subset, and
+    returns the first witness in that order. Returns None when the scan
+    completed without finding one (absence proven). Raises BudgetExhausted
+    when the budget ran out first.
     """
     if not 0 <= f <= comb(m, h.r):
         raise ValueError(f"f={f} out of range")
     if not h.r <= m <= h.n:
         raise ValueError(f"m={m} out of range")
-    examined = 0
-    for subset in combinations(range(h.n), m):
-        if budget is not None and examined >= budget:
-            raise BudgetExhausted("subset budget exhausted before completing the scan", examined)
-        examined += 1
-        if h.edge_count_mask(mask_of(subset)) == f:
-            return subset
-    if random_restarts:
-        rng = SeededRNG(seed)
-        for _ in range(random_restarts):
-            if budget is not None and examined >= budget:
-                raise BudgetExhausted("subset budget exhausted", examined)
-            examined += 1
-            subset = rng.sorted_sample(h.n, m)
-            if h.edge_count_mask(mask_of(subset)) == f:
-                return subset
+    total = comb(h.n, m)
+    limit = total if budget is None else max(0, min(budget, total))
+    for count, subset in iter_subset_counts(h, m, 0, limit):
+        if count == f:
+            return tuple(subset)
+    if limit < total:
+        raise BudgetExhausted("subset budget exhausted before completing the scan", limit)
     return None
 
 

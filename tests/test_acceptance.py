@@ -54,10 +54,17 @@ class Timer:
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.monotonic() - self.start
+        over = elapsed >= self.limit
         status = "PASS" if exc_type is None else "FAIL"
+        if over:
+            status += " OVER BUDGET"
         print(f"criterion {self.number:02d} [{self.name}]: {status} ({elapsed:.2f}s / {self.limit}s)")
+        message = f"criterion {self.number} over its time budget"
         if exc_type is None:
-            assert elapsed < self.limit, f"criterion {self.number} over its time budget"
+            assert not over, message
+        elif over and hasattr(exc, "add_note"):
+            # keep the body's own failure as the one reported
+            exc.add_note(f"{message} ({elapsed:.2f}s / {self.limit}s)")
         return False
 
 

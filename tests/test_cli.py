@@ -43,6 +43,33 @@ def test_homog_and_stepdown(tmp_path, capsys):
     assert "X = " in out
 
 
+def test_stepdown_failure_exit_codes(tmp_path, monkeypatch, capsys):
+    from ordersize import stepdown
+    from ordersize.errors import FactorizationError, SearchFailed
+
+    path = str(tmp_path / "g.hg")
+    run(["--seed", "3", "gen", "random", "--n", "8", "--r", "3", "--to", path])
+
+    def broken_postcondition(h, ell=None):
+        raise FactorizationError("stage postcondition failed", (0, 2, 5))
+
+    monkeypatch.setattr(stepdown, "step_once", broken_postcondition)
+    out = str(tmp_path / "violation")
+    assert run(["--out", out, "stepdown", "--in", path, "--ell", "4"]) == 1
+    report = json.load(open(os.path.join(out, "stepdown.json")))
+    assert report == {"error": "stage postcondition failed", "offending": [0, 2, 5]}
+
+    def exhausted(h, ell=None):
+        raise SearchFailed("candidates exhausted after 2 of 4 vertices",
+                           detail={"achieved": [0, 1]})
+
+    monkeypatch.setattr(stepdown, "step_once", exhausted)
+    out = str(tmp_path / "invalid")
+    assert run(["--out", out, "stepdown", "--in", path, "--ell", "4"]) == 2
+    report = json.load(open(os.path.join(out, "stepdown.json")))
+    assert report["achieved"] == [0, 1]
+
+
 def test_buildh_check(capsys):
     assert run(["buildh", "--r", "4", "--m", "80", "--f", "12345", "--check"]) == 0
     assert run(["--seed", "2", "buildh", "--r", "4", "--m", "80", "--sweep", "5", "--check"]) == 0
