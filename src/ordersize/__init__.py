@@ -28,6 +28,7 @@ from .errors import (
     OrderSizeError,
     SearchFailed,
     ShapeError,
+    VerificationError,
 )
 from .rng import SeededRNG, keyed_coloring
 from .search import (

@@ -7,7 +7,8 @@ reports; re-running the recorded command reproduces the reports byte for
 byte.
 
 Exit codes: 0 success, 1 a verified-property violation was found (witness
-saved when ``--out`` is given), 2 invalid input, 3 budget exhausted.
+saved when ``--out`` is given) or a result failed its re-verification, 2
+invalid input, 3 budget exhausted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb
 
 from . import __version__
 from .core import Hypergraph, load_hypergraph, save_hypergraph, write_hg_text
-from .errors import BudgetExhausted, FactorizationError, OrderSizeError, SearchFailed
+from .errors import BudgetExhausted, FactorizationError, OrderSizeError, SearchFailed, VerificationError
 from .rng import SeededRNG
 from . import constructions, hbuilder, search, spectrum, stepdown, structure, values
 
@@ -500,6 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except VerificationError as e:
+        print(f"verification failed: {e}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (OrderSizeError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID

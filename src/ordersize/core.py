@@ -98,6 +98,19 @@ class Hypergraph:
         return tuple(tuple(row) for row in rows)
 
     @cached_property
+    def _pair_links(self) -> tuple[tuple[int, ...], ...]:
+        """3-uniform: entry [a][b] masks the w with {a, b, w} an edge."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for a, b, c in self.edges:
+            rows[a][b] |= 1 << c
+            rows[b][a] |= 1 << c
+            rows[a][c] |= 1 << b
+            rows[c][a] |= 1 << b
+            rows[b][c] |= 1 << a
+            rows[c][b] |= 1 << a
+        return tuple(tuple(row) for row in rows)
+
+    @cached_property
     def _top_rests(self) -> tuple[tuple[int, ...], ...]:
         """Row v holds the masks of e - {v} over the edges e with max(e) = v."""
         rows: list[list[int]] = [[] for _ in range(self.n)]

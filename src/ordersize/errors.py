@@ -29,6 +29,19 @@ class FactorizationError(OrderSizeError):
         self.offending = offending
 
 
+class VerificationError(OrderSizeError):
+    """A result failed its own re-verification: the program is at fault."""
+
+
+def ensure(ok: bool, what: str) -> None:
+    """Raise VerificationError unless the postcondition ``what`` holds.
+
+    Unlike ``assert``, the check still runs under ``python -O``.
+    """
+    if not ok:
+        raise VerificationError(f"postcondition failed: {what}")
+
+
 class SearchFailed(OrderSizeError):
     """A constructive search failed; carries a machine-readable reason."""
 

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .core import OrderedGraph
-from .errors import SearchFailed
+from .errors import SearchFailed, ensure
 
 
 class BuildError(SearchFailed):
@@ -408,7 +408,7 @@ def certify_star_forests(kind: str, shape: list[int]) -> CertNode:
         node = _nested_tree(list(shape), None)
     else:
         raise ValueError(f"unknown forest kind {kind!r}")
-    assert node is not None
+    ensure(node is not None, "certificate is nonempty")
     return node
 
 
@@ -596,5 +596,5 @@ def _star_shape(seq: DSequence, lo: int, hi: int) -> list[int]:
 
 def _finish_cert(*parts: CertNode | None) -> CertNode:
     node = cert_disjoint(list(parts))
-    assert node is not None
+    ensure(node is not None, "certificate is nonempty")
     return node

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import ceil, comb
 
-from .core import Hypergraph, OrderedGraph, bits_of, mask_of
+from .core import Hypergraph, OrderedGraph, bits_of
+from .errors import Budget, ensure
 from .rng import SeededRNG
 
 DEFAULT_EXACT_LIMIT = 40
@@ -82,62 +83,81 @@ class CountReport:
     examined: int
 
 
-def _pair_links(h: Hypergraph) -> list[list[int]]:
-    """pair_links[a][b] = bitmask of w with {a, b, w} an edge (3-uniform)."""
-    links = [[0] * h.n for _ in range(h.n)]
-    for e in h.edges:
-        a, b, c = e
-        links[a][b] |= 1 << c
-        links[b][a] |= 1 << c
-        links[a][c] |= 1 << b
-        links[c][a] |= 1 << b
-        links[b][c] |= 1 << a
-        links[c][b] |= 1 << a
-    return links
+def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
+             size: int | None = None, budget: Budget | None = None):
+    """Exact bit-parallel branch and bound over the candidate mask ``cand``
+    (BBMC, San Segundo et al. 2011).
 
+    After v is taken, a candidate u stays when u is in rows[v] (the adjacency
+    rows of a 2-graph) or, with ``pairs``, in rows[a][v] for every vertex a
+    taken before v (the pair-link table of a 3-graph). ``flip=-1`` reads every
+    row complemented, so cliques become independent sets. Vertices are taken
+    in increasing order, so cliques are met in lexicographic order.
 
-def _max_clique_3graph(h: Hypergraph, within: int | None = None) -> tuple[int, ...]:
-    """Exact maximum clique of a 3-graph by branch and bound over bitmasks.
-
-    A set is a clique when every triple inside it is an edge; any pair is
-    trivially a clique. Lexicographically first optimum is returned.
+    With ``size=None`` the lexicographically first maximum clique is returned
+    as a tuple. With ``size=t`` the result is (masks of all t-cliques in
+    lexicographic order, complete); each extension step spends one unit of
+    ``budget``, and a step it cannot pay for ends the search with
+    complete=False and the cliques listed so far.
     """
-    scope = bits_of(within) if within is not None else tuple(range(h.n))
-    if len(scope) <= 2:
-        return tuple(scope)
-    links = _pair_links(h)
-    full = mask_of(scope)
-    best: list = [list(scope[:2])]
+    found: list[int] = []
+    floor = -1 if size is None else size - 1  # a useful clique must exceed it
+    chosen: list[int] = []  # kept only with pairs
 
-    def extend(chosen: list[int], cand: int) -> None:
-        if len(chosen) > len(best[0]):
-            best[0] = chosen.copy()
+    def extend(mask: int, depth: int, cand: int) -> bool:
+        nonlocal floor
+        if depth == size:
+            found.append(mask)
+            return True
+        if size is None and depth > floor:
+            floor = depth
+            found.append(mask)
         rest = cand
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            if len(chosen) + 1 + rest.bit_count() <= len(best[0]):
-                return  # taking v plus all later candidates cannot beat best
-            new_cand = rest
-            for a in chosen:
-                new_cand &= links[a][v]
-            chosen.append(v)
-            extend(chosen, new_cand)
-            chosen.pop()
+            if depth + 1 + rest.bit_count() <= floor:
+                return True  # v and every later candidate cannot reach past the floor
+            if budget is not None:
+                if not budget.can_afford(1):
+                    return False
+                budget.spend()
+            if pairs:
+                sub = rest
+                for a in chosen:
+                    sub &= rows[a][v] ^ flip
+                chosen.append(v)
+                done = extend(mask | low, depth + 1, sub)
+                chosen.pop()
+            else:
+                done = extend(mask | low, depth + 1, rest & (rows[v] ^ flip))
+            if not done:
+                return False
+        return True
 
-    extend([], full)
-    return tuple(best[0])
+    complete = extend(0, 0, cand)
+    if size is None:
+        return bits_of(found[-1])
+    return found, complete
 
 
-def _greedy_clique_3graph(h: Hypergraph) -> tuple[int, ...]:
-    links = _pair_links(h)
+def _greedy_clique(rows, cand: int, flip: int = 0, pairs: bool = False,
+                   highest: bool = False) -> tuple[int, ...]:
+    """One greedy pass: take the lowest (or highest) candidate, keep the
+    candidates that the rows allow beside it, as in ``_cliques``, and repeat.
+    Returns the clique in increasing order."""
     chosen: list[int] = []
-    for v in range(h.n):
-        ok = all(links[a][b] >> v & 1 for a, b in combinations(chosen, 2))
-        if ok:
-            chosen.append(v)
-    return tuple(chosen)
+    while cand:
+        v = cand.bit_length() - 1 if highest else (cand & -cand).bit_length() - 1
+        cand ^= 1 << v
+        if pairs:
+            for a in chosen:
+                cand &= rows[a][v] ^ flip
+        else:
+            cand &= rows[v] ^ flip
+        chosen.append(v)
+    return tuple(sorted(chosen))
 
 
 def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> HomogeneousWitness:
@@ -150,17 +170,15 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
     if h.r != 3:
         raise ValueError("max_homogeneous currently supports 3-graphs")
     exact = h.n <= exact_limit
-    if exact:
-        cl = _max_clique_3graph(h)
-        ind = _max_clique_3graph(h.complement())
-    else:
-        cl = _greedy_clique_3graph(h)
-        ind = _greedy_clique_3graph(h.complement())
+    search = _cliques if exact else _greedy_clique
+    full = (1 << h.n) - 1
+    cl = search(h._pair_links, full, 0, True)
+    ind = search(h._pair_links, full, -1, True)
     if len(cl) >= len(ind):
         w = HomogeneousWitness(cl, "clique", exact)
     else:
         w = HomogeneousWitness(ind, "independent", exact)
-    assert w.verify(h)
+    ensure(w.verify(h), "homogeneous witness")
     return w
 
 
@@ -181,41 +199,6 @@ def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
     return OrderedGraph(h.n - 1, edges)
 
 
-def _enumerate_cliques(g: OrderedGraph, size: int, budget: list[int]) -> tuple[list[tuple[int, ...]], bool]:
-    """All cliques of a given size in an ordered 2-graph, lexicographic.
-
-    ``budget[0]`` counts down extension steps; on exhaustion the partial list
-    is returned with a False flag.
-    """
-    out: list[tuple[int, ...]] = []
-    full = (1 << g.n) - 1
-
-    def extend(chosen: list[int], cand: int) -> bool:
-        if len(chosen) == size:
-            out.append(tuple(chosen))
-            return True
-        need = size - len(chosen)
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if 1 + rest.bit_count() < need:
-                return True  # too few candidates left on this branch
-            if budget[0] <= 0:
-                return False
-            budget[0] -= 1
-            chosen.append(v)
-            if not extend(chosen, rest & g.adj[v]):
-                chosen.pop()
-                return False
-            chosen.pop()
-        return True
-
-    complete = extend([], full)
-    return out, complete
-
-
 def find_stars(
     h: Hypergraph,
     s: int,
@@ -226,34 +209,29 @@ def find_stars(
     """Enumerate stars (or antistars) of size s, optionally induced.
 
     Exhaustive over centers and leaf sets within budget; otherwise a truncated
-    list flagged partial. Leaf sets are s-cliques of the center's link graph
-    (independent sets for antistars).
+    list flagged partial. Leaf sets are the s-cliques of the center's pair-link
+    row (independent sets for antistars); each extension step spends one unit.
     """
     if h.r != 3:
         raise ValueError("find_stars is defined for 3-uniform hypergraphs")
-    limit = [budget if budget is not None else 1 << 62]
-    start = limit[0]
+    bud = Budget(budget)
+    flip = -1 if want_anti else 0
+    full = (1 << h.n) - 1
     stars: list[Star] = []
     complete = True
     for v in range(h.n):
-        lg = link_graph(h, v)
-        target = lg if not want_anti else lg.complement()
-        leafsets, done = _enumerate_cliques(target, s, limit)
-        others = [u for u in range(h.n) if u != v]
-        for ls in leafsets:
-            leaves = tuple(others[i] for i in ls)
-            st = Star(v, leaves, want_induced, want_anti)
-            if want_induced:
-                if not st.verify(h):
-                    continue
+        leafsets, complete = _cliques(h._pair_links[v], full ^ (1 << v), flip, size=s, budget=bud)
+        for mask in leafsets:
+            st = Star(v, bits_of(mask), want_induced, want_anti)
+            if want_induced and not st.verify(h):
+                continue
             stars.append(st)
-        if not done:
-            complete = False
+        if not complete:
             break
     if complete:
         for st in stars:
-            assert st.verify(h)
-    return StarSearchResult(tuple(stars), complete, start - limit[0])
+            ensure(st.verify(h), "star")
+    return StarSearchResult(tuple(stars), complete, bud.used)
 
 
 def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
@@ -284,7 +262,7 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
                 kept.discard(max(e))
         if len(kept) > len(best):
             best = tuple(sorted(kept))
-    assert h.is_independent(best)
+    ensure(h.is_independent(best), "independent set")
     return SpencerResult(best, target, trials, len(best) >= target)
 
 
@@ -293,83 +271,26 @@ def greedy_forward_clique(g: OrderedGraph, k: int | None = None) -> tuple[int, .
     non-neighbors. If every forward non-neighborhood has size < k this yields
     a clique of size >= ceil(n/k); k plays no role in the procedure itself.
     """
-    remaining = (1 << g.n) - 1
-    chosen: list[int] = []
-    while remaining:
-        low = remaining & -remaining
-        v = low.bit_length() - 1
-        chosen.append(v)
-        remaining ^= low
-        remaining &= ~g.forward_non_neighbors(v)
-    assert g.is_clique(chosen)
-    return tuple(chosen)
-
-
-def greedy_backward_clique(g: OrderedGraph) -> tuple[int, ...]:
-    """Mirror of greedy_forward_clique from the top of the order down."""
-    remaining = (1 << g.n) - 1
-    chosen: list[int] = []
-    while remaining:
-        v = remaining.bit_length() - 1
-        chosen.append(v)
-        remaining ^= 1 << v
-        remaining &= ~g.backward_non_neighbors(v)
-    assert g.is_clique(chosen)
-    return tuple(sorted(chosen))
+    chosen = _greedy_clique(g.adj, (1 << g.n) - 1)
+    ensure(g.is_clique(chosen), "greedy clique")
+    return chosen
 
 
 def max_clique(g: OrderedGraph) -> tuple[int, ...]:
     """Exact maximum clique of a 2-graph; lexicographically first optimum."""
-    best: list[list[int]] = [[]]
-
-    def extend(chosen: list[int], cand: int) -> None:
-        if len(chosen) > len(best[0]):
-            best[0] = chosen.copy()
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if len(chosen) + 1 + rest.bit_count() <= len(best[0]):
-                return
-            chosen.append(v)
-            extend(chosen, rest & g.adj[v])
-            chosen.pop()
-
-    extend([], (1 << g.n) - 1)
-    return tuple(best[0])
+    return _cliques(g.adj, (1 << g.n) - 1)
 
 
 def max_independent_set(g: OrderedGraph) -> tuple[int, ...]:
-    return max_clique(g.complement())
-
-
-def _independent_tsets(g: OrderedGraph, t: int, within: int | None = None) -> list[int]:
-    """Bitmasks of all independent t-sets, lexicographic by vertex list."""
-    out: list[int] = []
-
-    def extend(mask: int, count: int, cand: int) -> None:
-        if count == t:
-            out.append(mask)
-            return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if count + 1 + rest.bit_count() < t:
-                return
-            extend(mask | low, count + 1, rest & ~g.adj[v])
-
-    extend(0, 0, ((1 << g.n) - 1) if within is None else within)
-    return out
+    """Exact maximum independent set of a 2-graph; lexicographically first."""
+    return _cliques(g.adj, (1 << g.n) - 1, -1)
 
 
 def count_independent_tsets(g: OrderedGraph, t: int) -> int:
     """Exact number of independent t-sets."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return len(_independent_tsets(g, t))
+    return len(_cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0])
 
 
 def _is_complete_between(g: OrderedGraph, amask: int, bmask: int) -> bool:
@@ -390,7 +311,7 @@ def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
         common &= g.adj[a]
     if common.bit_count() < t:
         return []
-    return _independent_tsets(g, t, within=common)
+    return _cliques(g.adj, common, -1, size=t)[0]
 
 
 def count_induced_ktt(
@@ -402,7 +323,9 @@ def count_induced_ktt(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    tsets = _independent_tsets(g, t)
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
+    tsets = _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]
     total_pairs = len(tsets) * (len(tsets) - 1) // 2
     if budget is None or total_pairs <= budget:
         count = 0
@@ -430,7 +353,7 @@ def count_induced_ktt(
 def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All unordered induced K_{t,t} part pairs, each as (A, B) with A lex-first."""
     out = []
-    for amask in _independent_tsets(g, t):
+    for amask in _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]:
         for bmask in _ktt_partners(g, amask, t):
             if bmask > amask:
                 out.append((bits_of(amask), bits_of(bmask)))

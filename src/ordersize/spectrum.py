@@ -22,9 +22,9 @@ from .core import (
     iter_subset_counts,
     mask_of,
 )
-from .errors import BudgetExhausted, FactorizationError, SearchFailed
+from .errors import Budget, BudgetExhausted, FactorizationError, SearchFailed, ensure
 from .rng import SeededRNG
-from .search import HomogeneousWitness, greedy_forward_clique
+from .search import HomogeneousWitness, _greedy_clique, greedy_forward_clique
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
 
@@ -318,35 +318,6 @@ def _flip_kind(w: HomogeneousWitness) -> HomogeneousWitness:
     return HomogeneousWitness(w.set, kind, w.exact)
 
 
-def _greedy_clique_mask(g: OrderedGraph, mask: int, forward: bool) -> tuple[int, ...]:
-    chosen: list[int] = []
-    remaining = mask
-    while remaining:
-        if forward:
-            v = (remaining & -remaining).bit_length() - 1
-        else:
-            v = remaining.bit_length() - 1
-        chosen.append(v)
-        remaining &= ~(1 << v)
-        if forward:
-            remaining &= ~g.forward_non_neighbors(v, remaining)
-        else:
-            remaining &= ~g.backward_non_neighbors(v, remaining)
-    return tuple(sorted(chosen))
-
-
-def _greedy_independent_forward(g: OrderedGraph, mask: int) -> tuple[int, ...]:
-    chosen: list[int] = []
-    remaining = mask
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        chosen.append(v)
-        remaining &= ~(1 << v)
-        above = remaining & ~((1 << (v + 1)) - 1)
-        remaining &= ~(above & g.adj[v])  # drop forward neighbors
-    return tuple(sorted(chosen))
-
-
 def _first_edge_in(g: OrderedGraph, mask: int) -> tuple[int, int] | None:
     verts = bits_of(mask)
     for a_i, a in enumerate(verts):
@@ -385,7 +356,11 @@ def find_weighted_mf_subset(
     For r >= 4 the same recursion applies above m = 5r^2; at that base the
     target pattern comes from the degree-sequence builder and is searched for
     as an induced ordered subgraph under the budget. Smaller m falls back to a
-    budgeted direct scan. Failure raises SearchFailed with the reason.
+    budgeted direct scan. The budget bounds each base-case search on its own.
+    When neither a pattern nor a large homogeneous set turns up, a base case
+    whose search ran out of budget raises BudgetExhausted, and so does an
+    induction step none of whose branches landed while one of them ran out;
+    otherwise failure raises SearchFailed with the reason.
     """
     if not 0 <= f <= comb(m, r):
         raise ValueError(f"f={f} out of range [0, {comb(m, r)}]")
@@ -402,10 +377,10 @@ def find_weighted_mf_subset(
     else:
         raise ValueError("r must be >= 3")
     if isinstance(out, WeightedWitness):
-        assert out.verify(g), "weighted witness failed re-verification"
+        ensure(out.verify(g), "weighted witness")
     else:
-        gg = g if out.kind == "clique" else g.complement()
-        assert gg.is_clique(out.set), "homogeneous witness failed re-verification"
+        homogeneous = g.is_clique if out.kind == "clique" else g.is_independent
+        ensure(homogeneous(out.set), "homogeneous witness")
         if len(out.set) < h:
             raise SearchFailed(
                 "homogeneous witness smaller than the target",
@@ -458,7 +433,7 @@ def _weighted_r3(
                 # so positions shift by one and weights are unchanged
                 return WeightedWitness((v,) + sub.vertices, 3, m, f)
             return sub
-    clique = _greedy_clique_mask(g, mask, forward=True)
+    clique = _greedy_clique(g.adj, mask)
     if len(clique) >= h:
         return HomogeneousWitness(clique, "clique", True)
     raise SearchFailed(
@@ -479,7 +454,7 @@ def _weighted_r3_m4f2(g: OrderedGraph, mask: int, h: int):
                 return HomogeneousWitness(bits_of(bnn), "independent", True)
             u1, u2 = edge
             return WeightedWitness((u1, u2, v), 3, 4, 2)
-    clique = _greedy_clique_mask(g, mask, forward=False)
+    clique = _greedy_clique(g.adj, mask, highest=True)
     if len(clique) >= h:
         return HomogeneousWitness(clique, "clique", True)
     raise SearchFailed(
@@ -504,7 +479,7 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                         return HomogeneousWitness(bits_of(np_mask), "clique", True)
                     u1, u2 = ne
                     return WeightedWitness((vp, u1, u2, v), 3, 5, 5)
-            ind = _greedy_independent_forward(g, bnn)
+            ind = _greedy_clique(g.adj, bnn, -1)
             if len(ind) >= h:
                 return HomogeneousWitness(ind, "independent", True)
             raise SearchFailed(
@@ -512,7 +487,7 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                 reason="guarantee precondition unmet",
                 detail={"m": 5, "f": 5, "h": h},
             )
-    clique = _greedy_clique_mask(g, mask, forward=False)
+    clique = _greedy_clique(g.adj, mask, highest=True)
     if len(clique) >= h:
         return HomogeneousWitness(clique, "clique", True)
     raise SearchFailed(
@@ -535,6 +510,7 @@ def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, 
         # threshold involves untracked constants, so progress is best-effort
         # and the returned postconditions carry the guarantee
         needed = max((m - 1) - r + 2, 1)
+        gave_up = None  # the first branch that ran out of budget
         for v in range(g.n):
             fnn = g.forward_non_neighbors(v)
             if fnn.bit_count() >= needed:
@@ -542,6 +518,10 @@ def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, 
                 try:
                     sub = _weighted_general(g.induced(sub_vertices), m0, r, m - 1, f, h, budget)
                 except SearchFailed:
+                    continue
+                except BudgetExhausted as e:
+                    if gave_up is None:
+                        gave_up = e
                     continue
                 if isinstance(sub, WeightedWitness):
                     mapped = (v,) + tuple(sub_vertices[i] for i in sub.vertices)
@@ -552,37 +532,46 @@ def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, 
         clique = greedy_forward_clique(g)
         if len(clique) >= h:
             return HomogeneousWitness(clique, "clique", True)
+        if gave_up is not None:
+            raise gave_up
         raise SearchFailed(
             "induction step found no structure",
             reason="guarantee precondition unmet",
             detail={"r": r, "m": m, "f": f, "h": h},
         )
+    cut = None  # set when the base-case search ran out of budget
     if m == m0:
         from .hbuilder import build_H
 
         hc = build_H(r, m, f)
         target = g if not hc.complemented else g.complement()
-        hit = find_induced_ordered_copy(target, hc.graph, budget)
+        try:
+            hit = find_induced_ordered_copy(target, hc.graph, budget)
+        except BudgetExhausted as e:
+            cut, hit = e, None
         if hit is not None:
             return WeightedWitness(hit, r, m, f)
     else:
         size = m - r + 2
         frame = WeightFrame(r, m, 1)
-        examined = 0
+        bud = Budget(budget)
         for u in combinations(range(g.n), size):
-            if budget is not None and examined >= budget:
+            if not bud.can_afford(1):
+                cut = BudgetExhausted("base-case scan budget exhausted", bud.used)
                 break
-            examined += 1
+            bud.spend()
             if weighted_total(g, u, frame) == f:
                 return WeightedWitness(u, r, m, f)
-    clique = _greedy_clique_mask(g, (1 << g.n) - 1, forward=True)
-    ind = _greedy_independent_forward(g, (1 << g.n) - 1)
+    clique = _greedy_clique(g.adj, (1 << g.n) - 1)
+    ind = _greedy_clique(g.adj, (1 << g.n) - 1, -1)
     best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
     if len(best) >= h:
         return HomogeneousWitness(best, kind, False)
+    if cut is not None:
+        raise cut
     raise SearchFailed(
         "base-case pattern not found and no large homogeneous set",
-        reason="guarantee precondition unmet or budget exhausted",
+        reason="guarantee precondition unmet",
         detail={"r": r, "m": m, "f": f, "h": h},
     )
 
@@ -599,17 +588,14 @@ def find_induced_ordered_copy(
     k, n = pattern.n, g.n
     if k > n:
         return None
-    steps = 0
+    bud = Budget(budget)
     image: list[int] = []
 
     def extend(pos: int, start: int) -> tuple[int, ...] | None:
-        nonlocal steps
         if pos == k:
             return tuple(image)
         for v in range(start, n - (k - pos) + 1):
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExhausted("embedding budget exhausted", steps)
+            bud.spend()
             ok = all(
                 g.has_edge(image[q], v) == pattern.has_edge(q, pos) for q in range(pos)
             )

@@ -16,15 +16,15 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import Hypergraph, OrderedGraph, density, vertex_set
-from .errors import Budget, BudgetExhausted, SearchFailed
+from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
     HomogeneousWitness,
+    _cliques,
     enumerate_induced_ktt,
     find_stars,
     link_graph,
     max_clique,
     max_homogeneous,
-    max_independent_set,
     spencer_independent,
 )
 
@@ -360,7 +360,7 @@ def homogenize_types(h: Hypergraph, sets: Sequence[Sequence[int]], m: int) -> Ho
         fam = HomogenizedFamily(
             tuple(sets[i] for i in combo), {"a": va, "b": vb, "c": vc, "d": vd}
         )
-        assert fam.verify(h)
+        ensure(fam.verify(h), "homogenized family")
         return fam
     raise SearchFailed(
         "no index subset with uniform type densities",
@@ -423,7 +423,7 @@ def homogenize_pair_types(
         fam = PairFamily(
             tuple(a_sets[i] for i in combo), tuple(b_sets[i] for i in combo), consts
         )
-        assert fam.verify(h)
+        ensure(fam.verify(h), "pair family")
         return fam
     raise SearchFailed(
         "no index subset with uniform pair-pattern densities",
@@ -476,9 +476,9 @@ def find_star_chain(
     chain.reverse()
     for i in range(len(chain)):
         d = maybe_density(h, chain[i], chain[i], chain[i])
-        assert d in (None, 0)
+        ensure(d in (None, 0), "star-chain set spans no edge")
         for j in range(i + 1, len(chain)):
-            assert density(h, chain[i], chain[j], chain[j]) == 1
+            ensure(density(h, chain[i], chain[j], chain[j]) == 1, "star-chain sets joined")
     return chain
 
 
@@ -497,18 +497,19 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
     sp = spencer_independent(star_h, trials, seed)
     out = sp.set
     check = find_stars(h.induced(out), s, want_induced=True)
-    assert not check.stars, "star-free verification failed"
+    ensure(not check.stars, "star-free subset")
     return out
 
 
 def largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
-    """The maximum (anti)star (center, leaves), by exact link-graph search."""
+    """The maximum (anti)star (center, leaves), by exact search of each
+    center's pair-link row."""
+    if h.r != 3:
+        raise ValueError("stars are defined for 3-uniform hypergraphs")
+    full = (1 << h.n) - 1
     best: tuple[int, tuple[int, ...]] | None = None
     for v in range(h.n):
-        lg = link_graph(h, v)
-        leaves_idx = max_independent_set(lg) if anti else max_clique(lg)
-        others = [u for u in range(h.n) if u != v]
-        leaves = tuple(others[i] for i in leaves_idx)
+        leaves = _cliques(h._pair_links[v], full ^ (1 << v), -1 if anti else 0)
         if best is None or len(leaves) > len(best[1]):
             best = (v, leaves)
     return best
@@ -611,12 +612,12 @@ def find_pair_chain(
         for j in range(i + 1, len(pairs)):
             ai, bi = pairs[i]
             aj, bj = pairs[j]
-            assert density(h, ai, aj, bj) == 1
-            assert density(h, bi, aj, bj) == 1
-            assert density(h, ai, aj, aj) == 0
-            assert density(h, ai, bj, bj) == 0
-            assert density(h, bi, aj, aj) == 0
-            assert density(h, bi, bj, bj) == 0
+            ensure(density(h, ai, aj, bj) == 1, "pair chain d(A_i, A_j, B_j) = 1")
+            ensure(density(h, bi, aj, bj) == 1, "pair chain d(B_i, A_j, B_j) = 1")
+            ensure(density(h, ai, aj, aj) == 0, "pair chain d(A_i, A_j, A_j) = 0")
+            ensure(density(h, ai, bj, bj) == 0, "pair chain d(A_i, B_j, B_j) = 0")
+            ensure(density(h, bi, aj, aj) == 0, "pair chain d(B_i, A_j, A_j) = 0")
+            ensure(density(h, bi, bj, bj) == 0, "pair chain d(B_i, B_j, B_j) = 0")
     return pairs
 
 
@@ -649,7 +650,7 @@ def main_structure(
         defined = [v for v in fam.constants.values() if v is not None]
         if len(set(defined)) < 2:
             raise SearchFailed("constants all equal", reason="degenerate family")
-        assert fam.verify(h)
+        ensure(fam.verify(h), "variant (a) family")
         struct = MainStructure("a", fam, False, fam.verification_rows(h))
         return MainOutcome("structure", struct, hom, trace)
 
@@ -707,7 +708,7 @@ def main_structure(
             return None
         c7, c8 = fam.constants["c7"], fam.constants["c8"]
         if (c7 in (0, None)) and (c8 in (0, None)):
-            assert fam.verify(base)
+            ensure(fam.verify(base), "variant (b) family")
             struct = MainStructure("b", fam, complemented, fam.verification_rows(base))
             trace.append("variant (b) verified")
             return MainOutcome("structure", struct, hom, trace)

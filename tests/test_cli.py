@@ -70,6 +70,16 @@ def test_stepdown_failure_exit_codes(tmp_path, monkeypatch, capsys):
     assert report["achieved"] == [0, 1]
 
 
+def test_verification_failure_exits_1(tmp_path, monkeypatch, capsys):
+    from ordersize.search import HomogeneousWitness
+
+    path = str(tmp_path / "g.hg")
+    run(["--seed", "3", "gen", "random", "--n", "8", "--r", "3", "--to", path])
+    monkeypatch.setattr(HomogeneousWitness, "verify", lambda self, h: False)
+    assert run(["homog", "--in", path]) == 1
+    assert "postcondition failed: homogeneous witness" in capsys.readouterr().err
+
+
 def test_buildh_check(capsys):
     assert run(["buildh", "--r", "4", "--m", "80", "--f", "12345", "--check"]) == 0
     assert run(["--seed", "2", "buildh", "--r", "4", "--m", "80", "--sweep", "5", "--check"]) == 0

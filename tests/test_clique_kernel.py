@@ -1,0 +1,201 @@
+"""Differential tests of the bitset clique kernel ``search._cliques`` and the
+greedy pass ``search._greedy_clique``.
+
+Oracles: networkx clique numbers and a brute-force scan for the
+lexicographically first maximum clique or independent set; a ``combinations``
+scan for 3-graphs; ``enumerate_cliques_reference``, a copy of the t-clique
+enumerator the kernel replaced, with its list-cell budget; and the greedy
+procedure written out step by step.
+"""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of
+from ordersize.errors import Budget
+from ordersize.search import (
+    Star,
+    StarSearchResult,
+    _cliques,
+    _greedy_clique,
+    find_stars,
+    link_graph,
+    max_clique,
+    max_homogeneous,
+    max_independent_set,
+)
+
+MAX_N = 12
+
+
+@st.composite
+def graphs(draw, max_n=MAX_N):
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return OrderedGraph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def hypergraphs(draw, max_n=MAX_N):
+    n = draw(st.integers(0, max_n))
+    triples = list(combinations(range(n), 3))
+    keep = draw(st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)))
+    return Hypergraph(3, n, [t for t, k in zip(triples, keep) if k])
+
+
+def first_max(n, ok):
+    """Lexicographically first largest subset of range(n) satisfying ok."""
+    for size in range(n, -1, -1):
+        for s in combinations(range(n), size):
+            if ok(s):
+                return s
+
+
+def enumerate_cliques_reference(g: OrderedGraph, size: int, budget: list[int]):
+    """The t-clique enumerator the kernel replaced, unchanged."""
+    out: list[tuple[int, ...]] = []
+    full = (1 << g.n) - 1
+
+    def extend(chosen: list[int], cand: int) -> bool:
+        if len(chosen) == size:
+            out.append(tuple(chosen))
+            return True
+        need = size - len(chosen)
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if 1 + rest.bit_count() < need:
+                return True
+            if budget[0] <= 0:
+                return False
+            budget[0] -= 1
+            chosen.append(v)
+            if not extend(chosen, rest & g.adj[v]):
+                chosen.pop()
+                return False
+            chosen.pop()
+        return True
+
+    complete = extend([], full)
+    return out, complete
+
+
+def find_stars_reference(h, s, want_induced, want_anti, budget):
+    """Star search through relabeled link graphs, as before the kernel."""
+    limit = [budget if budget is not None else 1 << 62]
+    start = limit[0]
+    stars = []
+    complete = True
+    for v in range(h.n):
+        lg = link_graph(h, v)
+        target = lg if not want_anti else lg.complement()
+        leafsets, done = enumerate_cliques_reference(target, s, limit)
+        others = [u for u in range(h.n) if u != v]
+        for ls in leafsets:
+            st_ = Star(v, tuple(others[i] for i in ls), want_induced, want_anti)
+            if not want_induced or st_.verify(h):
+                stars.append(st_)
+        if not done:
+            complete = False
+            break
+    return StarSearchResult(tuple(stars), complete, start - limit[0])
+
+
+def greedy_reference(stays, cand: int, highest: bool) -> tuple[int, ...]:
+    """Take the lowest (highest) remaining candidate, then keep only the
+    candidates u with stays(chosen, v, u), and repeat."""
+    remaining = set(bits_of(cand))
+    chosen: list[int] = []
+    while remaining:
+        v = max(remaining) if highest else min(remaining)
+        remaining.discard(v)
+        remaining = {u for u in remaining if stays(chosen, v, u)}
+        chosen.append(v)
+    return tuple(sorted(chosen))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs())
+def test_max_clique_and_independent_set_are_lex_first(g):
+    assert max_clique(g) == first_max(g.n, g.is_clique)
+    assert max_independent_set(g) == first_max(g.n, g.is_independent)
+
+
+def test_max_clique_sizes_match_networkx():
+    nx = pytest.importorskip("networkx")
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def check(g):
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges)
+        clique_number = max((len(c) for c in nx.find_cliques(ng)), default=0)
+        independence_number = max((len(c) for c in nx.find_cliques(nx.complement(ng))), default=0)
+        assert len(max_clique(g)) == clique_number
+        assert len(max_independent_set(g)) == independence_number
+
+    check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs())
+def test_3graph_max_clique_both_sides(h):
+    full = (1 << h.n) - 1
+    cl = _cliques(h._pair_links, full, 0, True)
+    ind = _cliques(h._pair_links, full, -1, True)
+    assert cl == first_max(h.n, lambda s: all(t in h.edges for t in combinations(s, 3)))
+    assert ind == first_max(h.n, lambda s: not any(t in h.edges for t in combinations(s, 3)))
+    w = max_homogeneous(h)
+    assert w.set == (cl if len(cl) >= len(ind) else ind)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(), st.integers(0, 5), st.one_of(st.none(), st.integers(-2, 80)), st.booleans())
+def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
+    limit = [budget if budget is not None else 1 << 62]
+    want, want_complete = enumerate_cliques_reference(
+        g.complement() if independent else g, t, limit)
+    bud = Budget(budget)
+    masks, complete = _cliques(g.adj, (1 << g.n) - 1, -1 if independent else 0, size=t, budget=bud)
+    assert [bits_of(m) for m in masks] == want
+    assert complete == want_complete
+    assert bud.used == (budget if budget is not None else 1 << 62) - limit[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs(max_n=9), st.integers(0, 4), st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.integers(-1, 60)))
+def test_find_stars_matches_link_graph_search(h, s, induced, anti, budget):
+    assert find_stars(h, s, induced, anti, budget) == find_stars_reference(h, s, induced, anti, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(), st.integers(0, (1 << MAX_N) - 1), st.booleans(), st.booleans())
+def test_greedy_pass_2graph(g, cand, highest, independent):
+    cand &= (1 << g.n) - 1
+
+    def stays(chosen, v, u):
+        return g.has_edge(u, v) != independent
+
+    got = _greedy_clique(g.adj, cand, -1 if independent else 0, highest=highest)
+    assert got == greedy_reference(stays, cand, highest)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hypergraphs(), st.integers(0, (1 << MAX_N) - 1), st.booleans(), st.booleans())
+def test_greedy_pass_3graph(h, cand, highest, independent):
+    cand &= (1 << h.n) - 1
+
+    def stays(chosen, v, u):
+        return all(h.has_edge((a, v, u)) != independent for a in chosen)
+
+    got = _greedy_clique(h._pair_links, cand, -1 if independent else 0, True, highest)
+    assert got == greedy_reference(stays, cand, highest)
+    assert mask_of(got) & ~cand == 0

@@ -1,5 +1,5 @@
-"""Cross-process determinism: seeded runs replay bit-exactly regardless of
-the interpreter's hash randomization."""
+"""Cross-process checks: seeded runs replay bit-exactly regardless of the
+interpreter's hash randomization, and postconditions hold under ``-O``."""
 
 import os
 import re
@@ -60,3 +60,25 @@ def test_replay_across_hash_seeds():
         assert re.fullmatch(r"[0-9a-f]{64}", digest), proc.stdout
         digests.add(digest)
     assert len(digests) == 1
+
+
+OPTIMIZED_PROBE = r"""
+from ordersize import Star, VerificationError, complete_hypergraph, find_stars
+assert False, "asserts must be stripped under -O"
+Star.verify = lambda self, h: False
+try:
+    find_stars(complete_hypergraph(3, 5), 2)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_postconditions_hold_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PROBE],
+        capture_output=True,
+        text=True,
+        env=_child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: postcondition failed: star"), proc.stdout

@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import pytest
 
 from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
 from ordersize.rng import SeededRNG
@@ -111,9 +112,10 @@ def test_spencer_independent():
 
 
 def max_independent_set_3graph(h):
-    from ordersize.search import _max_clique_3graph
-
-    return len(_max_clique_3graph(h.complement()))
+    # a sparse 3-graph: its largest homogeneous set is an independent one
+    w = max_homogeneous(h)
+    assert w.exact and w.kind == "independent"
+    return w.size()
 
 
 def test_greedy_forward_clique():
@@ -171,6 +173,14 @@ def test_count_induced_ktt_sampled_flag():
     g = seeded_graph(12, 9)
     rep = count_induced_ktt(g, 2, budget=50)
     assert not rep.exact
+
+
+def test_count_induced_ktt_rejects_budget_below_one():
+    g = OrderedGraph(6, ())  # 15 independent 2-sets
+    for budget in (0, -4):
+        with pytest.raises(ValueError):
+            count_induced_ktt(g, 2, budget=budget)
+    assert count_induced_ktt(g, 2, budget=1).examined == 1
 
 
 def test_count_independent_tsets():

@@ -243,6 +243,47 @@ def test_weighted_search_r4_small_m_direct_scan():
                 assert out.size() >= 2
 
 
+def test_weighted_search_r4_failure_outcomes():
+    # r = 4 and m = 6 < 5r^2, so the base case is the direct scan: an empty
+    # graph has no weighted total 1 and no homogeneous set of size h > n
+    g = OrderedGraph(6)
+    with pytest.raises(SearchFailed) as failed:
+        find_weighted_mf_subset(g, 4, 6, 1, 7)
+    assert failed.value.reason == "guarantee precondition unmet"
+    with pytest.raises(BudgetExhausted) as cut:
+        find_weighted_mf_subset(g, 4, 6, 1, 7, budget=2)
+    assert cut.value.used == 2
+
+
+def test_weighted_search_r4_induction_outlives_a_cut_branch(monkeypatch):
+    # one level above the base m = 5r^2 = 80 on an empty graph: each branch
+    # embeds the builder's pattern into a forward non-neighborhood
+    from ordersize import spectrum
+
+    embed = spectrum.find_induced_ordered_copy
+    calls = []
+
+    def first_cut(target, pattern, budget=None):
+        calls.append(target.n)
+        if len(calls) == 1:
+            raise BudgetExhausted("cut short", target.n)
+        return embed(target, pattern, budget)
+
+    g = OrderedGraph(82)
+    monkeypatch.setattr(spectrum, "find_induced_ordered_copy", first_cut)
+    out = find_weighted_mf_subset(g, 4, 81, 0, 100)
+    assert isinstance(out, WeightedWitness) and out.verify(g) and out.vertices[0] == 1
+    assert calls == [81, 80]
+
+    def always_cut(target, pattern, budget=None):
+        raise BudgetExhausted("cut short", target.n)
+
+    monkeypatch.setattr(spectrum, "find_induced_ordered_copy", always_cut)
+    with pytest.raises(BudgetExhausted) as cut:
+        find_weighted_mf_subset(g, 4, 81, 0, 100)
+    assert cut.value.used == 81  # the first branch that gave up
+
+
 def test_find_induced_ordered_copy():
     pattern = OrderedGraph(3, [(0, 2)])
     g = OrderedGraph(5, [(0, 4), (1, 2)])
