@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .core import Hypergraph, PalettedColoring, Tournament, iter_subset_counts, pair_rank
+from .core import (
+    Hypergraph,
+    PalettedColoring,
+    Tournament,
+    bits_of,
+    iter_subset_counts,
+    mask_of,
+    pair_rank,
+)
 from .rng import SeededRNG
 from .values import g_r
 
@@ -68,6 +76,8 @@ class GrInstance:
     coloring: PalettedColoring
     seed: int | None = None
     graph: Hypergraph | None = field(default=None)
+    # (coloring, r, pattern rows), filled by _pattern_rows
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def is_edge(self, tup: tuple[int, ...]) -> bool:
         """Membership readout straight from the pair colors."""
@@ -80,32 +90,68 @@ class GrInstance:
         return True
 
     def count_in_subset(self, subset: tuple[int, ...]) -> int:
-        """Edges inside a vertex subset, by color-pruned backtracking."""
-        verts = sorted(subset)
-        r = self.r
-        color = self.coloring.color
+        """Edges inside a vertex subset, by the pattern DFS over the color table."""
+        smask = mask_of(subset)
+        if smask >> self.n:
+            raise ValueError(f"subset {tuple(subset)} out of range [0, {self.n})")
+        return self._pattern_dfs(smask)
+
+    def _pattern_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Entry [a][d - a - 1] is the color-table row of the pattern color
+        c_{a+1,d+1}, for positions a < d of an edge; rebuilt only when the
+        coloring or r changed."""
+        cached = self._rows
+        if cached is None or cached[0] is not self.coloring or cached[1] != self.r:
+            table = self.coloring._color_rows
+            r = self.r
+            rows = tuple(
+                tuple(table[pattern_color_index(a + 1, d + 1, r)] for d in range(a + 1, r))
+                for a in range(r - 1)
+            )
+            cached = self._rows = (self.coloring, r, rows)
+        return cached[2]
+
+    def _pattern_dfs(self, smask: int, out: list | None = None) -> int:
+        """Count the edges inside the vertex mask ``smask``; with ``out``, also
+        append each one to it as an increasing r-tuple.
+
+        Depth a keeps one candidate mask per later position d. Choosing v at
+        depth a ANDs into each of them the color-table row of v for c_{a+1,d+1},
+        which holds only vertices above v, and drops v as soon as one mask is
+        empty. At the last position the count is the popcount of its mask.
+        """
+        rows = self._pattern_rows()
+        last = self.r - 1
+        chosen = [0] * last
         count = 0
-        chosen: list[int] = []
 
-        def extend(start: int) -> None:
+        def extend(depth: int, cands: list[int]) -> None:
             nonlocal count
-            depth = len(chosen)
-            if depth == r:
-                count += 1
-                return
-            for idx in range(start, len(verts) - (r - depth) + 1):
-                v = verts[idx]
-                ok = True
-                for a, prev in enumerate(chosen):
-                    if color(prev, v) != pattern_color_index(a + 1, depth + 1, r):
-                        ok = False
+            c = cands[0]
+            later = cands[1:]
+            prow = rows[depth]
+            final = depth + 1 == last
+            while c:
+                low = c & -c
+                c ^= low
+                v = low.bit_length() - 1
+                nxt = []
+                for mask, row in zip(later, prow):
+                    mask &= row[v]
+                    if not mask:
                         break
-                if ok:
-                    chosen.append(v)
-                    extend(idx + 1)
-                    chosen.pop()
+                    nxt.append(mask)
+                else:
+                    chosen[depth] = v
+                    if not final:
+                        extend(depth + 1, nxt)
+                    else:
+                        count += nxt[0].bit_count()
+                        if out is not None:
+                            head = tuple(chosen)
+                            out.extend(head + (w,) for w in bits_of(nxt[0]))
 
-        extend(0)
+        extend(0, [smask] * self.r)
         return count
 
 
@@ -127,30 +173,10 @@ def build_gr(
 
 
 def materialize(inst: GrInstance) -> Hypergraph:
-    """Scan all increasing r-tuples by backtracking on the pattern colors."""
-    edges = []
-    r, n = inst.r, inst.n
-    color = inst.coloring.color
-    chosen: list[int] = []
-
-    def extend(start: int) -> None:
-        depth = len(chosen)
-        if depth == r:
-            edges.append(tuple(chosen))
-            return
-        for v in range(start, n - (r - depth) + 1):
-            ok = True
-            for a, prev in enumerate(chosen):
-                if color(prev, v) != pattern_color_index(a + 1, depth + 1, r):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(v)
-                extend(v + 1)
-                chosen.pop()
-
-    extend(0)
-    return Hypergraph(r, n, edges)
+    """The r-graph of all pattern copies, by the pattern DFS over every vertex."""
+    edges: list[tuple[int, ...]] = []
+    inst._pattern_dfs((1 << inst.n) - 1, edges)
+    return Hypergraph(inst.r, inst.n, edges)
 
 
 @dataclass

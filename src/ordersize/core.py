@@ -2,8 +2,8 @@
 
 Everything here is immutable after construction and safe to share across
 threads. Counts use Python's arbitrary-precision integers; densities are exact
-``fractions.Fraction`` values. Edge membership and induced counts run on
-per-edge bitmasks.
+``fractions.Fraction`` values. Induced counts run on per-graph link tables
+built once, on first use.
 """
 
 from __future__ import annotations
@@ -140,15 +140,35 @@ class Hypergraph:
 
     def edge_count(self, subset: Iterable[int]) -> int:
         """Number of edges contained in ``subset``."""
-        smask = mask_of(vertex_set(subset, self.n))
-        return sum(1 for m in self._edge_masks if m & ~smask == 0)
+        return self.edge_count_mask(mask_of(vertex_set(subset, self.n)))
 
     def edge_count_mask(self, smask: int) -> int:
-        return sum(1 for m in self._edge_masks if m & ~smask == 0)
+        """Number of edges inside the vertex mask ``smask`` (bits >= n ignored).
+
+        Runs on the tables of ``iter_subset_counts``: for r = 3 the sum over
+        pairs u < v of the subset of popcount(links[v][u] & smask), for other r
+        a test of the rest masks of each subset vertex.
+        """
+        smask &= (1 << self.n) - 1
+        verts = bits_of(smask)
+        count = 0
+        if self.r == 3:
+            links = self._lower_links
+            for i in range(2, len(verts)):
+                row = links[verts[i]]
+                for u in verts[1:i]:  # the subset minimum has nothing below it
+                    count += (row[u] & smask).bit_count()
+        else:
+            rests = self._top_rests
+            for v in verts:
+                for t in rests[v]:
+                    if t & smask == t:
+                        count += 1
+        return count
 
     def is_clique(self, subset: Iterable[int]) -> bool:
         s = vertex_set(subset, self.n)
-        return self.edge_count(s) == comb(len(s), self.r)
+        return self.edge_count_mask(mask_of(s)) == comb(len(s), self.r)
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         return self.edge_count(subset) == 0
@@ -263,6 +283,14 @@ class PalettedColoring:
         if i > j:
             i, j = j, i
         return self.colors[pair_rank(i, j, self.n)]
+
+    @cached_property
+    def _color_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [c][u] masks the v > u with color(u, v) = c."""
+        rows = [[0] * self.n for _ in range(self.palette)]
+        for (i, j), c in zip(combinations(range(self.n), 2), self.colors):
+            rows[c][i] |= 1 << j
+        return tuple(tuple(row) for row in rows)
 
     @classmethod
     def from_map(cls, n: int, palette: int, mapping) -> "PalettedColoring":

@@ -54,10 +54,18 @@ class SeededRNG:
     def sample(self, population: Sequence[int] | int, k: int) -> list:
         """k distinct elements, as a partial Fisher-Yates; order randomized."""
         pool = list(range(population)) if isinstance(population, int) else list(population)
-        if k > len(pool):
+        size = len(pool)
+        if k > size:
             raise ValueError("sample larger than population")
+        getrandbits = self._mt.getrandbits
         for i in range(k):
-            j = i + self.randrange(len(pool) - i)
+            # randrange(size - i), inlined: the same draws, so the same stream
+            span = size - i
+            width = (span - 1).bit_length() or 1
+            x = getrandbits(width)
+            while x >= span:
+                x = getrandbits(width)
+            j = i + x
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
 

@@ -214,6 +214,8 @@ def find_stars(
     """
     if h.r != 3:
         raise ValueError("find_stars is defined for 3-uniform hypergraphs")
+    if s < 0:
+        raise ValueError(f"star size s={s} must be nonnegative")
     bud = Budget(budget)
     flip = -1 if want_anti else 0
     full = (1 << h.n) - 1

@@ -537,6 +537,8 @@ def no_large_star_subset(h: Hypergraph, s: int, delta: float) -> tuple[tuple[int
             reason="precondition violated",
             detail={"witness": antis.stars[0]},
         )
+    if h.n == 0:
+        return (), "star-free"
     _v, leaves = largest_star(h)
     if len(leaves) < h.n**delta:
         return tuple(range(h.n)), "star-free"

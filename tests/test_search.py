@@ -89,6 +89,14 @@ def test_find_stars_matches_full_scan():
             assert got == want
 
 
+def test_find_stars_star_size_zero_and_negative():
+    res = find_stars(complete_hypergraph(3, 8), 0)
+    assert [(st.center, st.leaves) for st in res.stars] == [(v, ()) for v in range(8)]
+    assert res.complete and res.examined == 0
+    with pytest.raises(ValueError):
+        find_stars(complete_hypergraph(3, 8), -1)
+
+
 def test_find_stars_budget_truncation():
     res = find_stars(complete_hypergraph(3, 8), 3, budget=10)
     assert not res.complete

@@ -4,7 +4,11 @@ from math import comb
 import pytest
 
 from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
-from ordersize.constructions import cyclic_triangle_3graph, random_ordered_graph
+from ordersize.constructions import (
+    cyclic_triangle_3graph,
+    random_hypergraph,
+    random_ordered_graph,
+)
 from ordersize.errors import BudgetExhausted, FactorizationError, SearchFailed
 from ordersize.rng import SeededRNG
 from ordersize.search import HomogeneousWitness
@@ -46,6 +50,46 @@ def test_spectrum_witnesses_and_mirror():
         assert h.edge_count(w) == f
     crep = size_spectrum(h.complement(), 5)
     assert sorted(comb(5, 3) - f for f in rep.achieved) == crep.achieved
+
+
+def test_small_threaded_scan_starts_no_pool(monkeypatch):
+    import multiprocessing
+
+    from ordersize import spectrum
+
+    h = random_hypergraph(3, 16, 50, 3)
+    assert comb(16, 6) < spectrum._PARALLEL_MIN_SUBSETS
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("worker pool started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for threads in (2, 3):
+        assert (size_spectrum(h, 6, threads=threads).to_json_obj()
+                == size_spectrum(h, 6).to_json_obj())
+
+
+def test_large_threaded_scan_matches_serial(monkeypatch):
+    import multiprocessing
+
+    from ordersize import spectrum
+
+    h = random_hypergraph(3, 21, 50, 3)
+    total = comb(21, 7)
+    assert total >= spectrum._PARALLEL_MIN_SUBSETS
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def spy_pool(*args, **kwargs):
+        started.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
+    par = size_spectrum(h, 7, threads=2)
+    assert started == [(2,)]
+    seq = size_spectrum(h, 7)
+    assert par.witnesses == seq.witnesses
+    assert par.subsets_examined == seq.subsets_examined == total
 
 
 def test_spectrum_cap_and_sampled():

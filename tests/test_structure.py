@@ -159,6 +159,10 @@ def test_no_large_star_subset():
     assert side in ("star-free", "antistar-free") and len(w) >= 1
 
 
+def test_no_large_star_subset_without_vertices():
+    assert no_large_star_subset(empty_hypergraph(3, 0), 4, 0.5) == ((), "star-free")
+
+
 def test_pair_chain_recovers_plant():
     h, ap, bp = build_pair_family(4, 3, 1, 1, 0, 0, (0, 0, 0, 0, 0, 0))
     chain = find_pair_chain(h, 3, 3)
