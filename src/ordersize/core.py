@@ -129,6 +129,8 @@ class Hypergraph:
     def induced(self, subset: Iterable[int]) -> "Hypergraph":
         """Subgraph on ``subset``, relabeled by the order-preserving map."""
         s = vertex_set(subset, self.n)
+        if len(s) == self.n:
+            return self  # immutable: the graph is its own induced copy, tables included
         relabel = {v: i for i, v in enumerate(s)}
         smask = mask_of(s)
         kept = [
@@ -335,7 +337,9 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
 
     Supported shapes (in any argument order): three pairwise disjoint sets,
     two equal sets disjoint from the third, or three equal sets. Partially
-    overlapping sets and empty denominators are rejected.
+    overlapping sets and empty denominators are rejected. Counts run on the
+    pair-link table: popcount(links[u][w] & S) summed over the pairs of the
+    doubled set, or over one vertex from each of the two smaller disjoint sets.
     """
     if h.r != 3:
         raise ShapeError("density is defined for 3-uniform hypergraphs")
@@ -350,6 +354,8 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
             raise ShapeError("density denominator is empty (|X| < 3)")
         return Fraction(h.edge_count(xs), denom)
 
+    links = h._pair_links
+
     # Two equal, one different: normalize so the doubled set comes first.
     for a in range(3):
         for b in range(a + 1, 3):
@@ -361,11 +367,12 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
                 denom = comb(len(dbl), 2) * len(single)
                 if denom == 0:
                     raise ShapeError("density denominator is empty")
-                dm, sm = mask_of(dbl), mask_of(single)
+                sm = mask_of(single)
                 count = 0
-                for em in h._edge_masks:
-                    if (em & dm).bit_count() == 2 and (em & sm).bit_count() == 1:
-                        count += 1
+                for i, u in enumerate(dbl):
+                    row = links[u]
+                    for w in dbl[i + 1:]:
+                        count += (row[w] & sm).bit_count()
                 return Fraction(count, denom)
 
     union = set(xs) | set(ys) | set(zs)
@@ -374,11 +381,13 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
     denom = len(xs) * len(ys) * len(zs)
     if denom == 0:
         raise ShapeError("density denominator is empty")
-    xm, ym, zm = mask_of(xs), mask_of(ys), mask_of(zs)
+    p, q, rest = sorted(sets, key=len)  # loop over the two smallest sets
+    rm = mask_of(rest)
     count = 0
-    for em in h._edge_masks:
-        if (em & xm) and (em & ym) and (em & zm):
-            count += 1
+    for u in p:
+        row = links[u]
+        for w in q:
+            count += (row[w] & rm).bit_count()
     return Fraction(count, denom)
 
 
@@ -500,22 +509,3 @@ def iter_subset_counts(
         cur[first] += 1
         for j in range(first + 1, m):
             cur[j] = cur[j - 1] + 1
-
-
-def iter_combinations_from(rank: int, count: int, n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield ``count`` consecutive lexicographic k-combinations starting at rank."""
-    if count <= 0:
-        return
-    cur = list(unrank_combination(rank, n, k))
-    yield tuple(cur)
-    for _ in range(count - 1):
-        # lexicographic successor
-        i = k - 1
-        while i >= 0 and cur[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            return
-        cur[i] += 1
-        for j in range(i + 1, k):
-            cur[j] = cur[j - 1] + 1
-        yield tuple(cur)

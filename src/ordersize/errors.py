@@ -63,8 +63,11 @@ class Budget:
     used: int = field(default=0)
 
     def spend(self, amount: int = 1) -> None:
+        """Spend ``amount`` units as that many single-unit spends would: the
+        one that passes the limit raises, with ``used`` at limit + 1."""
         self.used += amount
         if self.limit is not None and self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExhausted(f"budget of {self.limit} evaluations exhausted", self.used)
 
     def can_afford(self, amount: int) -> bool:

@@ -47,7 +47,8 @@ class Star:
     anti: bool
 
     def verify(self, h: Hypergraph) -> bool:
-        if self.center in self.leaves:
+        verts = (self.center,) + self.leaves
+        if len(set(verts)) != len(verts) or not all(0 <= u < h.n for u in verts):
             return False
         want = not self.anti
         for pair in combinations(self.leaves, 2):
@@ -199,6 +200,54 @@ def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
     return OrderedGraph(h.n - 1, edges)
 
 
+def _has_inner_edge(links, mask: int, flip: int) -> bool:
+    """Does the vertex set ``mask`` span an edge (with ``flip=-1``: miss one)?
+
+    Stops at the first pair a < b whose pair-link row, read as in
+    ``_cliques``, meets the vertices of ``mask`` above b.
+    """
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = links[low.bit_length() - 1]
+        above = rest
+        while above:
+            b = above & -above
+            above ^= b
+            if (row[b.bit_length() - 1] ^ flip) & above:
+                return True
+    return False
+
+
+def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
+               budget: Budget | None) -> tuple[list[Star], bool]:
+    """Stars (or antistars) of size s with center and leaves in the vertex
+    mask ``cand``, centers in increasing order and each center's leaf sets in
+    lexicographic order; returns (stars, complete).
+
+    Leaf sets are the s-cliques of the center's pair-link row within ``cand``
+    (independent sets for antistars); each extension step spends one unit of
+    ``budget``. An induced star must span no edge (an antistar every triple),
+    tested on the pair-link rows.
+    """
+    if h.r != 3:
+        raise ValueError("stars are defined for 3-uniform hypergraphs")
+    if s < 0:
+        raise ValueError(f"star size s={s} must be nonnegative")
+    links = h._pair_links
+    flip = -1 if anti else 0
+    stars: list[Star] = []
+    for v in bits_of(cand):
+        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget)
+        for mask in leafsets:
+            if not (induced and _has_inner_edge(links, mask, flip)):
+                stars.append(Star(v, bits_of(mask), induced, anti))
+        if not complete:
+            return stars, False
+    return stars, True
+
+
 def find_stars(
     h: Hypergraph,
     s: int,
@@ -212,24 +261,8 @@ def find_stars(
     list flagged partial. Leaf sets are the s-cliques of the center's pair-link
     row (independent sets for antistars); each extension step spends one unit.
     """
-    if h.r != 3:
-        raise ValueError("find_stars is defined for 3-uniform hypergraphs")
-    if s < 0:
-        raise ValueError(f"star size s={s} must be nonnegative")
     bud = Budget(budget)
-    flip = -1 if want_anti else 0
-    full = (1 << h.n) - 1
-    stars: list[Star] = []
-    complete = True
-    for v in range(h.n):
-        leafsets, complete = _cliques(h._pair_links[v], full ^ (1 << v), flip, size=s, budget=bud)
-        for mask in leafsets:
-            st = Star(v, bits_of(mask), want_induced, want_anti)
-            if want_induced and not st.verify(h):
-                continue
-            stars.append(st)
-        if not complete:
-            break
+    stars, complete = _star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
     if complete:
         for st in stars:
             ensure(st.verify(h), "star")
@@ -360,6 +393,55 @@ def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...]
             if bmask > amask:
                 out.append((bits_of(amask), bits_of(bmask)))
     return out
+
+
+def _ktt_groups(links, cand: int, t: int, visit) -> None:
+    """Call ``visit(A, B, centers)``, with masks, for every pair of disjoint
+    t-sets A, B inside the vertex mask ``cand`` that is an induced K_{t,t} in
+    the link graph of at least one center in ``cand``; ``links`` is a
+    3-graph's pair-link table.
+
+    A center v lies outside A and B, forms an edge with every a in A and b in
+    B, and forms none with two vertices of A or two of B. One DFS serves every
+    center at once (the row-mask narrowing of BBMC, as in ``_cliques``). Each
+    candidate vertex carries the mask of centers still possible if it joins A
+    or B next; taking it narrows the masks of the later candidates by its
+    pair-link rows, and a candidate whose mask is empty drops out. B starts
+    above min(A), so each unordered pair comes once, with A lexicographically
+    first, and the pairs come in lexicographic order of A + B.
+    """
+
+    def grow_b(rows, amask: int, bmask: int, need: int) -> None:
+        # rows: (y, centers left if y joins B next), y increasing
+        for i, (y, m) in enumerate(rows):
+            if need == 1:
+                visit(amask, bmask | 1 << y, m)
+                continue
+            row = links[y]
+            later = [(z, q) for z, p in rows[i + 1:] if (q := p & m & ~row[z])]
+            if len(later) >= need - 1:
+                grow_b(later, amask, bmask | 1 << y, need - 1)
+
+    def grow_a(cands, rows, amask: int, need: int) -> None:
+        # cands: (x, centers left if x joins A next); rows: as in grow_b for
+        # the A so far, None while A is empty (an A vertex drops out of rows,
+        # since links[x][x] is empty)
+        for i, (x, m) in enumerate(cands):
+            row = links[x]
+            if rows is None:  # x is min(A): B is drawn from the vertices above it
+                ys = [(y, q) for y in bits_of(cand >> (x + 1) << (x + 1)) if (q := m & row[y])]
+            else:
+                ys = [(y, q) for y, p in rows if (q := p & m & row[y])]
+            if len(ys) < t:
+                continue
+            if need == 1:
+                grow_b(ys, amask | 1 << x, 0, t)
+                continue
+            later = [(z, q) for z, p in cands[i + 1:] if (q := p & m & ~row[z])]
+            if len(later) >= need - 1:
+                grow_a(later, ys, amask | 1 << x, need - 1)
+
+    grow_a([(x, cand ^ (1 << x)) for x in bits_of(cand)], None, 0, t)
 
 
 def exhaustive_max_homogeneous(h: Hypergraph) -> int:

@@ -15,14 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .core import Hypergraph, OrderedGraph, density, vertex_set
+from .core import Hypergraph, OrderedGraph, bits_of, density, mask_of, vertex_set
 from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
     HomogeneousWitness,
     _cliques,
-    enumerate_induced_ktt,
+    _ktt_groups,
+    _star_sets,
     find_stars,
-    link_graph,
     max_clique,
     max_homogeneous,
     spencer_independent,
@@ -442,20 +442,22 @@ def find_star_chain(
     and every earlier set sees every later set's pairs as full edges.
 
     At each level the s-set serving the most induced-star centers is taken
-    and the search recurses into its center set. SearchFailed carries the
-    stage and current vertex set when the stars run out.
+    and the search recurses into its center set, on the pair-link rows of h;
+    each level gets a fresh ``budget``. SearchFailed carries the stage and
+    current vertex set when the stars run out.
     """
     if h.r != 3:
         raise ValueError("star chains are defined for 3-graphs")
     current: tuple[int, ...] = tuple(range(h.n))
     chain: list[tuple[int, ...]] = []
     for level in range(ell):
-        sub = h.induced(current)
-        res = find_stars(sub, s, want_induced=True, budget=budget)
-        if not res.complete:
-            raise BudgetExhausted("star enumeration budget exhausted", res.examined)
+        bud = None if budget is None else Budget(budget)  # unlimited: count nothing
+        stars, complete = _star_sets(h, mask_of(current), s, True, False, bud)
+        if not complete:
+            raise BudgetExhausted("star enumeration budget exhausted", bud.used)
         centers: dict[tuple[int, ...], list[int]] = {}
-        for st in res.stars:
+        for st in stars:
+            ensure(st.verify(h), "star")
             centers.setdefault(st.leaves, []).append(st.center)
         if not centers:
             raise SearchFailed(
@@ -471,8 +473,8 @@ def find_star_chain(
                 tuple(-v for v in leaves),
             ),
         )
-        chain.append(tuple(current[i] for i in best))
-        current = tuple(sorted(current[i] for i in centers[best]))
+        chain.append(best)
+        current = tuple(centers[best])
     chain.reverse()
     for i in range(len(chain)):
         d = maybe_density(h, chain[i], chain[i], chain[i])
@@ -503,16 +505,15 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
 
 def largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
     """The maximum (anti)star (center, leaves), by exact search of each
-    center's pair-link row."""
+    center's pair-link row. A graph without vertices has no star."""
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
+    if h.n == 0:
+        raise ValueError("a 3-graph without vertices has no star")
     full = (1 << h.n) - 1
-    best: tuple[int, tuple[int, ...]] | None = None
-    for v in range(h.n):
-        leaves = _cliques(h._pair_links[v], full ^ (1 << v), -1 if anti else 0)
-        if best is None or len(leaves) > len(best[1]):
-            best = (v, leaves)
-    return best
+    flip = -1 if anti else 0
+    stars = [(v, _cliques(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
+    return max(stars, key=lambda st: len(st[1]))  # the first center on ties
 
 
 def no_large_star_subset(h: Hypergraph, s: int, delta: float) -> tuple[tuple[int, ...], str]:
@@ -563,52 +564,48 @@ def find_pair_chain(
     """Chain of pairs (A_i, B_i): inside each level's center set, every
     vertex sees A_i x B_i completely and both sides emptily.
 
-    Levels are found by enumerating induced complete bipartite pairs in the
-    link graphs and taking the (A, B) with the most centers. The six density
+    Each level takes the (A, B) with the most centers among the induced
+    K_{t,t} of the current vertices' link graphs, found by one common-center
+    DFS on the pair-link rows of h (``search._ktt_groups``). Each (center, A,
+    B) spends one unit of ``budget``, shared by all levels. The six density
     constraints are verified per level before returning.
     """
     if h.r != 3:
         raise ValueError("pair chains are defined for 3-graphs")
+    if t < 1:
+        raise ValueError("t must be >= 1")
     bud = Budget(budget)
+    best = None  # (number of centers, centers, A, B) as masks
+
+    def keep(amask: int, bmask: int, centers: int) -> None:
+        # the winner has the most centers, then the lexicographically first
+        # center set (it owns the lowest bit of the two sets' difference),
+        # then the first (A, B) met
+        nonlocal best
+        k = centers.bit_count()
+        bud.spend(k)
+        if best is not None:
+            if k < best[0]:
+                return
+            if k == best[0]:
+                diff = centers ^ best[1]
+                if not centers & diff & -diff:
+                    return
+        best = (k, centers, amask, bmask)
+
     current: tuple[int, ...] = tuple(range(h.n))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for level in range(ell):
-        sub = h.induced(current)
-        groups: dict[tuple, list[int]] = {}
-        for v in range(sub.n):
-            lg = link_graph(sub, v)
-            others = [u for u in range(sub.n) if u != v]
-            for a_idx, b_idx in enumerate_induced_ktt(lg, t):
-                bud.spend()
-                a = tuple(others[i] for i in a_idx)
-                b = tuple(others[i] for i in b_idx)
-                key = (a, b) if a < b else (b, a)
-                groups.setdefault(key, []).append(v)
-        if not groups:
+        best = None
+        _ktt_groups(h._pair_links, mask_of(current), t, keep)
+        if best is None:
             raise SearchFailed(
                 f"no induced complete bipartite pair at chain stage {level}",
                 reason="no common centers",
                 detail={"stage": level, "vertex_set": current},
             )
-        best = max(
-            groups,
-            key=lambda ab: (
-                len(groups[ab]),
-                tuple(-x for x in sorted(groups[ab])),
-                tuple(-x for x in ab[0] + ab[1]),
-            ),
-        )
-        a, b = best
-        pairs.append(
-            (tuple(current[i] for i in a), tuple(current[i] for i in b))
-        )
-        current = tuple(sorted(current[i] for i in groups[best]))
-        if not current and level + 1 < ell:
-            raise SearchFailed(
-                f"center set empty after stage {level}",
-                reason="no common centers",
-                detail={"stage": level + 1},
-            )
+        pairs.append((bits_of(best[2]), bits_of(best[3])))
+        current = bits_of(best[1])  # never empty: a group has a center
     pairs.reverse()
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):

@@ -14,7 +14,6 @@ from ordersize.core import (
     complete_hypergraph,
     density,
     empty_hypergraph,
-    iter_combinations_from,
     read_hg_text,
     unrank_combination,
     vertex_set,
@@ -22,6 +21,8 @@ from ordersize.core import (
 )
 from ordersize.errors import ShapeError
 from ordersize.rng import SeededRNG
+
+from helpers import iter_combinations_from
 
 
 def seeded_3graph(n, seed, pct=50):
@@ -55,6 +56,12 @@ def test_induced_complete_and_identity():
     assert sub.n == 4 and len(sub.edges) == 4
     h = seeded_3graph(7, 3)
     assert h.induced(range(7)) == h
+    # the full vertex set, in any order or with repeats, is the graph itself
+    assert h.induced(range(7)) is h
+    assert h.induced([6, 5, 4, 3, 2, 1, 0, 0]) is h
+    assert h.induced(range(6)) is not h and h.induced(range(6)).n == 6
+    with pytest.raises(ValueError):
+        h.induced(range(8))
 
 
 def test_induced_containment():

@@ -23,13 +23,14 @@ from ordersize.core import (
     Hypergraph,
     complete_hypergraph,
     empty_hypergraph,
-    iter_combinations_from,
     iter_subset_counts,
     mask_of,
 )
 from ordersize.errors import BudgetExhausted
 from ordersize.spectrum import _merge_chunks, _scan_chunk, find_mf_subset, size_spectrum
 from ordersize.values import g_r
+
+from helpers import iter_combinations_from
 
 KINDS = ("empty", "complete", "random")
 

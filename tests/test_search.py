@@ -75,6 +75,20 @@ def test_find_stars_examples():
     assert [(s.center, s.leaves) for s in res.stars] == [(0, (1, 2)), (1, (0, 2)), (2, (0, 1))]
 
 
+def test_star_verify_rejects_malformed_stars():
+    from ordersize.constructions import random_hypergraph
+
+    h = random_hypergraph(3, 8, 50, 1)
+    for anti in (False, True):
+        for center, leaves in [(0, (1, 99)), (0, (1, 1)), (-1, (1, 2)), (8, (1, 2)),
+                               (0, (-1, 2)), (0, (0, 2))]:
+            assert not Star(center, leaves, False, anti).verify(h)
+    # well-formed stars are still judged by their edges
+    for st in find_stars(h, 2, want_induced=True).stars:
+        assert st.verify(h)
+        assert not Star(st.center, st.leaves, True, True).verify(h)
+
+
 def test_find_stars_matches_full_scan():
     h = seeded_3graph(10, 5)
     for anti in (False, True):

@@ -11,6 +11,7 @@ from ordersize.structure import (
     find_star_chain,
     homogenize_pair_types,
     homogenize_types,
+    largest_star,
     main_structure,
     maybe_density,
     no_large_star_subset,
@@ -167,6 +168,20 @@ def test_pair_chain_recovers_plant():
     h, ap, bp = build_pair_family(4, 3, 1, 1, 0, 0, (0, 0, 0, 0, 0, 0))
     chain = find_pair_chain(h, 3, 3)
     assert chain == [(ap[1], bp[1]), (ap[2], bp[2]), (ap[3], bp[3])]
+
+
+def test_pair_chain_rejects_t_below_one():
+    h, _ap, _bp = build_pair_family(2, 3, 1, 1, 0, 0, (0, 0, 0, 0, 0, 0))
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            find_pair_chain(h, 2, t)
+
+
+def test_largest_star_without_vertices():
+    with pytest.raises(ValueError):
+        largest_star(empty_hypergraph(3, 0))
+    assert largest_star(empty_hypergraph(3, 1)) == (0, ())
+    assert largest_star(complete_hypergraph(3, 5)) == (0, (1, 2, 3, 4))
 
 
 def test_pair_chain_fails_on_complete():

@@ -1,0 +1,314 @@
+"""Differential tests of the mask-restricted chain kernels.
+
+The oracles are the implementations the kernels replaced, kept here as they
+were: the per-center link-graph grouping of ``find_pair_chain`` (one
+``link_graph`` and one ``enumerate_induced_ktt`` per vertex of an induced
+copy), the star search that built every candidate ``Star`` and kept those
+passing ``Star.verify``, the star and pair chains that ran on
+``h.induced(current)`` and relabeled, and the edge-mask scans of ``density``.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordersize.blowups import build_pair_family, build_type_family
+from ordersize.constructions import random_hypergraph
+from ordersize.core import Hypergraph, bits_of, density, mask_of, vertex_set
+from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ShapeError
+from ordersize.search import (
+    Star,
+    StarSearchResult,
+    _cliques,
+    _ktt_groups,
+    _star_sets,
+    enumerate_induced_ktt,
+    link_graph,
+)
+from ordersize.structure import find_pair_chain, find_star_chain
+
+MAX_N = 12
+
+
+# --- oracles -------------------------------------------------------------------
+
+
+def oracle_groups(h: Hypergraph, cand: int, t: int, bud: Budget) -> dict:
+    """(A, B) -> centers, one link graph per vertex of the induced copy."""
+    current = bits_of(cand)
+    sub = h.induced(current)
+    groups: dict[tuple, list[int]] = {}
+    for v in range(sub.n):
+        lg = link_graph(sub, v)
+        others = [u for u in range(sub.n) if u != v]
+        for a_idx, b_idx in enumerate_induced_ktt(lg, t):
+            bud.spend()
+            a = tuple(current[others[i]] for i in a_idx)
+            b = tuple(current[others[i]] for i in b_idx)
+            key = (a, b) if a < b else (b, a)
+            groups.setdefault(key, []).append(current[v])
+    return groups
+
+
+def kernel_groups(h: Hypergraph, cand: int, t: int, bud: Budget) -> dict:
+    groups: dict[tuple, list[int]] = {}
+
+    def visit(amask, bmask, centers):
+        bud.spend(centers.bit_count())
+        groups[(bits_of(amask), bits_of(bmask))] = list(bits_of(centers))
+
+    _ktt_groups(h._pair_links, cand, t, visit)
+    return groups
+
+
+def oracle_find_stars(h, s, want_induced=False, want_anti=False, budget=None):
+    bud = Budget(budget)
+    flip = -1 if want_anti else 0
+    full = (1 << h.n) - 1
+    stars = []
+    complete = True
+    for v in range(h.n):
+        leafsets, complete = _cliques(h._pair_links[v], full ^ (1 << v), flip, size=s, budget=bud)
+        for mask in leafsets:
+            st = Star(v, bits_of(mask), want_induced, want_anti)
+            if want_induced and not st.verify(h):
+                continue
+            stars.append(st)
+        if not complete:
+            break
+    return StarSearchResult(tuple(stars), complete, bud.used)
+
+
+def oracle_star_chain(h, ell, s, budget=None):
+    current = tuple(range(h.n))
+    chain = []
+    for level in range(ell):
+        sub = h.induced(current)
+        res = oracle_find_stars(sub, s, want_induced=True, budget=budget)
+        if not res.complete:
+            raise BudgetExhausted("star enumeration budget exhausted", res.examined)
+        centers: dict[tuple[int, ...], list[int]] = {}
+        for st in res.stars:
+            centers.setdefault(st.leaves, []).append(st.center)
+        if not centers:
+            raise SearchFailed(
+                "no induced stars", reason="too few induced stars",
+                detail={"stage": level, "vertex_set": current, "stars": 0},
+            )
+        best = max(
+            centers,
+            key=lambda leaves: (
+                len(centers[leaves]),
+                tuple(-v for v in sorted(centers[leaves])),
+                tuple(-v for v in leaves),
+            ),
+        )
+        chain.append(tuple(current[i] for i in best))
+        current = tuple(sorted(current[i] for i in centers[best]))
+    chain.reverse()
+    return chain
+
+
+def oracle_pair_chain(h, ell, t, budget=None):
+    bud = Budget(budget)
+    current = tuple(range(h.n))
+    pairs = []
+    for level in range(ell):
+        groups = oracle_groups(h, mask_of(current), t, bud)
+        if not groups:
+            raise SearchFailed(
+                "no pair", reason="no common centers",
+                detail={"stage": level, "vertex_set": current},
+            )
+        best = max(
+            groups,
+            key=lambda ab: (
+                len(groups[ab]),
+                tuple(-x for x in sorted(groups[ab])),
+                tuple(-x for x in ab[0] + ab[1]),
+            ),
+        )
+        pairs.append(best)
+        current = tuple(groups[best])
+    pairs.reverse()
+    return pairs
+
+
+def oracle_density(h, x, y, z):
+    xs, ys, zs = vertex_set(x, h.n), vertex_set(y, h.n), vertex_set(z, h.n)
+    sets = [xs, ys, zs]
+    masks = [mask_of(e) for e in sorted(h.edges)]
+    if xs == ys == zs:
+        denom = comb(len(xs), 3)
+        if denom == 0:
+            raise ShapeError("empty")
+        return Fraction(h.edge_count(xs), denom)
+    for a in range(3):
+        for b in range(a + 1, 3):
+            if sets[a] == sets[b]:
+                dbl, single = sets[a], sets[3 - a - b]
+                if set(dbl) & set(single):
+                    raise ShapeError("overlap")
+                denom = comb(len(dbl), 2) * len(single)
+                if denom == 0:
+                    raise ShapeError("empty")
+                dm, sm = mask_of(dbl), mask_of(single)
+                count = sum(1 for em in masks
+                            if (em & dm).bit_count() == 2 and (em & sm).bit_count() == 1)
+                return Fraction(count, denom)
+    if len(set(xs) | set(ys) | set(zs)) != len(xs) + len(ys) + len(zs):
+        raise ShapeError("overlap")
+    denom = len(xs) * len(ys) * len(zs)
+    if denom == 0:
+        raise ShapeError("empty")
+    xm, ym, zm = mask_of(xs), mask_of(ys), mask_of(zs)
+    return Fraction(sum(1 for em in masks if em & xm and em & ym and em & zm), denom)
+
+
+def outcome(fn):
+    """The result, or the kind and the observable fields of the error."""
+    try:
+        return ("ok", fn())
+    except BudgetExhausted as e:
+        return ("budget", e.used)
+    except SearchFailed as e:
+        return ("failed", e.reason, e.detail)
+    except ShapeError:
+        return ("shape",)
+
+
+# --- inputs --------------------------------------------------------------------
+
+
+@st.composite
+def graphs(draw):
+    """Random 3-graphs and planted type and pair families, maybe complemented."""
+    kind = draw(st.sampled_from(["random", "type", "pair"]))
+    if kind == "random":
+        n = draw(st.integers(0, MAX_N))
+        h = random_hypergraph(3, n, draw(st.integers(0, 100)), draw(st.integers(0, 10**6)))
+    elif kind == "type":
+        parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        h, _ = build_type_family(parts, *draw(st.tuples(*[st.integers(0, 1)] * 4)))
+    else:
+        num = draw(st.integers(1, 3))
+        size = draw(st.integers(1, MAX_N // (2 * num)))
+        consts = draw(st.tuples(*[st.integers(0, 1)] * 10))
+        h, _, _ = build_pair_family(num, size, *consts[:4], consts[4:])
+    return h.complement() if draw(st.booleans()) else h
+
+
+def sub_mask(draw, h):
+    return draw(st.integers(0, (1 << h.n) - 1))
+
+
+# --- pair groups -----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_groups_match_link_graph_grouping(data):
+    h = data.draw(graphs())
+    cand = sub_mask(data.draw, h)
+    t = data.draw(st.integers(1, 3))
+    want = oracle_groups(h, cand, t, Budget())
+    got = kernel_groups(h, cand, t, Budget())
+    assert got == want
+    assert list(got.values()) == [want[k] for k in got]  # center lists in order
+    assert list(got) == sorted(got)  # lexicographic order of A + B
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pair_groups_spend_the_same_budget(data):
+    h = data.draw(graphs())
+    cand = sub_mask(data.draw, h)
+    t = data.draw(st.integers(1, 3))
+    total = sum(len(c) for c in oracle_groups(h, cand, t, Budget()).values())
+    limit = data.draw(st.integers(0, total + 2))
+    want = outcome(lambda: oracle_groups(h, cand, t, Budget(limit)))
+    got = outcome(lambda: kernel_groups(h, cand, t, Budget(limit)))
+    assert got == want
+    assert (got[0] == "budget") == (total > limit)
+    if got[0] == "budget":
+        assert got[1] == limit + 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pair_chain_matches_induced_copy_chain(data):
+    h = data.draw(graphs())
+    ell = data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(2, 3))  # t = 1 leaves the postcondition's density undefined
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 400)))
+    assert outcome(lambda: find_pair_chain(h, ell, t, budget)) == \
+        outcome(lambda: oracle_pair_chain(h, ell, t, budget))
+
+
+def test_budget_spends_many_units_as_single_ones():
+    bud = Budget(5)
+    bud.spend(3)
+    with pytest.raises(BudgetExhausted) as err:
+        bud.spend(4)
+    assert err.value.used == bud.used == 6
+    unlimited = Budget()
+    unlimited.spend(10**6)
+    assert unlimited.used == 10**6
+
+
+# --- stars -------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_star_sets_match_search_on_induced_copy(data):
+    h = data.draw(graphs())
+    cand = sub_mask(data.draw, h)
+    s = data.draw(st.integers(0, 4))
+    induced, anti = data.draw(st.booleans()), data.draw(st.booleans())
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 200)))
+    current = bits_of(cand)
+    want = oracle_find_stars(h.induced(current), s, induced, anti, budget)
+    bud = Budget(budget)
+    stars, complete = _star_sets(h, cand, s, induced, anti, bud)
+    relabeled = [Star(current[x.center], tuple(current[u] for u in x.leaves), induced, anti)
+                 for x in want.stars]
+    assert (stars, complete, bud.used) == (relabeled, want.complete, want.examined)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_star_chain_matches_induced_copy_chain(data):
+    h = data.draw(graphs())
+    ell = data.draw(st.integers(1, 3))
+    s = data.draw(st.integers(2, 4))  # s = 1 leaves the postcondition's density undefined
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 300)))
+    assert outcome(lambda: find_star_chain(h, ell, s, budget)) == \
+        outcome(lambda: oracle_star_chain(h, ell, s, budget))
+
+
+# --- density -----------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_density_matches_edge_mask_scan(data):
+    h = data.draw(graphs())
+    verts = st.lists(st.integers(0, max(h.n - 1, 0)), max_size=h.n, unique=True) \
+        if h.n else st.just([])
+    shape = data.draw(st.sampled_from(["disjoint", "doubled", "tripled", "any"]))
+    if shape == "any":
+        x, y, z = data.draw(verts), data.draw(verts), data.draw(verts)
+    else:
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=h.n, max_size=h.n))
+        parts = [[v for v, c in enumerate(labels) if c == k] for k in range(3)]
+        if shape == "disjoint":
+            x, y, z = parts
+        elif shape == "doubled":
+            x, y, z = data.draw(st.permutations([parts[0], parts[0], parts[1]]))
+        else:
+            x = y = z = parts[0]
+    assert outcome(lambda: density(h, x, y, z)) == outcome(lambda: oracle_density(h, x, y, z))
