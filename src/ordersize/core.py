@@ -193,52 +193,61 @@ def empty_hypergraph(r: int, n: int) -> Hypergraph:
 
 @dataclass(frozen=True)
 class OrderedGraph:
-    """Graph on vertices 0 < 1 < ... < n-1; the order is part of the object."""
+    """Graph on vertices 0 < 1 < ... < n-1; the order is part of the object.
+
+    The adjacency rows are the whole data: bit u of ``adj[v]`` is set iff uv
+    is an edge. The edge set is derived from them on first use.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
-        canon = set()
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        rows = [0] * n
         for e in edges:
             a, b = sorted(int(v) for v in e)
             if a == b:
                 raise ValueError("self-loops are not allowed")
             if a < 0 or b >= n:
                 raise ValueError(f"edge ({a}, {b}) out of range [0, {n})")
-            canon.add((a, b))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    @cached_property
-    def adj(self) -> tuple[int, ...]:
-        """Adjacency bitmask per vertex."""
-        rows = [0] * self.n
-        for a, b in self.edges:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return tuple(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", tuple(rows))
+
+    @classmethod
+    def _from_rows(cls, n: int, adj: tuple[int, ...]) -> "OrderedGraph":
+        """Wrap rows that are already symmetric, in range and loop-free."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (a, b) with a < b."""
+        return frozenset(
+            (a, b) for a, row in enumerate(self.adj) for b in bits_of(row >> (a + 1) << (a + 1))
+        )
 
     def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        return (min(a, b), max(a, b)) in self.edges
+        return 0 <= a < self.n and b >= 0 and self.adj[a] >> b & 1 == 1
 
     def complement(self) -> "OrderedGraph":
-        return OrderedGraph(
-            self.n,
-            (p for p in combinations(range(self.n), 2) if p not in self.edges),
+        full = (1 << self.n) - 1
+        return OrderedGraph._from_rows(
+            self.n, tuple(row ^ full ^ (1 << v) for v, row in enumerate(self.adj))
         )
 
     def induced(self, subset: Iterable[int]) -> "OrderedGraph":
         s = vertex_set(subset, self.n)
-        relabel = {v: i for i, v in enumerate(s)}
-        kept = [
-            (relabel[a], relabel[b])
-            for a, b in self.edges
-            if a in relabel and b in relabel
-        ]
-        return OrderedGraph(len(s), kept)
+        smask = mask_of(s)
+        pos = {v: i for i, v in enumerate(s)}
+        return OrderedGraph._from_rows(
+            len(s), tuple(mask_of(pos[u] for u in bits_of(self.adj[v] & smask)) for v in s)
+        )
 
     def forward_non_neighbors(self, v: int, within: int | None = None) -> int:
         """Bitmask of u > v with uv not an edge, optionally restricted."""
@@ -253,11 +262,13 @@ class OrderedGraph:
 
     def is_clique(self, subset: Iterable[int]) -> bool:
         s = vertex_set(subset, self.n)
-        return all(self.has_edge(a, b) for a, b in combinations(s, 2))
+        smask = mask_of(s)
+        return all((self.adj[v] | 1 << v) & smask == smask for v in s)
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = vertex_set(subset, self.n)
-        return all(not self.has_edge(a, b) for a, b in combinations(s, 2))
+        smask = mask_of(s)
+        return all(self.adj[v] & smask == 0 for v in s)
 
     def to_json_obj(self) -> dict:
         return {"n": self.n, "edges": sorted([list(e) for e in self.edges])}

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
-from .core import OrderedGraph
+from .core import OrderedGraph, bits_of
 from .errors import SearchFailed, ensure
 
 
@@ -343,38 +342,39 @@ def cert_f0(a: CertNode | None, b: CertNode | None, c: CertNode | None) -> CertN
     return CertNode("f0", 3, (a, b, c))
 
 
+_F0 = OrderedGraph(3, [(0, 2)])  # the three-vertex pattern with the single edge 13
+
+
 def expand_certificate(node: CertNode) -> OrderedGraph:
-    """Recursive expansion of a substitution tree into an ordered graph."""
-    if node.is_leaf:
-        if node.kind == "empty":
-            return OrderedGraph(node.size, ())
-        if node.kind == "clique":
-            return OrderedGraph(node.size, combinations(range(node.size), 2))
-        return OrderedGraph(3, [(0, 2)])
+    """Recursive expansion of a substitution tree into an ordered graph.
+
+    A leaf is its host graph. Otherwise each block's rows are shifted to the
+    block's offset and ORed with the span masks of the blocks that its host
+    vertex is joined to.
+    """
     if node.kind == "f0":
-        host = OrderedGraph(3, [(0, 2)])
+        host = _F0
     elif node.kind == "clique":
-        host = OrderedGraph(len(node.children), combinations(range(len(node.children)), 2))
+        host = OrderedGraph(node.size).complement()
     else:
-        host = OrderedGraph(len(node.children), ())
+        host = OrderedGraph(node.size)
+    if node.is_leaf:
+        return host
     blocks = [expand_certificate(c) for c in node.children]
     offsets = []
+    spans = []
     total = 0
     for b in blocks:
         offsets.append(total)
+        spans.append(((1 << b.n) - 1) << total)
         total += b.n
-    edges: list[tuple[int, int]] = []
+    rows: list[int] = []
     for bi, b in enumerate(blocks):
-        edges.extend((offsets[bi] + x, offsets[bi] + y) for x, y in b.edges)
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            if host.has_edge(bi, bj):
-                edges.extend(
-                    (offsets[bi] + x, offsets[bj] + y)
-                    for x in range(blocks[bi].n)
-                    for y in range(blocks[bj].n)
-                )
-    return OrderedGraph(total, edges)
+        joined = 0
+        for bj in bits_of(host.adj[bi]):
+            joined |= spans[bj]
+        rows.extend(row << offsets[bi] | joined for row in b.adj)
+    return OrderedGraph._from_rows(total, tuple(rows))
 
 
 def _monotone_star(leaves: int) -> CertNode:
@@ -432,10 +432,7 @@ class HConstruction:
         return self.f if not self.complemented else comb(self.m, self.r) - self.f
 
     def backward_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.graph.n
-        for a, b in self.graph.edges:
-            degs[b] += 1
-        return tuple(degs)
+        return tuple((row & ((1 << v) - 1)).bit_count() for v, row in enumerate(self.graph.adj))
 
     def to_json_obj(self) -> dict:
         return {
@@ -539,7 +536,7 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
 
     cert = _build_certificate(seq, i_star, k, mid_hi, tail_lo)
     expanded = expand_certificate(cert)
-    if expanded.n != length or expanded.edges != graph.edges:
+    if expanded != graph:
         raise BuildError("certificate does not expand to the built graph", reason="internal")
 
     return HConstruction(r, m, f, seq, graph, cert, complemented)

@@ -189,15 +189,11 @@ def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
         raise ValueError("link graphs are defined for 3-uniform hypergraphs")
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range")
-    others = [u for u in range(h.n) if u != v]
-    relabel = {u: i for i, u in enumerate(others)}
-    edges = [
-        (relabel[a], relabel[b])
-        for e in h.edges
-        if v in e
-        for a, b in [tuple(u for u in e if u != v)]
-    ]
-    return OrderedGraph(h.n - 1, edges)
+    low = (1 << v) - 1  # bit v of a row is clear; the bits above it move down one
+    rows = tuple(
+        (row & low) | (row >> 1 & ~low) for u, row in enumerate(h._pair_links[v]) if u != v
+    )
+    return OrderedGraph._from_rows(h.n - 1, rows)
 
 
 def _has_inner_edge(links, mask: int, flip: int) -> bool:

@@ -326,20 +326,11 @@ def _flip_kind(w: HomogeneousWitness) -> HomogeneousWitness:
 
 
 def _first_edge_in(g: OrderedGraph, mask: int) -> tuple[int, int] | None:
-    verts = bits_of(mask)
-    for a_i, a in enumerate(verts):
-        for b in verts[a_i + 1:]:
-            if g.has_edge(a, b):
-                return (a, b)
-    return None
-
-
-def _first_nonedge_in(g: OrderedGraph, mask: int) -> tuple[int, int] | None:
-    verts = bits_of(mask)
-    for a_i, a in enumerate(verts):
-        for b in verts[a_i + 1:]:
-            if not g.has_edge(a, b):
-                return (a, b)
+    """Lexicographically first edge (a, b), a < b, inside the vertex mask."""
+    for a in bits_of(mask):
+        above = g.adj[a] & mask & ~((1 << (a + 1)) - 1)
+        if above:
+            return (a, (above & -above).bit_length() - 1)
     return None
 
 
@@ -413,7 +404,7 @@ def _weighted_r3(
     nverts = mask.bit_count()
 
     if m == 3:  # normalized f is 0 here
-        ne = _first_nonedge_in(g, mask)
+        ne = _first_edge_in(g.complement(), mask)
         if ne is not None:
             return WeightedWitness(ne, 3, 3, 0)
         clique = bits_of(mask)
@@ -481,7 +472,7 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                 above = bnn & ~((1 << (vp + 1)) - 1)
                 np_mask = above & g.adj[vp]
                 if np_mask.bit_count() >= h:
-                    ne = _first_nonedge_in(g, np_mask)
+                    ne = _first_edge_in(g.complement(), np_mask)
                     if ne is None:
                         return HomogeneousWitness(bits_of(np_mask), "clique", True)
                     u1, u2 = ne

@@ -480,7 +480,8 @@ def find_star_chain(
         d = maybe_density(h, chain[i], chain[i], chain[i])
         ensure(d in (None, 0), "star-chain set spans no edge")
         for j in range(i + 1, len(chain)):
-            ensure(density(h, chain[i], chain[j], chain[j]) == 1, "star-chain sets joined")
+            d = maybe_density(h, chain[i], chain[j], chain[j])
+            ensure(d in (None, 1), "star-chain sets joined")
     return chain
 
 
@@ -613,10 +614,10 @@ def find_pair_chain(
             aj, bj = pairs[j]
             ensure(density(h, ai, aj, bj) == 1, "pair chain d(A_i, A_j, B_j) = 1")
             ensure(density(h, bi, aj, bj) == 1, "pair chain d(B_i, A_j, B_j) = 1")
-            ensure(density(h, ai, aj, aj) == 0, "pair chain d(A_i, A_j, A_j) = 0")
-            ensure(density(h, ai, bj, bj) == 0, "pair chain d(A_i, B_j, B_j) = 0")
-            ensure(density(h, bi, aj, aj) == 0, "pair chain d(B_i, A_j, A_j) = 0")
-            ensure(density(h, bi, bj, bj) == 0, "pair chain d(B_i, B_j, B_j) = 0")
+            ensure(maybe_density(h, ai, aj, aj) in (None, 0), "pair chain d(A_i, A_j, A_j) = 0")
+            ensure(maybe_density(h, ai, bj, bj) in (None, 0), "pair chain d(A_i, B_j, B_j) = 0")
+            ensure(maybe_density(h, bi, aj, aj) in (None, 0), "pair chain d(B_i, A_j, A_j) = 0")
+            ensure(maybe_density(h, bi, bj, bj) in (None, 0), "pair chain d(B_i, B_j, B_j) = 0")
     return pairs
 
 

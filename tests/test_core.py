@@ -180,6 +180,12 @@ def test_ordered_graph_basics():
     assert g.backward_non_neighbors(3) == 0b0110
 
 
+def test_ordered_graph_rejects_negative_vertex_count():
+    with pytest.raises(ValueError):
+        OrderedGraph(-2)
+    assert OrderedGraph(0).edges == frozenset()
+
+
 def test_paletted_coloring():
     c = PalettedColoring(4, 3, [0, 1, 2, 0, 1, 2])
     assert c.color(0, 1) == 0 and c.color(1, 0) == 0

@@ -3,6 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from ordersize.blowups import build_pair_family, build_type_family
+from ordersize.constructions import random_hypergraph
 from ordersize.core import Hypergraph, complete_hypergraph, density, empty_hypergraph
 from ordersize.errors import SearchFailed
 from ordersize.rng import SeededRNG
@@ -137,6 +138,15 @@ def test_star_chain_verified_on_seeded():
             assert density(h, chain[i], chain[j], chain[j]) == 1
 
 
+def test_star_chain_of_single_leaves():
+    # one-vertex leaf sets: d(A_i, A_j, A_j) has an empty denominator
+    h = random_hypergraph(3, 8, 30, 0)
+    chain = find_star_chain(h, 3, 1)
+    assert chain == [(5,), (6,), (7,)]
+    for i, j in combinations(range(3), 2):
+        assert maybe_density(h, chain[i], chain[j], chain[j]) is None
+
+
 def test_star_free_subset():
     h, _ = build_type_family([3, 3], 0, 0, 0, 0)  # empty graph, no stars at all
     assert star_free_subset(h, 2) == tuple(range(6))
@@ -168,6 +178,15 @@ def test_pair_chain_recovers_plant():
     h, ap, bp = build_pair_family(4, 3, 1, 1, 0, 0, (0, 0, 0, 0, 0, 0))
     chain = find_pair_chain(h, 3, 3)
     assert chain == [(ap[1], bp[1]), (ap[2], bp[2]), (ap[3], bp[3])]
+
+
+def test_pair_chain_of_single_vertex_pairs():
+    # t = 1: the doubled-set densities of the chain have empty denominators
+    h = build_pair_family(3, 3, 1, 1, 0, 0, (0,) * 6)[0]
+    chain = find_pair_chain(h, 2, 1)
+    assert chain == [((6,), (9,)), ((12,), (15,))]
+    (ai, bi), (aj, bj) = chain
+    assert density(h, ai, aj, bj) == density(h, bi, aj, bj) == 1
 
 
 def test_pair_chain_rejects_t_below_one():
