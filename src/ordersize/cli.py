@@ -90,7 +90,10 @@ class RunContext:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        out = list(range(int(lo), int(hi) + 1))
+        if not out:
+            raise ValueError(f"empty range {text!r}")
+        return out
     return [int(text)]
 
 
@@ -205,7 +208,10 @@ def cmd_values(args, ctx: RunContext) -> int:
         ctx.emit("gr_table.json", {"rows": rows, "doubling_identity": ok})
         return EXIT_OK if ok else EXIT_VIOLATION
     if args.what == "cubic":
-        p = values.CubicParams(*[Fraction(t) for t in args.params.split(",")])
+        coeffs = [Fraction(t) for t in args.params.split(",")]
+        if len(coeffs) != 5:
+            raise ValueError(f"--params needs five values a,b,c,d,e, got {len(coeffs)}")
+        p = values.CubicParams(*coeffs)
         rows = []
         for m in _parse_range(args.m):
             rep = values.count_cubic_values(p, m)

@@ -696,21 +696,16 @@ def realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> RealizeRe
 
 def pattern_weight_exists(r: int, m: int, f: int, k: int) -> bool:
     """Is there an ordered graph on the m-r+2 weighted positions whose
-    weighted total equals f, for the split-k weight table?"""
+    weighted total equals f, for the split-k weight table?
+
+    The weights are nonnegative, so the reachable totals are the subset sums
+    of the pair weights, kept as one bitset.
+    """
     frame = WeightFrame(r, m, k)
-    ps = list(frame.positions)
-    weights = [frame.weight(ps[a], ps[b]) for a, b in combinations(range(len(ps)), 2)]
-    npairs = len(weights)
-    for pick in range(1 << npairs):
-        total = 0
-        x = pick
-        while x:
-            low = x & -x
-            total += weights[low.bit_length() - 1]
-            x ^= low
-        if total == f:
-            return True
-    return False
+    reach = 1
+    for a, b in combinations(frame.positions, 2):
+        reach |= reach << frame.weight(a, b)
+    return f >= 0 and bool(reach >> f & 1)
 
 
 def pattern_weight_exists_any_split(r: int, m: int, f: int, k_max: int | None = None) -> dict[int, bool]:

@@ -2,7 +2,7 @@
 
 All evaluation is exact: integer vectors, rational parameters scaled to a
 common denominator so that distinct-value sets are sets of integers.
-Enumeration runs over positive compositions only; dropping zero coordinates
+Counting runs over positive compositions only; dropping zero coordinates
 (order preserved) never changes any of the basis sums, so nothing is lost.
 """
 
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, lcm
 from typing import Iterator, Sequence
 
 from .blowups import build_pair_family, build_type_family
+from .errors import VerificationError
 
 DEFAULT_COMPOSITION_CAP = 24
 
@@ -91,6 +92,10 @@ class CubicParams:
     def astuple(self):
         return (self.a, self.b, self.c, self.d, self.e)
 
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        return _scaled_int_coeffs(self.astuple())
+
 
 @dataclass(frozen=True)
 class GeneralParams:
@@ -110,6 +115,16 @@ class GeneralParams:
     def admissible(self) -> bool:
         """B nonzero, or both A and C nonzero."""
         return self.B != 0 or (self.A != 0 and self.C != 0)
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        return _scaled_int_coeffs((self.A, self.B, self.C, self.D, self.E))
+
+
+def _scaled_int_coeffs(fracs: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the common denominator of ``fracs``."""
+    den = lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
 
 
 @dataclass(frozen=True)
@@ -163,7 +178,8 @@ def cubic_form(p: CubicParams, x: Sequence[int]) -> Fraction:
     if any(v < 0 for v in x):
         raise ValueError("coordinates must be nonnegative")
     ta, tb, tc, td, te = cubic_basis(x)
-    return p.a * ta + p.b * tb + p.c * tc + p.d * td + p.e * te
+    (ia, ib, ic, id_, ie), den = p._scaled
+    return Fraction(ia * ta + ib * tb + ic * tc + id_ * td + ie * te, den)
 
 
 def general_form(g: GeneralParams, m: int, x: Sequence[int]) -> Fraction:
@@ -172,7 +188,8 @@ def general_form(g: GeneralParams, m: int, x: Sequence[int]) -> Fraction:
         raise ValueError("coordinates must be nonnegative")
     ta, tb, _tc, td, _te = cubic_basis(x)
     t3 = sum(v * v * v for v in x)
-    return (g.A * m + g.D) * td + g.B * t3 + g.C * (tb - ta) + g.E
+    (ia, ib, ic, id_, ie), den = g._scaled
+    return Fraction((ia * m + id_) * td + ib * t3 + ic * (tb - ta) + ie, den)
 
 
 def transform_params(p: CubicParams, m: int) -> GeneralParams:
@@ -193,63 +210,82 @@ def _count_form_values(
     m: int,
     coeffs: tuple[int, int, int, int, int, int],
     const: int,
-) -> tuple[set[int], tuple, tuple]:
-    """Scaled distinct values of coeffs . (Ta, Tb, Tc, Td, T3, E2) + const over
-    positive compositions of m, plus min and max witnesses."""
+) -> tuple[int, tuple, tuple]:
+    """Number of distinct scaled values of coeffs . (Ta, Tb, Tc, Td, T3, E2)
+    + const over positive compositions of m, plus min and max witnesses.
+
+    A DP over suffixes: after a prefix with sums (p1, p2) (e2 follows from
+    them), the set of increments the rest of the composition can add is a
+    bitset offset by its lowest member. Part v adds
+    v*(ca*v*p1 + cb*p2 + cc*e2 + cd*v + c3*v*v + ce*p1), so a state's set is
+    the union of its children's sets, each shifted by that amount. When
+    cb == cc == 0 the increments ignore p2 and the state is p1 alone.
+    """
     ca, cb, cc, cd, c3, ce = coeffs
-    values: set[int] = set()
-    best = {"min": None, "max": None}
-    path: list[int] = []
+    keyed_on_p2 = bool(cb or cc)
+    memo: dict = {}
 
-    def rec(rem: int, p1: int, p2: int, e2: int, ta: int, tb: int, tc: int, td: int, t3: int):
-        if rem == 0:
-            val = ca * ta + cb * tb + cc * tc + cd * td + c3 * t3 + ce * e2 + const
-            values.add(val)
-            if best["min"] is None or val < best["min"][0]:
-                best["min"] = (val, tuple(path))
-            if best["max"] is None or val > best["max"][0]:
-                best["max"] = (val, tuple(path))
-            return
-        for v in range(1, rem + 1):
+    def step(v: int, p1: int, p2: int) -> int:
+        e2 = (p1 * p1 - p2) >> 1
+        return v * (ca * v * p1 + cb * p2 + cc * e2 + cd * v + c3 * v * v + ce * p1)
+
+    def reach(p1: int, p2: int) -> tuple[int, int]:
+        key = (p1, p2) if keyed_on_p2 else p1
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if p1 == m:
+            out = (0, 1)
+        else:
+            kids = []
+            for v in range(1, m - p1 + 1):
+                lo, bits = reach(p1 + v, p2 + v * v)
+                kids.append((lo + step(v, p1, p2), bits))
+            lo = min(k[0] for k in kids)
+            bits = 0
+            for klo, kbits in kids:
+                bits |= kbits << (klo - lo)
+            out = (lo, bits)
+        memo[key] = out
+        return out
+
+    def witness(target: int) -> tuple[int, ...]:
+        # greedy descent: the smallest part whose suffix still reaches the
+        # target gives the lexicographically first composition
+        path = []
+        p1 = p2 = 0
+        while p1 < m:
+            for v in range(1, m - p1 + 1):
+                lo, bits = reach(p1 + v, p2 + v * v)
+                rest = target - step(v, p1, p2)
+                if rest >= lo and bits >> (rest - lo) & 1:
+                    break
             path.append(v)
-            rec(
-                rem - v,
-                p1 + v,
-                p2 + v * v,
-                e2 + v * p1,
-                ta + v * v * p1,
-                tb + v * p2,
-                tc + v * e2,
-                td + v * v,
-                t3 + v * v * v,
-            )
-            path.pop()
+            target = rest
+            p1 += v
+            p2 += v * v
+        return tuple(path)
 
-    rec(m, 0, 0, 0, 0, 0, 0, 0, 0)
-    return values, best["min"], best["max"]
-
-
-def _scaled_int_coeffs(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * den) for f in fracs], den
+    lo, bits = reach(0, 0)
+    hi = lo + bits.bit_length() - 1
+    return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
 
 
 def count_cubic_values(
     p: CubicParams, m: int, cap: int = DEFAULT_COMPOSITION_CAP
 ) -> ValueCountReport:
     """Distinct values of the cubic form over nonnegative integer vectors
-    summing to m, enumerated over the 2^(m-1) positive compositions."""
+    summing to m, counted over the 2^(m-1) positive compositions."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > cap:
         raise ValueError(f"m={m} above the enumeration cap {cap}")
-    ints, den = _scaled_int_coeffs(p.astuple())
-    ca, cb, cc, cd, ce = ints
-    values, vmin, vmax = _count_form_values(m, (ca, cb, cc, cd, 0, ce), 0)
+    (ca, cb, cc, cd, ce), den = p._scaled
+    count, vmin, vmax = _count_form_values(m, (ca, cb, cc, cd, 0, ce), 0)
     return ValueCountReport(
         m,
         p.astuple(),
-        len(values),
+        count,
         "positive-compositions",
         Fraction(vmin[0], den),
         Fraction(vmax[0], den),
@@ -266,14 +302,12 @@ def count_general_values(
         raise ValueError("m must be >= 1")
     if m > cap:
         raise ValueError(f"m={m} above the enumeration cap {cap}")
-    am_d = g.A * m + g.D
-    ints, den = _scaled_int_coeffs([-g.C, g.C, Fraction(0), am_d, g.B, Fraction(0), g.E])
-    ca, cb, cc, cd, c3, ce, e0 = ints
-    values, vmin, vmax = _count_form_values(m, (ca, cb, cc, cd, c3, ce), e0)
+    (ia, ib, ic, id_, ie), den = g._scaled
+    count, vmin, vmax = _count_form_values(m, (-ic, ic, 0, ia * m + id_, ib, 0), ie)
     return ValueCountReport(
         m,
         (g.A, g.B, g.C, g.D, g.E),
-        len(values),
+        count,
         "positive-compositions",
         Fraction(vmin[0], den),
         Fraction(vmax[0], den),
@@ -308,34 +342,49 @@ def count_pair_form_values(m: int) -> ValueCountReport:
     """Distinct pair-form values over all splits of mass m between the two
     coordinate families.
 
-    The form depends only on (A, sum a_i^2, B, sum b_i^2) with A + B = m, so
-    the count runs over reachable square-sum states instead of vectors.
+    The form depends only on (A, sum a_i^2, B, sum b_i^2) with A + B = m.
+    For each split the values are a sumset: the bitset {A*(B^2 - sb)/2}
+    over square sums sb, ORed in copies shifted by B*(A^2 - sa)/2 for each
+    square sum sa. The count is the popcount of the union over all splits.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    values: set[int] = set()
-    best_min = best_max = None
+    splits = []
+    union = 0
     for a_total in range(m + 1):
+        b_total = m - a_total
+        b_bits = 0
+        for sb in _square_sums(b_total):
+            b_bits |= 1 << a_total * ((b_total * b_total - sb) // 2)
+        bits = 0
+        for sa in _square_sums(a_total):
+            bits |= b_bits << b_total * ((a_total * a_total - sa) // 2)
+        splits.append(bits)
+        union |= bits
+    vmin = (union & -union).bit_length() - 1
+    vmax = union.bit_length() - 1
+
+    def witness(val: int) -> tuple[int, int, int, int]:
+        # the first split, then the first (sa, sb) in the square-sum sets'
+        # iteration order, that reaches val
+        a_total = next(a for a, bits in enumerate(splits) if bits >> val & 1)
         b_total = m - a_total
         for sa in _square_sums(a_total):
             pa = (a_total * a_total - sa) // 2
             for sb in _square_sums(b_total):
-                pb = (b_total * b_total - sb) // 2
-                val = a_total * pb + b_total * pa
-                values.add(val)
-                if best_min is None or val < best_min[0]:
-                    best_min = (val, (a_total, sa, b_total, sb))
-                if best_max is None or val > best_max[0]:
-                    best_max = (val, (a_total, sa, b_total, sb))
+                if a_total * ((b_total * b_total - sb) // 2) + b_total * pa == val:
+                    return (a_total, sa, b_total, sb)
+        raise VerificationError(f"pair-form value {val} missing from split {a_total}")
+
     return ValueCountReport(
         m,
         ("pair-form",),
-        len(values),
+        union.bit_count(),
         "square-sum-states",
-        Fraction(best_min[0]),
-        Fraction(best_max[0]),
-        best_min[1],
-        best_max[1],
+        Fraction(vmin),
+        Fraction(vmax),
+        witness(vmin),
+        witness(vmax),
     )
 
 

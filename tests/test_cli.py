@@ -171,3 +171,15 @@ def test_threads_match_sequential(tmp_path):
     par = size_spectrum(h, 6, threads=3)
     assert seq.achieved == par.achieved
     assert seq.witnesses == par.witnesses
+
+
+def test_values_cubic_rejects_wrong_param_count(capsys):
+    assert run(["values", "cubic", "--params", "1,0,0", "--m", "5"]) == 2
+    assert "five values" in capsys.readouterr().err
+
+
+def test_empty_ranges_are_rejected(capsys):
+    assert run(["values", "gr-table", "--r", "9..8"]) == 2
+    assert "empty range" in capsys.readouterr().err
+    assert run(["values", "cubic", "--m", "9..8"]) == 2
+    assert run(["values", "pairform", "--m", "9..9"]) == 0
