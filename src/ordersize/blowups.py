@@ -7,7 +7,7 @@ structure finder and as the direct-count side of the blow-up edge formulas.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import Hypergraph
 
@@ -17,34 +17,30 @@ def build_type_family(
 ) -> tuple[Hypergraph, list[tuple[int, ...]]]:
     """Blow-up with per-type densities: for part indices p <= q <= s of a
     triple, the triple is an edge per a (p < q = s), b (p = q < s),
-    c (p < q < s), or d (p = q = s)."""
+    c (p < q < s), or d (p = q = s). Each kept type adds its whole block."""
     for v in (a, b, c, d):
         if v not in (0, 1):
             raise ValueError("type densities must be 0 or 1")
+    if any(size < 0 for size in part_sizes):
+        raise ValueError("part sizes must be nonnegative")
     parts: list[tuple[int, ...]] = []
     start = 0
     for size in part_sizes:
         parts.append(tuple(range(start, start + size)))
         start += size
-    n = start
-    owner = [0] * n
-    for idx, part in enumerate(parts):
-        for v in part:
-            owner[v] = idx
-    edges = []
-    for t in combinations(range(n), 3):
-        p, q, s = owner[t[0]], owner[t[1]], owner[t[2]]
-        if p == q == s:
-            keep = d
-        elif p == q:
-            keep = b
-        elif q == s:
-            keep = a
-        else:
-            keep = c
-        if keep:
-            edges.append(t)
-    return Hypergraph(3, n, edges), parts
+    edges: list[tuple[int, ...]] = []
+    for p, pp in enumerate(parts):
+        if d:
+            edges.extend(combinations(pp, 3))
+        for q, pq in enumerate(parts[p + 1:], p + 1):
+            if a:
+                edges.extend((u, v, w) for u in pp for v, w in combinations(pq, 2))
+            if b:
+                edges.extend((u, v, w) for u, v in combinations(pp, 2) for w in pq)
+            if c:
+                for ps in parts[q + 1:]:
+                    edges.extend(product(pp, pq, ps))
+    return Hypergraph._from_edges(3, start, edges), parts
 
 
 def build_pair_family(
@@ -63,26 +59,26 @@ def build_pair_family(
     Triples meeting a set twice span no edges. For indices i < j, the types
     (X, A_j, B_j) carry a1 (X = A_i) and a2 (X = B_i); (A_i, B_i, X) carry b1
     (X = A_j) and b2 (X = B_j). Distinct-index triples carry c1..c6 by the
-    kind pattern AAB, ABA, ABB, BAA, BAB, BBA, and c7/c8 for AAA/BBB.
+    kind pattern AAB, ABA, ABB, BAA, BAB, BBA, and c7/c8 for AAA/BBB. Each
+    kept triple of sets adds the product of the three sets.
     """
+    if len(cs) != 6:
+        raise ValueError("cs must hold six densities c1..c6")
     for v in (a1, a2, b1, b2, c7, c8) + tuple(cs):
         if v not in (0, 1):
             raise ValueError("type densities must be 0 or 1")
+    if num_pairs < 0 or part_size < 0:
+        raise ValueError("pair and part counts must be nonnegative")
     a_parts: list[tuple[int, ...]] = []
     b_parts: list[tuple[int, ...]] = []
+    labeled: list[tuple[int, str, tuple[int, ...]]] = []  # the sets in vertex order
     start = 0
-    for _ in range(num_pairs):
+    for idx in range(num_pairs):
         a_parts.append(tuple(range(start, start + part_size)))
         start += part_size
         b_parts.append(tuple(range(start, start + part_size)))
         start += part_size
-    n = start
-    owner: list[tuple[int, str]] = [(0, "A")] * n
-    for idx in range(num_pairs):
-        for v in a_parts[idx]:
-            owner[v] = (idx, "A")
-        for v in b_parts[idx]:
-            owner[v] = (idx, "B")
+        labeled += [(idx, "A", a_parts[-1]), (idx, "B", b_parts[-1])]
     c_by_kind = {
         ("A", "A", "B"): cs[0],
         ("A", "B", "A"): cs[1],
@@ -93,12 +89,8 @@ def build_pair_family(
         ("A", "A", "A"): c7,
         ("B", "B", "B"): c8,
     }
-    edges = []
-    for t in combinations(range(n), 3):
-        labels = sorted(owner[v] for v in t)
-        (i1, k1), (i2, k2), (i3, k3) = labels
-        if labels[0] == labels[1] or labels[1] == labels[2]:
-            continue  # a set hit twice spans nothing
+    edges: list[tuple[int, ...]] = []
+    for (i1, k1, s1), (i2, k2, s2), (i3, k3, s3) in combinations(labeled, 3):
         if i1 == i2:  # kinds must be (A, B); third has larger index
             keep = b1 if k3 == "A" else b2
         elif i2 == i3:  # third (smaller index) relates to the pair (A_j, B_j)
@@ -106,5 +98,5 @@ def build_pair_family(
         else:
             keep = c_by_kind[(k1, k2, k3)]
         if keep:
-            edges.append(t)
-    return Hypergraph(3, n, edges), a_parts, b_parts
+            edges.extend(product(s1, s2, s3))
+    return Hypergraph._from_edges(3, start, edges), a_parts, b_parts

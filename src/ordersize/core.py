@@ -81,6 +81,15 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(canon))
 
+    @classmethod
+    def _from_edges(cls, r: int, n: int, edges: Iterable[Edge]) -> "Hypergraph":
+        """Wrap edges that are already strictly increasing r-tuples in [0, n)."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "r", r)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "edges", frozenset(edges))
+        return h
+
     @cached_property
     def _edge_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(e) for e in sorted(self.edges))
@@ -123,8 +132,8 @@ class Hypergraph:
 
     def complement(self) -> "Hypergraph":
         """Edge present in the output iff absent in the input."""
-        all_edges = combinations(range(self.n), self.r)
-        return Hypergraph(self.r, self.n, (e for e in all_edges if e not in self.edges))
+        all_edges = frozenset(combinations(range(self.n), self.r))
+        return Hypergraph._from_edges(self.r, self.n, all_edges - self.edges)
 
     def induced(self, subset: Iterable[int]) -> "Hypergraph":
         """Subgraph on ``subset``, relabeled by the order-preserving map."""
@@ -138,7 +147,7 @@ class Hypergraph:
             for e, m in zip(self._sorted_edges, self._edge_masks)
             if m & ~smask == 0
         ]
-        return Hypergraph(self.r, len(s), kept)
+        return Hypergraph._from_edges(self.r, len(s), kept)
 
     def edge_count(self, subset: Iterable[int]) -> int:
         """Number of edges contained in ``subset``."""

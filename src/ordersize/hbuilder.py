@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .core import OrderedGraph, bits_of
@@ -26,11 +27,13 @@ class BuildError(SearchFailed):
 # --- exact logarithm bounds ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def ln_bounds(x: int | Fraction, terms: int = 60) -> tuple[Fraction, Fraction]:
     """Exact rational lower and upper bounds on ln(x) for x > 1.
 
     Uses ln x = 2 * atanh((x-1)/(x+1)) with an explicit tail bound, so all
-    threshold comparisons stay in integer arithmetic.
+    threshold comparisons stay in integer arithmetic. Results are cached: the
+    function is pure and its Fractions are immutable.
     """
     x = Fraction(x)
     if x <= 1:
@@ -184,8 +187,8 @@ def verify_claim_d(seq: DSequence) -> ClaimReport:
     if seq.i_star is not None:
         for i in range(seq.i_star + 1, seq.length + 1):
             di = seq.at(i)
-            # d_i < (r-2)/(m-r+3-i) + 1, exactly in rationals
-            if not (Fraction(di) < Fraction(r - 2, m - r + 3 - i) + 1):
+            # d_i < (r-2)/(m-r+3-i) + 1, times the divisor m-r+3-i >= 1 (i <= m-r+2)
+            if not (di - 1) * (m - r + 3 - i) < r - 2:
                 ok_b = False
                 details.setdefault("b_violations", []).append(i)
             if di > i - 2:
@@ -196,8 +199,8 @@ def verify_claim_d(seq: DSequence) -> ClaimReport:
                 details.setdefault("b_violations", []).append(i)
     items["b"] = ok_b
 
-    items["c"] = seq.weighted_sum() == f
     details["weighted_sum"] = seq.weighted_sum()
+    items["c"] = details["weighted_sum"] == f
 
     if seq.i_star is not None:
         _, ln_up = ln_bounds(2 * (r - 2))

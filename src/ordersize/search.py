@@ -48,18 +48,15 @@ class Star:
 
     def verify(self, h: Hypergraph) -> bool:
         verts = (self.center,) + self.leaves
-        if len(set(verts)) != len(verts) or not all(0 <= u < h.n for u in verts):
+        if len(set(verts)) != len(verts) or min(verts) < 0 or max(verts) >= h.n:
             return False
-        want = not self.anti
-        for pair in combinations(self.leaves, 2):
-            if h.has_edge(pair + (self.center,)) != want:
+        c, edges, anti = self.center, h.edges, self.anti
+        leaves = sorted(self.leaves)
+        for u, v in combinations(leaves, 2):
+            if (((u, v, c) if c > v else (u, c, v) if c > u else (c, u, v)) in edges) == anti:
                 return False
-        if self.induced:
-            inner = not self.anti  # star: no inner edges; antistar: all inner
-            for triple in combinations(self.leaves, 3):
-                if h.has_edge(triple) == inner:
-                    return False
-        return True
+        # a star spans no edge among its leaves, an antistar all of them
+        return not self.induced or all((t in edges) == anti for t in combinations(leaves, 3))
 
 
 @dataclass(frozen=True)

@@ -401,8 +401,8 @@ def blowup_edge_count(
     """
     if len(x) != len(part_sizes):
         raise ValueError("x must have one entry per part")
-    if any(xi > s for xi, s in zip(x, part_sizes)):
-        raise ValueError("selection exceeds a part size")
+    if any(not 0 <= xi <= s for xi, s in zip(x, part_sizes)):
+        raise ValueError("selection exceeds a part size or is negative")
     m = len(x)
     closed = 0
     for i in range(m):
@@ -430,8 +430,8 @@ def blowup_edge_count_mixed(
     if eps not in (0, 1):
         raise ValueError("eps must be 0 or 1")
     t = len(x)
-    if any(xi > part_size for xi in x):
-        raise ValueError("selection exceeds the part size")
+    if any(not 0 <= xi <= part_size for xi in x):
+        raise ValueError("selection exceeds the part size or is negative")
     b = b1 + b2
     c = sum(cs)
     closed = 0

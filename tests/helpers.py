@@ -9,7 +9,9 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Iterator
 
-from ordersize.core import unrank_combination, vertex_set
+from ordersize.core import Hypergraph, unrank_combination, vertex_set
+from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, ln_bounds
+from ordersize.search import Star
 from ordersize.spectrum import WeightFrame
 from ordersize.values import (
     CubicParams,
@@ -208,3 +210,159 @@ def scan_pattern_weight_exists(r: int, m: int, f: int, k: int) -> bool:
         if total == f:
             return True
     return False
+
+
+# --- blow-up family oracles: the per-triple builders the block builders replaced ----
+
+
+def triple_type_family(
+    part_sizes: list[int], a: int, b: int, c: int, d: int
+) -> tuple[Hypergraph, list[tuple[int, ...]]]:
+    """``build_type_family`` by classifying every triple by its owners' parts."""
+    for v in (a, b, c, d):
+        if v not in (0, 1):
+            raise ValueError("type densities must be 0 or 1")
+    parts: list[tuple[int, ...]] = []
+    start = 0
+    for size in part_sizes:
+        parts.append(tuple(range(start, start + size)))
+        start += size
+    n = start
+    owner = [0] * n
+    for idx, part in enumerate(parts):
+        for v in part:
+            owner[v] = idx
+    edges = []
+    for t in combinations(range(n), 3):
+        p, q, s = owner[t[0]], owner[t[1]], owner[t[2]]
+        if p == q == s:
+            keep = d
+        elif p == q:
+            keep = b
+        elif q == s:
+            keep = a
+        else:
+            keep = c
+        if keep:
+            edges.append(t)
+    return Hypergraph(3, n, edges), parts
+
+
+def triple_pair_family(
+    num_pairs: int,
+    part_size: int,
+    a1: int,
+    a2: int,
+    b1: int,
+    b2: int,
+    cs: tuple[int, int, int, int, int, int],
+    c7: int = 0,
+    c8: int = 0,
+) -> tuple[Hypergraph, list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``build_pair_family`` by classifying every triple by its owners' sorted labels."""
+    for v in (a1, a2, b1, b2, c7, c8) + tuple(cs):
+        if v not in (0, 1):
+            raise ValueError("type densities must be 0 or 1")
+    a_parts: list[tuple[int, ...]] = []
+    b_parts: list[tuple[int, ...]] = []
+    start = 0
+    for _ in range(num_pairs):
+        a_parts.append(tuple(range(start, start + part_size)))
+        start += part_size
+        b_parts.append(tuple(range(start, start + part_size)))
+        start += part_size
+    n = start
+    owner: list[tuple[int, str]] = [(0, "A")] * n
+    for idx in range(num_pairs):
+        for v in a_parts[idx]:
+            owner[v] = (idx, "A")
+        for v in b_parts[idx]:
+            owner[v] = (idx, "B")
+    c_by_kind = {
+        ("A", "A", "B"): cs[0],
+        ("A", "B", "A"): cs[1],
+        ("A", "B", "B"): cs[2],
+        ("B", "A", "A"): cs[3],
+        ("B", "A", "B"): cs[4],
+        ("B", "B", "A"): cs[5],
+        ("A", "A", "A"): c7,
+        ("B", "B", "B"): c8,
+    }
+    edges = []
+    for t in combinations(range(n), 3):
+        labels = sorted(owner[v] for v in t)
+        (i1, k1), (i2, k2), (i3, k3) = labels
+        if labels[0] == labels[1] or labels[1] == labels[2]:
+            continue  # a set hit twice spans nothing
+        if i1 == i2:  # kinds must be (A, B); third has larger index
+            keep = b1 if k3 == "A" else b2
+        elif i2 == i3:  # third (smaller index) relates to the pair (A_j, B_j)
+            keep = a1 if k1 == "A" else a2
+        else:
+            keep = c_by_kind[(k1, k2, k3)]
+        if keep:
+            edges.append(t)
+    return Hypergraph(3, n, edges), a_parts, b_parts
+
+
+# --- H builder and star oracles ---------------------------------------------------
+
+
+def fraction_verify_claim_d(seq: DSequence) -> ClaimReport:
+    """``verify_claim_d`` with item (b) in Fractions and ln_bounds evaluated afresh."""
+    r, m, f, d = seq.r, seq.m, seq.f, seq.d
+    advisory = not (r >= 4 and m >= 5 * r * r)
+    details: dict = {}
+    items: dict[str, bool] = {}
+
+    items["a"] = seq.i_star is not None and 2 * seq.i_star <= m + r
+    details["i_star"] = seq.i_star
+
+    ok_b = seq.i_star is not None
+    if seq.i_star is not None:
+        for i in range(seq.i_star + 1, seq.length + 1):
+            di = seq.at(i)
+            # d_i < (r-2)/(m-r+3-i) + 1, exactly in rationals
+            if not (Fraction(di) < Fraction(r - 2, m - r + 3 - i) + 1):
+                ok_b = False
+                details.setdefault("b_violations", []).append(i)
+            if di > i - 2:
+                ok_b = False
+                details.setdefault("b_violations", []).append(i)
+            if i <= m - 2 * r + 5 and di > 1:
+                ok_b = False
+                details.setdefault("b_violations", []).append(i)
+    items["b"] = ok_b
+
+    items["c"] = seq.weighted_sum() == f
+    details["weighted_sum"] = seq.weighted_sum()
+
+    if seq.i_star is not None:
+        _, ln_up = ln_bounds.__wrapped__(2 * (r - 2))
+        threshold = 2 * (r - 2) * ln_up
+        gap = _best_gap(d, seq.i_star, m, r)
+        items["d"] = gap is not None and Fraction(gap[1] - gap[0]) >= threshold
+        details["gap"] = gap
+        details["gap_threshold"] = float(threshold)
+    else:
+        gap = None
+        items["d"] = False
+        details["gap"] = None
+    return ClaimReport(items, advisory, gap, details)
+
+
+def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:
+    """``Star.verify`` by sorting every leaf pair with the center through has_edge."""
+    verts = (star.center,) + star.leaves
+    if len(set(verts)) != len(verts) or not all(0 <= u < h.n for u in verts):
+        return False
+    want = not star.anti
+    for pair in combinations(star.leaves, 2):
+        if h.has_edge(pair + (star.center,)) != want:
+            return False
+    if star.induced:
+        inner = not star.anti  # star: no inner edges; antistar: all inner
+        for triple in combinations(star.leaves, 3):
+            if h.has_edge(triple) == inner:
+                return False
+    return True
