@@ -1,5 +1,5 @@
 """Command-line surface: generation, spectra, stepping-down, the builder,
-value counters, structure extraction, and the oracle verification suites.
+value counters, structure extraction, and the oracle checks of ``oracles``.
 
 Every randomized command runs under an explicit or defaulted-and-logged seed,
 and a run with ``--out`` leaves exactly one ``manifest.json`` next to its
@@ -21,14 +21,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from functools import partial
 from math import comb
 
 from . import __version__
-from .core import Hypergraph, load_hypergraph, save_hypergraph, write_hg_text
+from .core import load_hypergraph, save_hypergraph, write_hg_text
 from .errors import BudgetExhausted, FactorizationError, OrderSizeError, SearchFailed, VerificationError
 from .rng import SeededRNG
-from . import constructions, hbuilder, search, spectrum, stepdown, structure, values
+from . import constructions, hbuilder, oracles, search, spectrum, stepdown, structure, values
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -165,36 +165,22 @@ def cmd_buildh(args, ctx: RunContext) -> int:
     for _ in range(args.sweep or 0):
         targets.append(rng.randrange(half + 1))
     if not targets:
-        raise SystemExit("buildh needs --f or --sweep")
+        raise ValueError("buildh needs --f or --sweep")
     rows = []
     bad = 0
-    last = None
     for f in targets:
-        hc = last = hbuilder.build_H(args.r, args.m, f)
+        hc = hbuilder.build_H(args.r, args.m, f)
         row = {"f": f, "edges": len(hc.graph.edges), "complemented": hc.complemented}
         if args.check:
-            rep = hbuilder.verify_claim_d(hc.d)
-            recount = sum(
-                hbuilder.position_weight(args.r, args.m, j + 1) for _i, j in hc.graph.edges
-            )
-            weight_ok = recount == hc.realized_weight
-            degrees_ok = hc.backward_degrees() == hc.d.d
-            cert_ok = hbuilder.expand_certificate(hc.cert) == hc.graph
-            row.update(
-                {
-                    "weight_ok": weight_ok,
-                    "degrees_ok": degrees_ok,
-                    "cert_ok": cert_ok,
-                    "claims": rep.items,
-                    "advisory": rep.advisory,
-                }
-            )
-            if not (weight_ok and degrees_ok and cert_ok and (rep.all_pass or rep.advisory)):
+            checks = oracles.h_construction_checks(hc)
+            row.update(checks)
+            claims_ok = all(checks["claims"].values()) or checks["advisory"]
+            if not (checks["weight_ok"] and checks["degrees_ok"] and checks["cert_ok"] and claims_ok):
                 bad += 1
         rows.append(row)
     ctx.say(f"built {len(rows)} graphs for r={args.r}, m={args.m}" + (f"; {bad} failed checks" if bad else ""))
-    if len(rows) == 1 and last is not None:
-        ctx.emit("hconstruction.json", last.to_json_obj())
+    if len(rows) == 1:
+        ctx.emit("hconstruction.json", hc.to_json_obj())
     ctx.emit("buildh.json", {"r": args.r, "m": args.m, "rows": rows})
     return EXIT_VIOLATION if bad else EXIT_OK
 
@@ -207,53 +193,32 @@ def cmd_values(args, ctx: RunContext) -> int:
             ctx.say(f"r={row['r']}  g_r({row['m']}) = {row['g']}  (2^r = {row['power']})")
         ctx.emit("gr_table.json", {"rows": rows, "doubling_identity": ok})
         return EXIT_OK if ok else EXIT_VIOLATION
+    if args.what == "identity":  # the rewrite agrees with the direct evaluation
+        bad = oracles.transform_mismatches(args.max_m)
+        ctx.say(f"identity checked through m={args.max_m}: {'ok' if not bad else f'{len(bad)} mismatches'}")
+        ctx.emit("identity.json", {"max_m": args.max_m, "mismatches": bad})
+        return EXIT_OK if not bad else EXIT_VIOLATION
     if args.what == "cubic":
-        coeffs = [Fraction(t) for t in args.params.split(",")]
+        try:
+            coeffs = [Fraction(t) for t in args.params.split(",")]
+        except ZeroDivisionError:
+            raise ValueError(f"--params has a zero denominator: {args.params!r}") from None
         if len(coeffs) != 5:
             raise ValueError(f"--params needs five values a,b,c,d,e, got {len(coeffs)}")
-        p = values.CubicParams(*coeffs)
-        rows = []
-        for m in _parse_range(args.m):
-            rep = values.count_cubic_values(p, m)
-            rows.append(rep.to_json_obj())
-            if ctx.format == "csv":
-                print(rep.to_csv_row())
-            else:
-                ctx.say(f"m={m}: {rep.count} distinct values")
-        ctx.emit("cubic_counts.json", {"params": args.params, "rows": rows})
-        return EXIT_OK
-    if args.what == "pairform":
-        rows = []
-        for m in _parse_range(args.m):
-            rep = values.count_pair_form_values(m)
-            rows.append(rep.to_json_obj())
-            if ctx.format == "csv":
-                print(rep.to_csv_row())
-            else:
-                ctx.say(f"m={m}: {rep.count} distinct values")
-        ctx.emit("pairform_counts.json", {"rows": rows})
-        return EXIT_OK
-    # identity: the rewrite agrees with the direct evaluation
-    bad = []
-    for m in range(1, args.max_m + 1):
-        for signs in product((-1, 0, 1), repeat=5):
-            p = values.CubicParams(*signs)
-            g = values.transform_params(p, m)
-            for comp in _positive_compositions(m):
-                if values.cubic_form(p, comp) != values.general_form(g, m, comp):
-                    bad.append({"m": m, "params": signs, "x": list(comp)})
-    ctx.say(f"identity checked through m={args.max_m}: {'ok' if not bad else f'{len(bad)} mismatches'}")
-    ctx.emit("identity.json", {"max_m": args.max_m, "mismatches": bad})
-    return EXIT_OK if not bad else EXIT_VIOLATION
-
-
-def _positive_compositions(m: int):
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in _positive_compositions(m - first):
-            yield (first,) + rest
+        count = partial(values.count_cubic_values, values.CubicParams(*coeffs))
+        name, head = "cubic_counts.json", {"params": args.params}
+    else:
+        count, name, head = values.count_pair_form_values, "pairform_counts.json", {}
+    rows = []
+    for m in _parse_range(args.m):
+        rep = count(m)
+        rows.append(rep.to_json_obj())
+        if ctx.format == "csv":
+            print(rep.to_csv_row())
+        else:
+            ctx.say(f"m={m}: {rep.count} distinct values")
+    ctx.emit(name, {**head, "rows": rows})
+    return EXIT_OK
 
 
 def cmd_structure(args, ctx: RunContext) -> int:
@@ -282,100 +247,38 @@ def cmd_structure(args, ctx: RunContext) -> int:
     return EXIT_OK
 
 
-# --- verification suites --------------------------------------------------------
-
-
-def verify_lift_suite(trials: int, seed: int) -> dict:
-    rng = SeededRNG(seed)
-    checked = 0
-    for r in (3, 4):
-        for _ in range(trials // 2):
-            n = 12
-            chig = constructions.random_ordered_graph(n, 50, rng.subseed("chi", r, checked))
-            edges = [t for t in combinations(range(n), r) if chig.has_edge(t[0], t[1])]
-            h = Hypergraph(r, n, edges)
-            top = n - (r - 2)
-            size = rng.randint(2, top)
-            u = sorted(rng.sample(top, size))
-            after = list(range(u[-1] + 1, n))
-            if len(after) < r - 2:
-                continue
-            tail = sorted(rng.sample(after, r - 2))
-            if not spectrum.verify_lift(h, list(range(n)), u, tail):
-                return {"ok": False, "instance": {"r": r, "u": u, "tail": tail}}
-            checked += 1
-    return {"ok": True, "checked": checked}
-
-
-def verify_weights_suite(max_r: int, max_m: int) -> dict:
-    rows = []
-    ok = True
-    for r in range(3, max_r + 1):
-        for m in range(r + 1, max_m + 1):
-            for k in range(1, r):
-                total = spectrum.WeightFrame(r, m, k).total()
-                good = total == comb(m, r)
-                ok = ok and good
-                rows.append({"r": r, "m": m, "k": k, "total": total, "expected": comb(m, r)})
-    splits = spectrum.pattern_weight_exists_any_split(10, 12, 33, 5)
-    no_pattern = not any(splits.values())
-    return {"ok": ok and no_pattern, "tables": rows, "weight33_splits": splits}
-
-
-def verify_blowup_suite(trials: int, seed: int) -> dict:
-    rng = SeededRNG(seed)
-    configs = [(a, b, c) for a, b, c in product((0, 1), repeat=3) if (a, b, c) != (0, 0, 0)]
-    for i in range(trials):
-        a, b, c = configs[rng.randrange(len(configs))]
-        nparts = rng.randint(3, 8)
-        sizes = [rng.randint(1, 6) for _ in range(nparts)]
-        x = [rng.randint(0, s) for s in sizes]
-        closed, direct = values.blowup_edge_count(a, b, c, sizes, x)
-        if closed != direct:
-            return {"ok": False, "instance": {"config": (a, b, c), "sizes": sizes, "x": x}}
-        t = rng.randint(2, 4)
-        part = rng.randint(1, 4)
-        xs = [rng.randint(0, part) for _ in range(t)]
-        eps = rng.coin()
-        b1, b2 = rng.coin(), rng.coin()
-        cs = tuple(rng.coin() for _ in range(6))
-        closed, direct = values.blowup_edge_count_mixed(b1, b2, cs, part, xs, eps)
-        if closed != direct:
-            return {"ok": False, "instance": {"b": (b1, b2), "cs": cs, "x": xs, "eps": eps}}
-    return {"ok": True, "checked": 2 * trials}
-
-
-def verify_appendix_suite(r: int, n: int, samples: int, seeds: int, base_seed: int) -> dict:
-    foot = constructions.footnote_example_r3()
-    foot_ok = len(foot.graph.edges) == 7
-    runs = []
-    violations = []
-    for i in range(seeds):
-        inst = constructions.build_gr(n, r, base_seed + i, materialize_cap=0)
-        rep = constructions.scan_counterexample(inst, samples=samples, seed=base_seed + i)
-        runs.append(rep.to_json_obj())
-        violations.extend(rep.violations)
-    return {
-        "ok": foot_ok and not violations,
-        "footnote_edges": len(foot.graph.edges),
-        "runs": runs,
-        "violations": violations,
-    }
+def _suite(mismatches: list[dict], checked: int) -> dict:
+    """A pass reports how many instances were checked; a failure, the first mismatch."""
+    return {"ok": False, "instance": mismatches[0]} if mismatches else {"ok": True, "checked": checked}
 
 
 def cmd_verify(args, ctx: RunContext) -> int:
     suites = {}
     which = args.suite
     if which in ("lift", "all"):
-        suites["lift"] = verify_lift_suite(args.trials, ctx.seed)
+        suites["lift"] = _suite(oracles.lift_mismatches(args.trials, ctx.seed), args.trials)
     if which in ("weights", "all"):
-        suites["weights"] = verify_weights_suite(args.max_r, args.max_m)
+        rows = [
+            {"r": r, "m": m, "k": k, "total": spectrum.WeightFrame(r, m, k).total(), "expected": comb(m, r)}
+            for r in range(3, args.max_r + 1)
+            for m in range(r + 1, args.max_m + 1)
+            for k in range(1, r)
+        ]
+        splits = spectrum.pattern_weight_exists_any_split(10, 12, 33, 5)
+        ok = all(row["total"] == row["expected"] for row in rows) and not any(splits.values())
+        suites["weights"] = {"ok": ok, "tables": rows, "weight33_splits": splits}
     if which in ("blowup", "all"):
-        suites["blowup"] = verify_blowup_suite(args.trials, ctx.seed)
+        suites["blowup"] = _suite(oracles.blowup_mismatches(args.trials, ctx.seed), 2 * args.trials)
     if which in ("appendix", "all"):
-        suites["appendix"] = verify_appendix_suite(
-            args.r, args.n, args.samples, args.seeds, ctx.seed
-        )
+        runs = oracles.appendix_runs(args.r, args.n, args.samples, args.seeds, ctx.seed)
+        footnote_edges = len(constructions.footnote_example_r3().graph.edges)
+        violations = [v for rep in runs for v in rep.violations]
+        suites["appendix"] = {
+            "ok": footnote_edges == 7 and not violations,
+            "footnote_edges": footnote_edges,
+            "runs": [rep.to_json_obj() for rep in runs],
+            "violations": violations,
+        }
     ok = all(s["ok"] for s in suites.values())
     for name, s in suites.items():
         ctx.say(f"{name}: {'ok' if s['ok'] else 'VIOLATION'}")
@@ -448,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--part-size", type=int, default=None)
     st.set_defaults(func=cmd_structure)
 
-    ve = sub.add_parser("verify", help="oracle suites")
+    ve = sub.add_parser("verify", help="oracle checks")
     ve.add_argument("suite", choices=("lift", "weights", "blowup", "appendix", "all"))
     ve.add_argument("--trials", type=int, default=200)
     ve.add_argument("--max-r", type=int, default=5)
@@ -469,11 +372,7 @@ def _resolve_options(args) -> dict:
             config = json.load(f)
     def pick(name, default):
         cli = getattr(args, name, None)
-        if cli is not None:
-            return cli
-        if name in config:
-            return config[name]
-        return default
+        return cli if cli is not None else config.get(name, default)
     return {
         "seed": pick("seed", 0),
         "threads": pick("threads", 1),
@@ -487,16 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     args = ap.parse_args(argv)
-    opts = _resolve_options(args)
-    ctx = RunContext(
-        seed=opts["seed"],
-        threads=opts["threads"],
-        format=opts["format"],
-        out=args.out,
-        budget=opts["budget"],
-        exact_limit=opts["exact_limit"],
-        argv=argv,
-    )
+    ctx = RunContext(**_resolve_options(args), out=args.out, argv=argv)
     ctx.say(f"seed {ctx.seed}")
     try:
         code = args.func(args, ctx)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -20,6 +22,16 @@ from ordersize.values import (
     _square_sums,
     cubic_basis,
 )
+
+
+def weak_compositions(m: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All ordered ``parts``-tuples of nonnegative integers summing to m."""
+    if parts == 1:
+        yield (m,)
+        return
+    for first in range(m + 1):
+        for rest in weak_compositions(m - first, parts - 1):
+            yield (first,) + rest
 
 
 def iter_combinations_from(rank: int, count: int, n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -366,3 +378,17 @@ def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:
             if h.has_edge(triple) == inner:
                 return False
     return True
+
+
+def child_env(hash_seed: str) -> dict[str, str]:
+    """Environment for a test subprocess that runs this copy of ordersize."""
+    # The child sees only this environment, so it gets the parent's import
+    # path explicitly: a checkout run with PYTHONPATH=src then tests the same
+    # package as an installed one. PYTHONDONTWRITEBYTECODE passes through when
+    # set, so a run that asked for no bytecode cache leaves none in src/. No
+    # other variable, PYTHONHASHSEED included, leaks in from the parent.
+    import_path = os.pathsep.join(p for p in sys.path if p and os.path.isabs(p))
+    env = {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": import_path}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env

@@ -10,38 +10,28 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+from helpers import weak_compositions
 from ordersize.blowups import build_pair_family, build_type_family
-from ordersize.constructions import (
-    build_gr,
-    cyclic_triangle_3graph,
-    footnote_example_r3,
-    random_ordered_graph,
-    scan_counterexample,
-)
+from ordersize.constructions import cyclic_triangle_3graph, footnote_example_r3, random_ordered_graph
 from ordersize.core import Hypergraph
-from ordersize.hbuilder import build_H, expand_certificate, verify_claim_d
+from ordersize.hbuilder import build_H
+from ordersize.oracles import (
+    appendix_runs,
+    blowup_mismatches,
+    h_construction_checks,
+    lift_mismatches,
+    transform_mismatches,
+)
 from ordersize.rng import SeededRNG, keyed_coloring
 from ordersize.search import HomogeneousWitness, max_homogeneous
 from ordersize.spectrum import (
     WeightedWitness,
     find_weighted_mf_subset,
     pattern_weight_exists_any_split,
-    verify_lift,
 )
 from ordersize.stepdown import step_once, step_to_pairs
 from ordersize.structure import main_structure
-from ordersize.values import (
-    CubicParams,
-    blowup_edge_count,
-    blowup_edge_count_mixed,
-    count_cubic_values,
-    count_pair_form_values,
-    cubic_form,
-    g_r,
-    general_form,
-    pair_form,
-    transform_params,
-)
+from ordersize.values import CubicParams, count_cubic_values, count_pair_form_values, g_r, pair_form
 
 
 class Timer:
@@ -66,24 +56,6 @@ class Timer:
             # keep the body's own failure as the one reported
             exc.add_note(f"{message} ({elapsed:.2f}s / {self.limit}s)")
         return False
-
-
-def weak_compositions(m, parts):
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in weak_compositions(m - first, parts - 1):
-            yield (first,) + rest
-
-
-def positive_compositions(m):
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in positive_compositions(m - first):
-            yield (first,) + rest
 
 
 def test_criterion_01_gr_table():
@@ -115,33 +87,19 @@ def test_criterion_02_h_construction_suite():
             for f in targets:
                 hc = build_H(r, m, f)
                 assert not hc.complemented
-                assert hc.realized_weight == f  # (i) exact weight sum
-                assert hc.backward_degrees() == hc.d.d  # (ii) degrees
-                expanded = expand_certificate(hc.cert)  # (iii) certificate
-                assert expanded.n == hc.graph.n and expanded.edges == hc.graph.edges
-                rep = verify_claim_d(hc.d)  # (iv) structural claims
-                assert rep.all_pass and not rep.advisory, (r, m, f, rep.items)
+                assert hc.realized_weight == f
+                checks = h_construction_checks(hc)
+                assert checks["weight_ok"], (r, m, f)  # (i) exact weight sum
+                assert checks["degrees_ok"], (r, m, f)  # (ii) degrees
+                assert checks["cert_ok"], (r, m, f)  # (iii) certificate
+                # (iv) structural claims
+                assert all(checks["claims"].values()) and not checks["advisory"], (r, m, f, checks)
 
 
 def test_criterion_03_lift_identity():
     with Timer(3, "lift identity", 10):
-        rng = SeededRNG(3)
-        checked = 0
-        while checked < 1000:
-            r = 3 if checked % 2 == 0 else 4
-            n = 12
-            chig = random_ordered_graph(n, 50, rng.subseed("chi", checked))
-            edges = [t for t in combinations(range(n), r) if chig.has_edge(t[0], t[1])]
-            h = Hypergraph(r, n, edges)
-            top = n - (r - 2)
-            size = rng.randint(2, top)
-            u = sorted(rng.sample(top, size))
-            after = list(range(u[-1] + 1, n))
-            if len(after) < r - 2:
-                continue
-            tail = sorted(rng.sample(after, r - 2))
-            assert verify_lift(h, list(range(n)), u, tail)
-            checked += 1
+        bad = lift_mismatches(1000, seed=3)
+        assert not bad, bad[:3]
 
 
 def test_criterion_04_weighted_subset_search():
@@ -255,35 +213,14 @@ def test_criterion_07_pair_form_dp():
 
 def test_criterion_08_transform_identity():
     with Timer(8, "transform identity", 60):
-        for m in range(1, 11):
-            comps = list(positive_compositions(m))
-            for signs in product((-1, 0, 1), repeat=5):
-                p = CubicParams(*signs)
-                g = transform_params(p, m)
-                for x in comps:
-                    assert cubic_form(p, x) == general_form(g, m, x), (m, signs, x)
+        bad = transform_mismatches(10)
+        assert not bad, bad[:3]
 
 
 def test_criterion_09_blowup_equivalence():
     with Timer(9, "blow-up counts", 60):
-        rng = SeededRNG(9)
-        configs = [(a, b, c) for a, b, c in product((0, 1), repeat=3) if (a, b, c) != (0, 0, 0)]
-        for i in range(500):
-            a, b, c = configs[i % len(configs)]
-            nparts = rng.randint(3, 8)
-            sizes = [rng.randint(1, 6) for _ in range(nparts)]
-            x = [rng.randint(0, s) for s in sizes]
-            closed, direct = blowup_edge_count(a, b, c, sizes, x)
-            assert closed == direct, (a, b, c, sizes, x)
-        for i in range(500):
-            t = rng.randint(2, 4)
-            part = rng.randint(1, 4)
-            x = [rng.randint(0, part) for _ in range(t)]
-            b1, b2 = rng.coin(), rng.coin()
-            cs = tuple(rng.coin() for _ in range(6))
-            eps = rng.coin()
-            closed, direct = blowup_edge_count_mixed(b1, b2, cs, part, x, eps)
-            assert closed == direct, (b1, b2, cs, part, x, eps)
+        bad = blowup_mismatches(500, seed=9)
+        assert not bad, bad[:3]
 
 
 def test_criterion_10_cyclic_triangle_bound():
@@ -300,9 +237,7 @@ def test_criterion_11_appendix():
         foot = footnote_example_r3()
         assert len(foot.graph.edges) == 7
         assert g_r(5, 10) == 32
-        for seed in range(5):
-            inst = build_gr(40, 5, 1100 + seed, materialize_cap=0)
-            rep = scan_counterexample(inst, samples=100_000, seed=1100 + seed)
+        for rep in appendix_runs(5, 40, samples=100_000, seeds=5, base_seed=1100):
             assert rep.mode == "sampled" and rep.samples == 100_000
             assert rep.histogram.get(31, 0) == 0, rep.violations
             assert rep.max_edges <= 32

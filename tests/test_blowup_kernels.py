@@ -3,7 +3,6 @@ wrapper ``Hypergraph._from_edges``, the integer claim-(d) check and the star
 verifier against the constructions they replaced (kept in helpers)."""
 
 import json
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    child_env,
     fraction_verify_claim_d,
     pairwise_star_verify,
     triple_pair_family,
@@ -150,11 +150,9 @@ def test_blowup_counts_reject_negative_selections():
 
 
 def _run_optimized(args):
-    import_path = os.pathsep.join(p for p in sys.path if p and os.path.isabs(p))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "ordersize.cli", "--format", "json", *args],
-        capture_output=True, text=True,
-        env={"PYTHONHASHSEED": "0", "PATH": "/usr/bin:/bin", "PYTHONPATH": import_path},
+        capture_output=True, text=True, env=child_env("0"),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -83,6 +84,9 @@ def test_verification_failure_exits_1(tmp_path, monkeypatch, capsys):
 def test_buildh_check(capsys):
     assert run(["buildh", "--r", "4", "--m", "80", "--f", "12345", "--check"]) == 0
     assert run(["--seed", "2", "buildh", "--r", "4", "--m", "80", "--sweep", "5", "--check"]) == 0
+    capsys.readouterr()
+    assert run(["buildh", "--r", "4", "--m", "80"]) == 2
+    assert "needs --f or --sweep" in capsys.readouterr().err
 
 
 def test_verify_suites(capsys):
@@ -91,6 +95,10 @@ def test_verify_suites(capsys):
     assert run(["--seed", "5", "verify", "blowup", "--trials", "10"]) == 0
     assert run(["--seed", "2", "verify", "appendix", "--r", "5", "--n", "30",
                 "--samples", "500", "--seeds", "1"]) == 0
+    capsys.readouterr()
+    for suite in ("lift", "blowup"):
+        assert run(["verify", suite, "--trials", "-3"]) == 2
+        assert "trials must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_all_report(tmp_path, capsys):
@@ -176,6 +184,8 @@ def test_threads_match_sequential(tmp_path):
 def test_values_cubic_rejects_wrong_param_count(capsys):
     assert run(["values", "cubic", "--params", "1,0,0", "--m", "5"]) == 2
     assert "five values" in capsys.readouterr().err
+    assert run(["values", "cubic", "--params", "1/0,0,0,0,0", "--m", "5"]) == 2
+    assert "zero denominator" in capsys.readouterr().err
 
 
 def test_empty_ranges_are_rejected(capsys):
@@ -183,3 +193,56 @@ def test_empty_ranges_are_rejected(capsys):
     assert "empty range" in capsys.readouterr().err
     assert run(["values", "cubic", "--m", "9..8"]) == 2
     assert run(["values", "pairform", "--m", "9..9"]) == 0
+
+
+# sha256 of each report as written by the commit before the oracle checks moved
+# into ordersize.oracles; a pass report must keep its bytes
+REPORT_DIGESTS = [
+    (["--seed", "3", "verify", "all", "--trials", "20", "--max-r", "4", "--max-m", "8",
+      "--n", "25", "--samples", "200", "--seeds", "1"],
+     "report.json", "a8d20868abee0a08340c58c8128aa71c0e0f125efe0eec0c9f65497ee91f7fbe"),
+    (["values", "identity", "--max-m", "4"],
+     "identity.json", "7583ae7f07fc88f06441099b193b677aae9b067dfe8bee8d3547a2bc7109fc73"),
+    (["--seed", "2", "buildh", "--r", "4", "--m", "80", "--sweep", "3", "--check"],
+     "buildh.json", "56c3d5f622d7f0b51708e3a79077e33ab4c09138296ba02a6b3802c04187cf64"),
+]
+
+
+def test_report_bytes_are_stable(tmp_path, capsys):
+    for i, (argv, name, digest) in enumerate(REPORT_DIGESTS):
+        out = str(tmp_path / str(i))
+        assert run(["--out", out] + argv) == 0
+        with open(os.path.join(out, name), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == digest, argv
+
+
+def test_oracle_mismatches_exit_1(tmp_path, monkeypatch, capsys):
+    from ordersize import constructions, hbuilder, spectrum, values
+
+    def report(argv, name):
+        out = str(tmp_path / str(len(os.listdir(tmp_path))))
+        assert run(["--out", out] + argv) == 1
+        with open(os.path.join(out, name)) as f:
+            return json.load(f)
+
+    monkeypatch.setattr(spectrum, "verify_lift", lambda h, x, u, tail: False)
+    lift = report(["verify", "lift", "--trials", "4"], "report.json")["suites"]["lift"]
+    assert lift["ok"] is False and lift["instance"]["r"] == 3
+    assert set(lift["instance"]) == {"r", "u", "tail"}
+
+    monkeypatch.setattr(values, "blowup_edge_count", lambda a, b, c, sizes, x: (1, 0))
+    blowup = report(["verify", "blowup", "--trials", "4"], "report.json")["suites"]["blowup"]
+    assert blowup["ok"] is False and blowup["instance"]["config"] == [0, 0, 1]
+
+    monkeypatch.setattr(values, "general_form", lambda g, m, x: None)
+    identity = report(["values", "identity", "--max-m", "2"], "identity.json")
+    assert identity["mismatches"][0] == {"m": 1, "params": [-1, -1, -1, -1, -1], "x": [1]}
+
+    monkeypatch.setattr(constructions.GrInstance, "count_in_subset", lambda self, subset: 31)
+    appendix = report(["verify", "appendix", "--samples", "3", "--seeds", "1"],
+                      "report.json")["suites"]["appendix"]
+    assert appendix["ok"] is False and {"count": 31, "subsets": 3} in appendix["violations"]
+
+    monkeypatch.setattr(hbuilder.HConstruction, "backward_degrees", lambda self: ())
+    (row,) = report(["buildh", "--r", "4", "--m", "80", "--f", "7", "--check"], "buildh.json")["rows"]
+    assert row["degrees_ok"] is False and row["cert_ok"] and row["f"] == 7

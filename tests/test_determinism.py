@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import ordersize
+from helpers import child_env
 
 PROBE = r"""
 import json, hashlib
@@ -35,16 +36,6 @@ print(hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest())
 """
 
 
-def _child_env(hash_seed):
-    # The child sees only this environment, so it gets the parent's import
-    # path explicitly: a checkout run with PYTHONPATH=src then tests the same
-    # package as an installed one. No other variable, PYTHONHASHSEED included,
-    # leaks in from the parent.
-    import_path = os.pathsep.join(p for p in sys.path if p and os.path.isabs(p))
-    return {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": import_path}
-
-
 def test_replay_across_hash_seeds():
     digests = set()
     for hash_seed in ("0", "7"):
@@ -52,7 +43,7 @@ def test_replay_across_hash_seeds():
             [sys.executable, "-c", PROBE],
             capture_output=True,
             text=True,
-            env=_child_env(hash_seed),
+            env=child_env(hash_seed),
         )
         assert proc.returncode == 0, proc.stderr
         module_file, digest = proc.stdout.splitlines()
@@ -78,7 +69,16 @@ def test_postconditions_hold_under_optimize():
         [sys.executable, "-O", "-c", OPTIMIZED_PROBE],
         capture_output=True,
         text=True,
-        env=_child_env("0"),
+        env=child_env("0"),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: postcondition failed: star"), proc.stdout
+
+
+def test_child_env_passes_only_the_bytecode_switch(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONHASHSEED", "5")
+    assert set(child_env("0")) == {"PYTHONHASHSEED", "PATH", "PYTHONPATH", "PYTHONDONTWRITEBYTECODE"}
+    assert child_env("0")["PYTHONHASHSEED"] == "0"
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert "PYTHONDONTWRITEBYTECODE" not in child_env("0")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import weak_compositions
 from ordersize.rng import SeededRNG
 from ordersize.values import (
     CubicParams,
@@ -22,24 +23,6 @@ from ordersize.values import (
     pair_form,
     transform_params,
 )
-
-
-def weak_compositions(m, parts):
-    if parts == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in weak_compositions(m - first, parts - 1):
-            yield (first,) + rest
-
-
-def positive_compositions(m):
-    if m == 0:
-        yield ()
-        return
-    for first in range(1, m + 1):
-        for rest in positive_compositions(m - first):
-            yield (first,) + rest
 
 
 def partitions(n, largest=None):
@@ -169,16 +152,6 @@ def test_transform_degeneracy_correspondence():
         g = transform_params(p, 9)
         assert (g.B == 0 and g.C == 0) == p.symmetric_degenerate
         assert (g.B == 0 and g.A == 0) == p.antisymmetric_degenerate
-
-
-def test_transform_identity_all_sign_patterns():
-    for m in range(1, 8):
-        comps = list(positive_compositions(m))
-        for signs in product((-1, 0, 1), repeat=5):
-            p = CubicParams(*signs)
-            g = transform_params(p, m)
-            for x in comps:
-                assert cubic_form(p, x) == general_form(g, m, x)
 
 
 def test_general_form_symmetric_vanishing():
