@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("what", choices=("cubic", "pairform", "identity", "gr-table"))
     va.add_argument("--params", default="1,0,0,0,0", help="a,b,c,d,e for cubic")
     va.add_argument("--m", default="8..16", help="m or a..b range")
-    va.add_argument("--max-m", type=int, default=8, help="for identity")
+    va.add_argument("--max-m", type=int, default=8,
+                    help=f"for identity, at most {oracles.MAX_IDENTITY_M}")
     va.add_argument("--r", default="3..6", help="r or a..b range for gr-table")
     va.set_defaults(func=cmd_values)
 

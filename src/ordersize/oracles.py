@@ -11,6 +11,10 @@ from . import constructions, hbuilder, spectrum, values
 from .core import Hypergraph
 from .rng import SeededRNG
 
+# transform_mismatches evaluates 243 * 2^(m-1) compositions for each m, so
+# each step of max_m doubles its run
+MAX_IDENTITY_M = 12
+
 
 def _nonnegative(**counts: int) -> None:
     for name, value in counts.items():
@@ -50,6 +54,8 @@ def transform_mismatches(max_m: int) -> list[dict]:
     """``transform_params`` against the direct cubic form, for every sign
     pattern in {-1, 0, 1}^5 and positive composition of m = 1..max_m."""
     _nonnegative(max_m=max_m)
+    if max_m > MAX_IDENTITY_M:
+        raise ValueError(f"max_m={max_m} above the identity cap {MAX_IDENTITY_M}")
     bad = []
     for m in range(1, max_m + 1):
         comps = list(positive_compositions(m))

@@ -3,7 +3,7 @@
 All randomized procedures in this package draw from :class:`SeededRNG`.
 The generator is Mersenne Twister via ``random.Random.getrandbits`` (the one
 primitive CPython guarantees stable across versions); every distribution on
-top of it (ranges, sampling, shuffling) is implemented here so that a recorded
+top of it (ranges, sampling) is implemented here so that a recorded
 seed replays the exact same stream anywhere.
 """
 
@@ -44,12 +44,6 @@ class SeededRNG:
     def chance(self, num: int, den: int) -> bool:
         """True with probability num/den."""
         return self.randrange(den) < num
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def sample(self, population: Sequence[int] | int, k: int) -> list:
         """k distinct elements, as a partial Fisher-Yates; order randomized."""

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 from .blowups import build_pair_family, build_type_family
 from .errors import VerificationError
 
-DEFAULT_COMPOSITION_CAP = 24
+DEFAULT_COMPOSITION_CAP = 60
 
 
 # --- the recursive complete multipartite maximum -------------------------------
@@ -214,40 +214,41 @@ def _count_form_values(
     """Number of distinct scaled values of coeffs . (Ta, Tb, Tc, Td, T3, E2)
     + const over positive compositions of m, plus min and max witnesses.
 
-    A DP over suffixes: after a prefix with sums (p1, p2) (e2 follows from
+    A table over suffixes: after a prefix with sums (p1, p2) (e2 follows from
     them), the set of increments the rest of the composition can add is a
     bitset offset by its lowest member. Part v adds
-    v*(ca*v*p1 + cb*p2 + cc*e2 + cd*v + c3*v*v + ce*p1), so a state's set is
-    the union of its children's sets, each shifted by that amount. When
-    cb == cc == 0 the increments ignore p2 and the state is p1 alone.
+    v*(ca*v*p1 + cb*p2 + cc*e2 + cd*v + c3*v*v + ce*p1), where p2 enters
+    only as v*(cb - cc/2)*p2. The parts after the prefix sum to m - p1, so
+    the set after (p1, p2) is the set after (p1, p1) shifted by
+    (2*cb - cc)*((p2 - p1)/2)*(m - p1), an integer since p2 = p1 (mod 2).
+    ``table[p1]`` holds the set after (p1, p1), built for p1 = m, ..., 0 as
+    the union of its children's sets, each shifted by the part's increment.
     """
     ca, cb, cc, cd, c3, ce = coeffs
-    keyed_on_p2 = bool(cb or cc)
-    memo: dict = {}
+    slope = 2 * cb - cc
+    # table[m] is the empty suffix, which adds 0; the rest is filled below
+    table: list[tuple[int, int]] = [(0, 1)] * (m + 1)
 
     def step(v: int, p1: int, p2: int) -> int:
         e2 = (p1 * p1 - p2) >> 1
         return v * (ca * v * p1 + cb * p2 + cc * e2 + cd * v + c3 * v * v + ce * p1)
 
-    def reach(p1: int, p2: int) -> tuple[int, int]:
-        key = (p1, p2) if keyed_on_p2 else p1
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if p1 == m:
-            out = (0, 1)
-        else:
-            kids = []
-            for v in range(1, m - p1 + 1):
-                lo, bits = reach(p1 + v, p2 + v * v)
-                kids.append((lo + step(v, p1, p2), bits))
-            lo = min(k[0] for k in kids)
-            bits = 0
-            for klo, kbits in kids:
-                bits |= kbits << (klo - lo)
-            out = (lo, bits)
-        memo[key] = out
-        return out
+    def child(v: int, p1: int, p2: int) -> tuple[int, int]:
+        # the suffix set after appending part v to the prefix (p1, p2)
+        q1, q2 = p1 + v, p2 + v * v
+        lo, bits = table[q1]
+        return lo + slope * ((q2 - q1) // 2) * (m - q1), bits
+
+    for p1 in range(m - 1, -1, -1):
+        kids = []
+        for v in range(1, m - p1 + 1):
+            lo, bits = child(v, p1, p1)
+            kids.append((lo + step(v, p1, p1), bits))
+        lo = min(k[0] for k in kids)
+        bits = 0
+        for klo, kbits in kids:
+            bits |= kbits << (klo - lo)
+        table[p1] = (lo, bits)
 
     def witness(target: int) -> tuple[int, ...]:
         # greedy descent: the smallest part whose suffix still reaches the
@@ -256,7 +257,7 @@ def _count_form_values(
         p1 = p2 = 0
         while p1 < m:
             for v in range(1, m - p1 + 1):
-                lo, bits = reach(p1 + v, p2 + v * v)
+                lo, bits = child(v, p1, p2)
                 rest = target - step(v, p1, p2)
                 if rest >= lo and bits >> (rest - lo) & 1:
                     break
@@ -266,9 +267,30 @@ def _count_form_values(
             p2 += v * v
         return tuple(path)
 
-    lo, bits = reach(0, 0)
+    lo, bits = table[0]
     hi = lo + bits.bit_length() - 1
     return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
+
+
+def _form_report(
+    m: int, cap: int, params: tuple, coeffs: tuple[int, ...], const: int, den: int
+) -> ValueCountReport:
+    """``_count_form_values`` for 1 <= m <= cap, reported over ``den``."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if m > cap:
+        raise ValueError(f"m={m} above the enumeration cap {cap}")
+    count, vmin, vmax = _count_form_values(m, coeffs, const)
+    return ValueCountReport(
+        m,
+        params,
+        count,
+        "positive-compositions",
+        Fraction(vmin[0], den),
+        Fraction(vmax[0], den),
+        vmin[1],
+        vmax[1],
+    )
 
 
 def count_cubic_values(
@@ -276,44 +298,17 @@ def count_cubic_values(
 ) -> ValueCountReport:
     """Distinct values of the cubic form over nonnegative integer vectors
     summing to m, counted over the 2^(m-1) positive compositions."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > cap:
-        raise ValueError(f"m={m} above the enumeration cap {cap}")
     (ca, cb, cc, cd, ce), den = p._scaled
-    count, vmin, vmax = _count_form_values(m, (ca, cb, cc, cd, 0, ce), 0)
-    return ValueCountReport(
-        m,
-        p.astuple(),
-        count,
-        "positive-compositions",
-        Fraction(vmin[0], den),
-        Fraction(vmax[0], den),
-        vmin[1],
-        vmax[1],
-    )
+    return _form_report(m, cap, p.astuple(), (ca, cb, cc, cd, 0, ce), 0, den)
 
 
 def count_general_values(
     g: GeneralParams, m: int, cap: int = DEFAULT_COMPOSITION_CAP
 ) -> ValueCountReport:
     """Distinct values of the reduced form over vectors summing to m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m > cap:
-        raise ValueError(f"m={m} above the enumeration cap {cap}")
     (ia, ib, ic, id_, ie), den = g._scaled
-    count, vmin, vmax = _count_form_values(m, (-ic, ic, 0, ia * m + id_, ib, 0), ie)
-    return ValueCountReport(
-        m,
-        (g.A, g.B, g.C, g.D, g.E),
-        count,
-        "positive-compositions",
-        Fraction(vmin[0], den),
-        Fraction(vmax[0], den),
-        vmin[1],
-        vmax[1],
-    )
+    coeffs = (-ic, ic, 0, ia * m + id_, ib, 0)
+    return _form_report(m, cap, (g.A, g.B, g.C, g.D, g.E), coeffs, ie, den)
 
 
 def pair_form(avec: Sequence[int], bvec: Sequence[int]) -> int:

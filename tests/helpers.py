@@ -117,7 +117,7 @@ class FrozensetOrderedGraph:
         return {"n": self.n, "edges": sorted([list(e) for e in self.edges])}
 
 
-# --- value-counter oracles: the walks the bitset kernels replaced --------------
+# --- value-counter oracles: the walks and the DP the kernels replaced ------------
 
 
 def walk_form_values(m: int, coeffs: tuple, const: int) -> tuple[set[int], tuple, tuple]:
@@ -146,6 +146,64 @@ def walk_form_values(m: int, coeffs: tuple, const: int) -> tuple[set[int], tuple
 
     rec(m, 0, 0, 0, 0, 0, 0, 0, 0)
     return values, best["min"], best["max"]
+
+
+def pair_state_form_values(
+    m: int,
+    coeffs: tuple[int, int, int, int, int, int],
+    const: int,
+) -> tuple[int, tuple, tuple]:
+    """``values._count_form_values`` by the memoised DP it replaced: one
+    state per prefix sums (p1, p2), or per p1 alone when cb == cc == 0,
+    each the union of its children's sets shifted by the part's increment."""
+    ca, cb, cc, cd, c3, ce = coeffs
+    keyed_on_p2 = bool(cb or cc)
+    memo: dict = {}
+
+    def step(v: int, p1: int, p2: int) -> int:
+        e2 = (p1 * p1 - p2) >> 1
+        return v * (ca * v * p1 + cb * p2 + cc * e2 + cd * v + c3 * v * v + ce * p1)
+
+    def reach(p1: int, p2: int) -> tuple[int, int]:
+        key = (p1, p2) if keyed_on_p2 else p1
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if p1 == m:
+            out = (0, 1)
+        else:
+            kids = []
+            for v in range(1, m - p1 + 1):
+                lo, bits = reach(p1 + v, p2 + v * v)
+                kids.append((lo + step(v, p1, p2), bits))
+            lo = min(k[0] for k in kids)
+            bits = 0
+            for klo, kbits in kids:
+                bits |= kbits << (klo - lo)
+            out = (lo, bits)
+        memo[key] = out
+        return out
+
+    def witness(target: int) -> tuple[int, ...]:
+        # greedy descent: the smallest part whose suffix still reaches the
+        # target gives the lexicographically first composition
+        path = []
+        p1 = p2 = 0
+        while p1 < m:
+            for v in range(1, m - p1 + 1):
+                lo, bits = reach(p1 + v, p2 + v * v)
+                rest = target - step(v, p1, p2)
+                if rest >= lo and bits >> (rest - lo) & 1:
+                    break
+            path.append(v)
+            target = rest
+            p1 += v
+            p2 += v * v
+        return tuple(path)
+
+    lo, bits = reach(0, 0)
+    hi = lo + bits.bit_length() - 1
+    return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
 
 
 def _fraction_scale(fracs) -> tuple[list[int], int]:

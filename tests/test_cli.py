@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -186,6 +187,16 @@ def test_values_cubic_rejects_wrong_param_count(capsys):
     assert "five values" in capsys.readouterr().err
     assert run(["values", "cubic", "--params", "1/0,0,0,0,0", "--m", "5"]) == 2
     assert "zero denominator" in capsys.readouterr().err
+
+
+def test_value_caps_exit_2(capsys):
+    assert run(["values", "cubic", "--m", "60"]) == 0
+    assert run(["values", "cubic", "--m", "61"]) == 2
+    assert "enumeration cap 60" in capsys.readouterr().err
+    start = time.perf_counter()
+    assert run(["values", "identity", "--max-m", "13"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "identity cap 12" in capsys.readouterr().err
 
 
 def test_empty_ranges_are_rejected(capsys):

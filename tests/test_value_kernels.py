@@ -1,5 +1,6 @@
 """Differential tests of the bitset value counters and the integer-scaled forms
-against the walks and Fraction evaluations they replaced (kept in helpers)."""
+against the walks, the (p1, p2) DP and the Fraction evaluations they replaced
+(kept in helpers)."""
 
 from fractions import Fraction
 from math import comb
@@ -12,6 +13,7 @@ from helpers import (
     fraction_cubic_form,
     fraction_general_form,
     loop_pair_form_report,
+    pair_state_form_values,
     scan_pattern_weight_exists,
     walk_cubic_report,
     walk_general_report,
@@ -21,6 +23,7 @@ from ordersize.values import (
     DEFAULT_COMPOSITION_CAP,
     CubicParams,
     GeneralParams,
+    _count_form_values,
     count_cubic_values,
     count_general_values,
     count_pair_form_values,
@@ -61,6 +64,14 @@ def test_cubic_counter_matches_composition_walk(p, m):
 @settings(max_examples=60, deadline=None)
 def test_general_counter_matches_composition_walk(g, m):
     assert count_general_values(g, m) == walk_general_report(g, m)
+
+
+@given(st.tuples(*[st.integers(-9, 9)] * 6), st.integers(-50, 50), st.integers(1, 30))
+@settings(max_examples=150, deadline=None)
+def test_p1_table_matches_pair_state_dp(coeffs, const, m):
+    # six free coefficients reach forms neither counter builds (cc != 0
+    # beside c3 != 0), and m runs past the walks' reach
+    assert _count_form_values(m, coeffs, const) == pair_state_form_values(m, coeffs, const)
 
 
 @given(cubic_params(), st.integers(1, 10))

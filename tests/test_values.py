@@ -196,7 +196,7 @@ def test_count_report_witnesses():
 
 def test_count_cap():
     with pytest.raises(ValueError):
-        count_cubic_values(CubicParams(1, 0, 0, 0, 0), 30)
+        count_cubic_values(CubicParams(1, 0, 0, 0, 0), 61)
 
 
 def test_degenerate_count_quadratic():
