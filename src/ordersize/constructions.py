@@ -78,6 +78,8 @@ class GrInstance:
     graph: Hypergraph | None = field(default=None)
     # (coloring, r, pattern rows), filled by _pattern_rows
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (coloring, r, position masks or None, visit limit), filled by _index_positions
+    _pos: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def is_edge(self, tup: tuple[int, ...]) -> bool:
         """Membership readout straight from the pair colors."""
@@ -111,15 +113,78 @@ class GrInstance:
             cached = self._rows = (self.coloring, r, rows)
         return cached[2]
 
+    def _index_positions(self, limit: int) -> bool:
+        """Build the position masks, unless they are cached for the current
+        coloring and r: mask a is the OR of the a-th vertex over all pattern
+        edges. The build is one full pattern DFS that stops once it has
+        visited ``limit`` candidate vertices; then no index is kept, and a
+        later call with a larger limit tries again. Returns whether the
+        masks are in place."""
+        cached = self._pos
+        if (cached is not None and cached[0] is self.coloring and cached[1] == self.r
+                and (cached[2] is not None or cached[3] >= limit)):
+            return cached[2] is not None
+        rows = self._pattern_rows()
+        last = self.r - 1
+        pos = [0] * self.r
+        visits = 0
+
+        def extend(depth: int, cands: list[int]) -> bool:
+            """Visit the candidates at ``depth``; True when one lies on an edge."""
+            nonlocal visits
+            c = cands[0]
+            later = cands[1:]
+            prow = rows[depth]
+            hit = False
+            while c:
+                visits += 1
+                if visits > limit:
+                    return hit
+                low = c & -c
+                c ^= low
+                v = low.bit_length() - 1
+                nxt = []
+                for mask, row in zip(later, prow):
+                    mask &= row[v]
+                    if not mask:
+                        break
+                    nxt.append(mask)
+                else:
+                    if depth + 1 == last:
+                        pos[last] |= nxt[0]
+                    elif not extend(depth + 1, nxt):
+                        continue
+                    pos[depth] |= low
+                    hit = True
+            return hit
+
+        extend(0, [(1 << self.n) - 1] * self.r)
+        self._pos = (self.coloring, self.r, tuple(pos) if visits <= limit else None, limit)
+        return visits <= limit
+
     def _pattern_dfs(self, smask: int, out: list | None = None) -> int:
         """Count the edges inside the vertex mask ``smask``; with ``out``, also
         append each one to it as an increasing r-tuple.
 
-        Depth a keeps one candidate mask per later position d. Choosing v at
-        depth a ANDs into each of them the color-table row of v for c_{a+1,d+1},
-        which holds only vertices above v, and drops v as soon as one mask is
-        empty. At the last position the count is the popcount of its mask.
+        When ``_index_positions`` has cached the position masks for the current
+        coloring and r, position a starts from ``smask`` & its mask, and a
+        subset that misses one of them has no edge. Depth a keeps one
+        candidate mask per later position d. Choosing v at depth a ANDs into
+        each of them the color-table row of v for c_{a+1,d+1}, which holds only
+        vertices above v, and drops v as soon as one mask is empty. At the last
+        position the count is the popcount of its mask.
         """
+        indexed = self._pos
+        if (indexed is not None and indexed[0] is self.coloring and indexed[1] == self.r
+                and indexed[2] is not None):
+            starts = []
+            for p in indexed[2]:
+                p &= smask
+                if not p:
+                    return 0
+                starts.append(p)
+        else:
+            starts = [smask] * self.r
         rows = self._pattern_rows()
         last = self.r - 1
         chosen = [0] * last
@@ -151,7 +216,7 @@ class GrInstance:
                             head = tuple(chosen)
                             out.extend(head + (w,) for w in bits_of(nxt[0]))
 
-        extend(0, [smask] * self.r)
+        extend(0, starts)
         return count
 
 
@@ -227,7 +292,11 @@ def check_fact_gr(
     is flagged advisory and exceedances are informational. Exhaustive below
     the cap (or when forced), sampled otherwise; any count above the bound is
     recorded with its witness subset. An exhaustive scan runs on the
-    materialized r-graph, built first when the instance is implicit.
+    materialized r-graph, built first when the instance is implicit. A
+    sampled scan first builds the instance's position masks, by a DFS of at
+    most samples * m visits, the least the unmasked scan pays; a sample that
+    misses one mask is then counted as 0 at once. When that DFS runs out of
+    visits, the scan runs unmasked, with the same report.
     """
     target = g_r(inst.r, m)
     total = comb(inst.n, m)
@@ -254,6 +323,8 @@ def check_fact_gr(
             inst.r, inst.n, m, "exhaustive", total, None, histogram, max_edges,
             target, violations, advisory,
         )
+    # every unindexed sample visits at least its m depth-0 vertices
+    inst._index_positions(samples * m)
     rng = SeededRNG(seed)
     for _ in range(samples):
         subset = rng.sorted_sample(inst.n, m)

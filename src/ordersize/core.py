@@ -52,6 +52,13 @@ def pair_rank(i: int, j: int, n: int) -> int:
     return comb(n, 2) - comb(n - i, 2) + (j - i - 1)
 
 
+def _check_shape(r: int, n: int) -> None:
+    if r < 2:
+        raise ValueError("uniformity r must be >= 2")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """r-uniform hypergraph on vertices 0..n-1.
@@ -65,10 +72,7 @@ class Hypergraph:
     edges: frozenset[Edge]
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]] = ()):
-        if r < 2:
-            raise ValueError("uniformity r must be >= 2")
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_shape(r, n)
         canon = set()
         for e in edges:
             t = tuple(sorted(int(v) for v in e))
@@ -127,6 +131,16 @@ class Hypergraph:
             rows[e[-1]].append(mask_of(e[:-1]))
         return tuple(tuple(row) for row in rows)
 
+    @cached_property
+    def _top_tuples(self) -> dict[Edge, int]:
+        """Key e[1:] maps to the mask of the lowest vertices e[0] of the edges e
+        with those top r - 1 vertices."""
+        table: dict[Edge, int] = {}
+        for e in self.edges:
+            top = e[1:]
+            table[top] = table.get(top, 0) | 1 << e[0]
+        return table
+
     def has_edge(self, e: Iterable[int]) -> bool:
         return tuple(sorted(e)) in self.edges
 
@@ -154,27 +168,49 @@ class Hypergraph:
         return self.edge_count_mask(mask_of(vertex_set(subset, self.n)))
 
     def edge_count_mask(self, smask: int) -> int:
-        """Number of edges inside the vertex mask ``smask`` (bits >= n ignored).
-
-        Runs on the tables of ``iter_subset_counts``: for r = 3 the sum over
-        pairs u < v of the subset of popcount(links[v][u] & smask), for other r
-        a test of the rest masks of each subset vertex.
-        """
+        """Number of edges inside the vertex mask ``smask`` (bits >= n ignored)."""
         smask &= (1 << self.n) - 1
-        verts = bits_of(smask)
-        count = 0
+        return self._count_sorted(bits_of(smask), smask)
+
+    def _count_sorted(self, verts: Sequence[int], smask: int) -> int:
+        """Number of edges inside ``smask``, whose vertices ``verts`` lists in
+        increasing order, all below n.
+
+        For r = 3 the count is the sum over the pairs u < v of the subset of
+        popcount(links[v][u] & smask). For r >= 4 it runs on whichever of the
+        two r-general loops should cost less: C(k - 1, r - 1) lookups of the
+        (r - 1)-tuples of the k-vertex subset, or tests of the rest masks of
+        its vertices, about |E| k / n of them. A large subset of a sparse
+        graph has few rest masks but many tuples. Other r test the rest masks.
+        """
         if self.r == 3:
             links = self._lower_links
+            count = 0
             for i in range(2, len(verts)):
                 row = links[verts[i]]
                 for u in verts[1:i]:  # the subset minimum has nothing below it
                     count += (row[u] & smask).bit_count()
-        else:
-            rests = self._top_rests
-            for v in verts:
-                for t in rests[v]:
-                    if t & smask == t:
-                        count += 1
+            return count
+        k, r = len(verts), self.r
+        # a lookup costs about four rest-mask tests
+        if r >= 4 and k >= r and 4 * self.n * comb(k - 1, r - 1) < len(self.edges) * k:
+            return self._count_by_tops(verts, smask)
+        return self._count_by_rests(verts, smask)
+
+    def _count_by_tops(self, verts: Sequence[int], smask: int) -> int:
+        """Sum of popcount(tops[t] & smask) over the (r - 1)-tuples t of the
+        subset above its minimum."""
+        get = self._top_tuples.get
+        return sum((get(t, 0) & smask).bit_count() for t in combinations(verts[1:], self.r - 1))
+
+    def _count_by_rests(self, verts: Sequence[int], smask: int) -> int:
+        """Number of rest masks of the subset vertices that lie inside ``smask``."""
+        rests = self._top_rests
+        count = 0
+        for v in verts:
+            for t in rests[v]:
+                if t & smask == t:
+                    count += 1
         return count
 
     def is_clique(self, subset: Iterable[int]) -> bool:
@@ -422,6 +458,8 @@ def write_hg_text(h: Hypergraph) -> str:
 
 
 def read_hg_text(text: str) -> Hypergraph:
+    """Parse .hg text. Each edge line is checked once, for its length, its
+    order and its range, with the messages ``Hypergraph`` would give."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
@@ -438,7 +476,11 @@ def read_hg_text(text: str) -> Hypergraph:
         if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
             raise ValueError(f"edge line {ln!r} is not strictly increasing")
         edges.append(tuple(vs))
-    return Hypergraph(r, n, edges)
+    _check_shape(r, n)
+    for e in edges:
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} out of range [0, {n})")
+    return Hypergraph._from_edges(r, n, edges)
 
 
 def save_hypergraph(h: Hypergraph, path: str) -> None:

@@ -213,7 +213,7 @@ def size_spectrum(
         witnesses = {}
         for _ in range(samples):
             subset = rng.sorted_sample(h.n, m)
-            f = h.edge_count_mask(mask_of(subset))
+            f = h._count_sorted(subset, mask_of(subset))
             if f not in witnesses:
                 witnesses[f] = subset
         return SpectrumReport(m, sorted(witnesses), witnesses, "sampled", samples, seed, samples)

@@ -147,12 +147,54 @@ def test_hg_text_roundtrip_bit_exact():
 
 
 def test_hg_text_comments_and_errors():
-    h = read_hg_text("# comment\n3 5\n0 1 2\n\n1 3 4\n")
+    h = read_hg_text("# comment\n3 5\n0 1 2\n\n1 3 4\n1 3 4\n")
     assert h.edges == frozenset({(0, 1, 2), (1, 3, 4)})
     with pytest.raises(ValueError):
         read_hg_text("3 5\n2 1 0\n")
     with pytest.raises(ValueError):
         read_hg_text("")
+
+
+def old_read_hg_text(text: str) -> Hypergraph:
+    """The reader before it checked ranges itself: it left them to ``Hypergraph``."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty .hg input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"bad header line {lines[0]!r}, expected 'r n'")
+    r, n = int(head[0]), int(head[1])
+    edges = []
+    for ln in lines[1:]:
+        vs = [int(t) for t in ln.split()]
+        if len(vs) != r:
+            raise ValueError(f"edge line {ln!r} does not have {r} entries")
+        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+            raise ValueError(f"edge line {ln!r} is not strictly increasing")
+        edges.append(tuple(vs))
+    return Hypergraph(r, n, edges)
+
+
+@pytest.mark.parametrize("text", [
+    "3 5\n0 1 5\n",            # a vertex at n
+    "3 5\n-1 0 2\n",           # a negative vertex
+    "3 5\n0 1 2\n0 1 9\n2 1 0\n",  # out of range before a bad order
+    "1 4\n2\n",                # r = 1, with a line of one vertex
+    "1 4\n",                   # r = 1, no edges
+    "0 3\n",
+    "3 -1\n",
+    "3 -1\n0 1 2\n",
+    "2 3\n0 1 2\n",
+    "3\n",
+    "",
+])
+def test_hg_reader_errors_match_the_constructor(text):
+    with pytest.raises(ValueError) as old:
+        old_read_hg_text(text)
+    with pytest.raises(ValueError) as new:
+        read_hg_text(text)
+    assert str(new.value) == str(old.value)
 
 
 def test_json_roundtrip():

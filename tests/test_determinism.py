@@ -1,6 +1,7 @@
 """Cross-process checks: seeded runs replay bit-exactly regardless of the
 interpreter's hash randomization, and postconditions hold under ``-O``."""
 
+import json
 import os
 import re
 import subprocess
@@ -73,6 +74,33 @@ def test_postconditions_hold_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: postcondition failed: star"), proc.stdout
+
+
+SAMPLED_GR_PROBE = r"""
+import json
+from ordersize import build_gr, check_fact_gr
+assert False, "asserts must be stripped under -O"
+inst = build_gr(24, 3, 0, materialize_cap=0)
+print(json.dumps(check_fact_gr(inst, 7, mode="sampled", samples=300, seed=4).to_json_obj()))
+print(inst._pos[2] is not None)
+"""
+
+
+def test_sampled_gr_scan_is_the_same_under_optimize():
+    """The position index is built and used alike with asserts stripped."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SAMPLED_GR_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    report, indexed = proc.stdout.splitlines()
+    want = ordersize.check_fact_gr(
+        ordersize.build_gr(24, 3, 0, materialize_cap=0), 7, mode="sampled", samples=300, seed=4)
+    assert len(want.histogram) > 1
+    assert json.loads(report) == want.to_json_obj()
+    assert indexed == "True"
 
 
 def test_child_env_passes_only_the_bytecode_switch(monkeypatch):

@@ -144,6 +144,26 @@ def instances(draw, ranks=(3, 4, 5)):
     return GrInstance(r, n, PalettedColoring(n, palette, colors))
 
 
+@st.composite
+def blocked_instances(draw, ranks=(3, 4, 5, 6)):
+    """Pattern instances with edges at every r: the vertices fall into r
+    nonempty runs of consecutive vertices, and nineteen in twenty pairs across
+    runs p < q get the color c_{p+1,q+1}; the other pairs get any color."""
+    r = draw(st.sampled_from(ranks))
+    n = draw(st.integers(r, MAX_N))
+    cuts = draw(st.lists(st.integers(1, n - 1), min_size=r - 1, max_size=r - 1, unique=True))
+    block = [sum(v >= c for c in cuts) for v in range(n)]
+    palette = comb(r, 2)
+    npairs = comb(n, 2)
+    noise = draw(st.lists(st.integers(0, palette - 1), min_size=npairs, max_size=npairs))
+    keep = draw(st.lists(st.integers(0, 19), min_size=npairs, max_size=npairs))
+    colors = [
+        pattern_color_index(block[i] + 1, block[j] + 1, r) if block[i] < block[j] and k < 19 else c
+        for (i, j), c, k in zip(combinations(range(n), 2), noise, keep)
+    ]
+    return GrInstance(r, n, PalettedColoring(n, palette, colors))
+
+
 def subsets(n: int):
     return st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set())
 
@@ -165,6 +185,44 @@ def test_edge_count_mask_matches_edge_mask_scan(h, data):
     assert h.edge_count(s) == want
     assert h.is_clique(s) == (want == comb(len(s), h.r))
     assert h.is_independent(s) == (want == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypergraphs(ranks=(4, 5, 6)), st.data())
+def test_both_r4_loops_match_edge_mask_scan(h, data):
+    for s in (data.draw(subsets(h.n)), set(range(h.n)), set(range(0, h.n, 2))):
+        verts = tuple(sorted(s))
+        smask = mask_of(verts)
+        want = old_edge_count_mask(h, smask)
+        assert h._count_by_tops(verts, smask) == want
+        assert h._count_by_rests(verts, smask) == want
+        assert h._count_sorted(verts, smask) == want
+
+
+def test_r4_counts_take_each_loop(monkeypatch):
+    """A large subset of a sparse 5-graph runs on the rest masks, whose
+    C(k - 1, 4) tuples would be far more; small subsets of dense graphs run
+    on the tuple table. Each loop is taken at least once."""
+    taken = {"tops": 0, "rests": 0}
+    for name, key in (("_count_by_tops", "tops"), ("_count_by_rests", "rests")):
+        def spy(self, verts, smask, _inner=getattr(Hypergraph, name), _key=key):
+            taken[_key] += 1
+            return _inner(self, verts, smask)
+        monkeypatch.setattr(Hypergraph, name, spy)
+
+    sparse = random_hypergraph(5, 40, 1, 7)
+    everything = tuple(range(40))
+    assert 0 < len(sparse.edges) < comb(39, 4)
+    assert sparse.edge_count(everything) == len(sparse.edges)
+    assert sparse.is_independent(everything) == (not sparse.edges)
+    assert taken == {"tops": 0, "rests": 2}
+
+    dense = random_hypergraph(5, 14, 50, 3)
+    rng = SeededRNG(11)
+    for _ in range(50):
+        s = rng.sorted_sample(14, 8)
+        assert dense._count_sorted(s, mask_of(s)) == old_edge_count_mask(dense, mask_of(s))
+    assert taken["tops"] == 50 and taken["rests"] == 2
 
 
 def test_edge_count_mask_on_complete_and_empty_graphs():
@@ -194,6 +252,104 @@ def test_materialize_matches_backtracking(inst):
     assert got.edges == want.edges
     assert (got.r, got.n) == (want.r, want.n)
     assert all(inst.is_edge(e) for e in got.edges)
+
+
+def position_masks_of(inst: GrInstance) -> tuple[int, ...]:
+    """Mask a ORs the a-th vertex of every edge of the materialized graph."""
+    masks = [0] * inst.r
+    for e in old_materialize(inst).edges:
+        for a, v in enumerate(e):
+            masks[a] |= 1 << v
+    return tuple(masks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(ranks=(3, 4, 5, 6)), blocked_instances()), st.data())
+def test_masked_dfs_matches_backtracking(inst, data):
+    assert inst._index_positions(10**9)
+    assert inst._pos[2] == position_masks_of(inst)
+    for s in (data.draw(subsets(inst.n)), set(range(inst.n)), set()):
+        subset = tuple(sorted(s))
+        assert inst.count_in_subset(subset) == old_count_in_subset(inst, subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(instances(ranks=(3, 4, 5, 6)), blocked_instances()),
+       st.integers(1, 40), st.integers(0, 10**6), st.data())
+def test_sampled_report_is_the_same_with_and_without_the_index(inst, samples, seed, data):
+    m = data.draw(st.integers(inst.r, inst.n))
+    want = recount_fact_gr(inst, m, samples, seed).to_json_obj()
+    got = check_fact_gr(inst, m, mode="sampled", samples=samples, seed=seed)
+    assert got.to_json_obj() == want
+    bare = GrInstance(inst.r, inst.n, inst.coloring)
+    bare._index_positions = lambda limit: False  # the unmasked DFS throughout
+    assert check_fact_gr(bare, m, mode="sampled", samples=samples, seed=seed).to_json_obj() == want
+    assert bare._pos is None
+
+
+def test_index_falls_back_when_it_would_cost_more_than_the_scan():
+    """One sample of m < n vertices pays for m visits; the full DFS visits
+    every vertex at depth 0, so the index is not built and the scan runs
+    unmasked, with the same report. A larger scan then builds it."""
+    for r in (3, 4, 5, 6):
+        inst = build_gr(14, r, r, materialize_cap=0)
+        for seed in range(5):
+            got = check_fact_gr(inst, r + 2, mode="sampled", samples=1, seed=seed)
+            assert inst._pos[2] is None
+            assert got.to_json_obj() == recount_fact_gr(inst, r + 2, 1, seed).to_json_obj()
+        assert not inst._index_positions(13)
+        got = check_fact_gr(inst, r + 2, mode="sampled", samples=200, seed=9)
+        assert inst._pos[2] == position_masks_of(inst)
+        assert got.to_json_obj() == recount_fact_gr(inst, r + 2, 200, seed=9).to_json_obj()
+
+
+class CountingRow(tuple):
+    """A color-table row that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        CountingRow.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_index_build_stops_at_its_visit_limit():
+    """Each visited candidate reads at most r - 1 color-table rows, so a
+    build cut at ``limit`` visits reads at most limit * (r - 1) of them."""
+    for n, r in ((60, 3), (40, 4), (30, 5)):
+        inst = build_gr(n, r, 5, materialize_cap=0)
+        rows = inst._pattern_rows()
+        counting = tuple(tuple(CountingRow(row) for row in later) for later in rows)
+        inst._rows = (inst.coloring, r, counting)
+        for limit in (1, 7, 30):
+            CountingRow.reads = 0
+            assert not inst._index_positions(limit)
+            assert 0 < CountingRow.reads <= limit * (r - 1)
+        assert inst._index_positions(10**6)
+        assert inst._pos[2] == position_masks_of(inst)
+
+
+def test_index_follows_the_coloring():
+    """An index built on an edgeless coloring is ignored, then rebuilt, once
+    the instance gets a coloring with edges."""
+    r, n = 4, 12
+    inst = GrInstance(r, n, PalettedColoring(n, comb(r, 2), [5] * comb(n, 2)))
+    assert inst._index_positions(10**6) and inst._pos[2] == (0,) * r
+    assert check_fact_gr(inst, 8, mode="sampled", samples=30, seed=1).histogram == {0: 30}
+
+    def block_color(i, j):  # blocks of three consecutive vertices
+        p, q = i // 3, j // 3
+        return pattern_color_index(p + 1, q + 1, r) if p < q else 0
+
+    # one vertex from each block is an edge
+    inst.coloring = PalettedColoring.from_map(n, comb(r, 2), block_color)
+    everything = tuple(range(n))
+    want = old_count_in_subset(inst, everything)
+    assert want == 3**r
+    assert inst.count_in_subset(everything) == want
+    got = check_fact_gr(inst, 8, mode="sampled", samples=30, seed=1)
+    assert got.to_json_obj() == recount_fact_gr(inst, 8, 30, 1).to_json_obj()
+    assert inst._pos[2] == position_masks_of(inst)
 
 
 def test_count_in_subset_rejects_vertices_out_of_range():
