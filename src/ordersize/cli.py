@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import comb
 
 from . import __version__
@@ -289,7 +289,10 @@ def cmd_verify(args, ctx: RunContext) -> int:
 # --- parser -----------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    in-process callers of ``main`` run many commands."""
     ap = argparse.ArgumentParser(
         prog="ordersize",
         description="Order-size pairs and homogeneous sets in uniform hypergraphs.",

@@ -30,7 +30,7 @@ DEFAULT_MATERIALIZE_CAP = 10**8
 
 def random_tournament(n: int, seed: int) -> Tournament:
     rng = SeededRNG(seed)
-    return Tournament(n, [bool(rng.coin()) for _ in range(comb(n, 2))])
+    return Tournament(n, rng.randranges(2, comb(n, 2)))
 
 
 def cyclic_triangles(t: Tournament) -> Hypergraph:
@@ -229,7 +229,7 @@ def build_gr(
         raise ValueError("n must be at least r")
     rng = SeededRNG(seed)
     palette = comb(r, 2)
-    colors = [rng.randrange(palette) for _ in range(comb(n, 2))]
+    colors = rng.randranges(palette, comb(n, 2))
     coloring = PalettedColoring(n, palette, colors)
     inst = GrInstance(r, n, coloring, seed)
     if comb(n, r) <= materialize_cap:
@@ -395,7 +395,8 @@ def random_hypergraph(r: int, n: int, density_pct: int, seed: int) -> Hypergraph
     if not 0 <= density_pct <= 100:
         raise ValueError("density is a percentage")
     rng = SeededRNG(seed)
-    edges = [e for e in combinations(range(n), r) if rng.chance(density_pct, 100)]
+    draws = rng.randranges(100, comb(n, r))
+    edges = [e for e, x in zip(combinations(range(n), r), draws) if x < density_pct]
     return Hypergraph(r, n, edges)
 
 
@@ -403,5 +404,6 @@ def random_ordered_graph(n: int, density_pct: int, seed: int):
     from .core import OrderedGraph
 
     rng = SeededRNG(seed)
-    edges = [p for p in combinations(range(n), 2) if rng.chance(density_pct, 100)]
+    draws = rng.randranges(100, comb(n, 2))
+    edges = [p for p, x in zip(combinations(range(n), 2), draws) if x < density_pct]
     return OrderedGraph(n, edges)

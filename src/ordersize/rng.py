@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 
@@ -20,6 +21,8 @@ class SeededRNG:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._mt = random.Random(self.seed)
+        # draw plan of the last (size, k) sampled: (size, k, steps, template)
+        self._plan: tuple | None = None
 
     def bits(self, k: int) -> int:
         return self._mt.getrandbits(k)
@@ -34,6 +37,24 @@ class SeededRNG:
             if x < n:
                 return x
 
+    def randranges(self, n: int, count: int) -> list[int]:
+        """The draws of ``count`` calls of ``randrange(n)``, in order.
+
+        Every ``getrandbits`` call takes its own words of the stream, so the
+        draws are made in bulk and the rejected ones refilled; a refill asks
+        for no more draws than are still missing, so none is left over.
+        """
+        if n <= 0:
+            raise ValueError("randrange needs n >= 1")
+        if count < 0:
+            raise ValueError("randranges needs count >= 0")
+        width = (n - 1).bit_length() or 1
+        getrandbits = self._mt.getrandbits
+        out: list[int] = []
+        while len(out) < count:
+            out += [x for x in map(getrandbits, repeat(width, count - len(out))) if x < n]
+        return out
+
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], inclusive."""
         return lo + self.randrange(hi - lo + 1)
@@ -46,22 +67,33 @@ class SeededRNG:
         return self.randrange(den) < num
 
     def sample(self, population: Sequence[int] | int, k: int) -> list:
-        """k distinct elements, as a partial Fisher-Yates; order randomized."""
-        pool = list(range(population)) if isinstance(population, int) else list(population)
-        size = len(pool)
+        """k distinct elements, as a partial Fisher-Yates; order randomized.
+
+        Step i swaps position i with i + randrange(size - i). The steps and,
+        for an int population, the ``list(range(size))`` to copy are kept for
+        the last (size, k), which a sampled scan asks for on every draw.
+        """
+        if k < 0:
+            raise ValueError("sample size must be nonnegative")
+        whole = isinstance(population, int)
+        size = population if whole else len(population)
         if k > size:
             raise ValueError("sample larger than population")
+        plan = self._plan
+        if plan is None or plan[0] != size or plan[1] != k or (whole and plan[3] is None):
+            steps = tuple((i, size - i, (size - i - 1).bit_length() or 1) for i in range(k))
+            plan = self._plan = (size, k, steps, list(range(size)) if whole else None)
+        pool = plan[3].copy() if whole else list(population)
         getrandbits = self._mt.getrandbits
-        for i in range(k):
-            # randrange(size - i), inlined: the same draws, so the same stream
-            span = size - i
-            width = (span - 1).bit_length() or 1
+        for i, span, width in plan[2]:
+            # randrange(span), inlined: the same draws, so the same stream
             x = getrandbits(width)
             while x >= span:
                 x = getrandbits(width)
             j = i + x
             pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+        del pool[k:]
+        return pool
 
     def sorted_sample(self, population: Sequence[int] | int, k: int) -> tuple[int, ...]:
         return tuple(sorted(self.sample(population, k)))

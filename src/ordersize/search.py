@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, comb
+from math import ceil
 
 from .core import Hypergraph, OrderedGraph, bits_of
 from .errors import Budget, ensure
@@ -282,14 +282,18 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
     den = 1 << 30
     num = int(p * den)
     best: tuple[int, ...] = ()
-    edges = sorted(h.edges)
+    # each edge in sorted order, with the vertex it deletes: its largest
+    tests = [(em, 1 << (em.bit_length() - 1)) for em in h._edge_masks]
     for _ in range(max(1, trials)):
-        kept = set(v for v in range(n) if rng.chance(num, den))
-        for e in edges:
-            if all(v in kept for v in e):
-                kept.discard(max(e))
-        if len(kept) > len(best):
-            best = tuple(sorted(kept))
+        kept = 0
+        for v, x in enumerate(rng.randranges(den, n)):
+            if x < num:
+                kept |= 1 << v
+        for em, top in tests:
+            if kept & em == em:
+                kept ^= top
+        if kept.bit_count() > len(best):
+            best = bits_of(kept)
     ensure(h.is_independent(best), "independent set")
     return SpencerResult(best, target, trials, len(best) >= target)
 
@@ -435,15 +439,3 @@ def _ktt_groups(links, cand: int, t: int, visit) -> None:
                 grow_a(later, ys, amask | 1 << x, need - 1)
 
     grow_a([(x, cand ^ (1 << x)) for x in bits_of(cand)], None, 0, t)
-
-
-def exhaustive_max_homogeneous(h: Hypergraph) -> int:
-    """Independent oracle: top-down scan of all subsets for the largest
-    homogeneous set. Only sensible for small n."""
-    for size in range(h.n, 1, -1):
-        want = comb(size, h.r)
-        for s in combinations(range(h.n), size):
-            c = h.edge_count(s)
-            if c == 0 or c == want:
-                return size
-    return min(h.n, 1)

@@ -8,12 +8,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 
 from ordersize.core import Hypergraph, unrank_combination, vertex_set
 from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, ln_bounds
-from ordersize.search import Star
+from ordersize.rng import SeededRNG
+from ordersize.search import SpencerResult, Star
 from ordersize.spectrum import WeightFrame
 from ordersize.values import (
     CubicParams,
@@ -436,6 +437,60 @@ def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:
             if h.has_edge(triple) == inner:
                 return False
     return True
+
+
+def loop_sample(rng: SeededRNG, population, k: int) -> list:
+    """``SeededRNG.sample`` as the per-call loop the draw plan replaced: the
+    pool is rebuilt and every step's range drawn by ``randrange`` on each call."""
+    pool = list(range(population)) if isinstance(population, int) else list(population)
+    if k > len(pool):
+        raise ValueError("sample larger than population")
+    for i in range(k):
+        j = i + rng.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def loop_sorted_sample(rng: SeededRNG, population, k: int) -> tuple[int, ...]:
+    return tuple(sorted(loop_sample(rng, population, k)))
+
+
+def set_spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
+    """``spencer_independent`` on vertex sets: one ``chance`` call per vertex
+    and a membership test per edge vertex."""
+    k, n = h.r, h.n
+    if n == 0:
+        return SpencerResult((), 0, trials, True)
+    if not h.edges:
+        return SpencerResult(tuple(range(n)), n, trials, True)
+    d = k * len(h.edges) / n
+    p = min(1.0, d ** (-1.0 / (k - 1)))
+    target = ceil((1 - 1 / k) * n / d ** (1 / (k - 1)))
+    rng = SeededRNG(seed)
+    den = 1 << 30
+    num = int(p * den)
+    best: tuple[int, ...] = ()
+    edges = sorted(h.edges)
+    for _ in range(max(1, trials)):
+        kept = set(v for v in range(n) if rng.chance(num, den))
+        for e in edges:
+            if all(v in kept for v in e):
+                kept.discard(max(e))
+        if len(kept) > len(best):
+            best = tuple(sorted(kept))
+    return SpencerResult(best, target, trials, len(best) >= target)
+
+
+def exhaustive_max_homogeneous(h: Hypergraph) -> int:
+    """Top-down scan of all subsets for the largest homogeneous set; the
+    oracle of ``max_homogeneous``, only sensible for small n."""
+    for size in range(h.n, 1, -1):
+        want = comb(size, h.r)
+        for s in combinations(range(h.n), size):
+            c = h.edge_count(s)
+            if c == 0 or c == want:
+                return size
+    return min(h.n, 1)
 
 
 def child_env(hash_seed: str) -> dict[str, str]:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from ordersize import cli
 from ordersize.cli import main
 from ordersize.core import load_hypergraph
 
@@ -139,6 +140,43 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["values", "gr-table", "--bogus"])
     assert err.value.code == 2
+
+
+def test_cached_parser_carries_nothing_between_runs(tmp_path, monkeypatch):
+    """One process reuses one parser; every run's manifest seed and output
+    digests equal those of the same run on a freshly built parser."""
+    assert cli.build_parser() is cli.build_parser()
+    path = str(tmp_path / "g.hg")
+    assert run(["--seed", "2", "gen", "random", "--n", "12", "--to", path]) == 0
+    sampled = ["spectrum", "--in", path, "--m", "5", "--mode", "sampled", "--samples", "40"]
+    runs = [
+        (["--seed", "5"] + sampled, 0),
+        (sampled, 0),
+        (["verify", "appendix", "--r", "4", "--n", "12", "--samples", "40", "--seeds", "1"], 0),
+        (["values", "gr-table", "--bogus"], 2),
+        (["values", "gr-table"], 0),
+    ]
+
+    def manifests(tag):
+        out = []
+        for i, (argv, want) in enumerate(runs):
+            where = str(tmp_path / f"{tag}{i}")
+            try:
+                code = main(["--out", where] + argv)
+            except SystemExit as e:
+                code = e.code
+            assert code == want, argv
+            if code == 0:
+                with open(os.path.join(where, "manifest.json")) as f:
+                    m = json.load(f)
+                out.append((m["seed"], m["outputs"]))
+        return out
+
+    cached = manifests("cached")
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert manifests("fresh") == cached
+    (seed5, spec5), (seed0, spec0) = cached[:2]
+    assert (seed5, seed0) == (5, 0) and spec5 != spec0
 
 
 def test_invalid_input_exits_2(tmp_path):

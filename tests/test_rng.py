@@ -1,0 +1,157 @@
+"""Differential tests of the seeded generator's batched draws.
+
+``SeededRNG.sample`` runs from a draw plan kept for the last (size, k), and
+``randranges`` makes many ``randrange`` draws at once; both must give the
+same values as the per-call loops and leave the stream at the same place.
+The generators built on ``randranges`` are compared with the per-element
+comprehensions they replaced, and ``spencer_independent`` with its set-based
+form.
+"""
+
+from itertools import combinations
+from math import comb
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordersize.constructions import (
+    build_gr,
+    random_hypergraph,
+    random_ordered_graph,
+    random_tournament,
+)
+from ordersize.core import Hypergraph, OrderedGraph, Tournament
+from ordersize.rng import SeededRNG
+from ordersize.search import spencer_independent
+
+from helpers import loop_sample, loop_sorted_sample, set_spencer_independent
+
+SEEDS = st.integers(0, 2**64)
+
+
+@st.composite
+def draws(draw):
+    """One (population, k, sorted?) request, with n in 1..64 and k in 0..n."""
+    n = draw(st.integers(1, 64))
+    k = draw(st.integers(0, n))
+    population = n if draw(st.booleans()) else [5 * x + 2 for x in range(n)]
+    return population, k, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.lists(draws(), min_size=1, max_size=8))
+def test_sample_plan_matches_loop(seed, requests):
+    """Consecutive draws on one generator, switching the plan as (n, k) changes."""
+    got, want = SeededRNG(seed), SeededRNG(seed)
+    for population, k, ordered in requests:
+        if ordered:
+            assert got.sorted_sample(population, k) == loop_sorted_sample(want, population, k)
+        else:
+            assert got.sample(population, k) == loop_sample(want, population, k)
+    assert got._mt.getstate() == want._mt.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(SEEDS, st.integers(1, 64), st.data())
+def test_repeated_plan_matches_loop(seed, n, data):
+    """The same (n, k) again and again, as a sampled scan asks for it."""
+    k = data.draw(st.integers(0, n))
+    got, want = SeededRNG(seed), SeededRNG(seed)
+    for _ in range(20):
+        assert got.sorted_sample(n, k) == loop_sorted_sample(want, n, k)
+    assert got._mt.getstate() == want._mt.getstate()
+
+
+def test_sample_copies_the_plan_template():
+    """A returned sample is the caller's; changing it leaves later draws alone."""
+    got, want = SeededRNG(4), SeededRNG(4)
+    first = got.sample(12, 12)
+    assert first == loop_sample(want, 12, 12)
+    first.reverse()
+    assert got.sample(12, 12) == loop_sample(want, 12, 12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: rng.sample(10, -2),
+    lambda rng: rng.sorted_sample(5, -1),
+    lambda rng: rng.sample([1, 2, 3], -1),
+    lambda rng: rng.sample(3, 4),
+    lambda rng: rng.randranges(0, 3),
+    lambda rng: rng.randranges(-4, 3),
+    lambda rng: rng.randranges(5, -1),
+])
+def test_invalid_draws_raise_before_drawing(call):
+    rng, fresh = SeededRNG(9), SeededRNG(9)
+    with pytest.raises(ValueError):
+        call(rng)
+    assert rng._mt.getstate() == fresh._mt.getstate()
+
+
+def test_randranges_keeps_the_randrange_message():
+    with pytest.raises(ValueError, match="randrange needs n >= 1"):
+        SeededRNG(0).randranges(0, 1)
+    with pytest.raises(ValueError, match="randrange needs n >= 1"):
+        SeededRNG(0).randrange(0)
+
+
+RANGES = [1, 2, 3, 5, 6, 100, 2**30, 2**30 + 1, 2**33 + 7] + [2**e for e in range(2, 31)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.one_of(st.sampled_from(RANGES), st.integers(1, 2**40)), st.integers(0, 300))
+def test_randranges_matches_randrange_loop(seed, n, count):
+    got, want = SeededRNG(seed), SeededRNG(seed)
+    assert got.randranges(n, count) == [want.randrange(n) for _ in range(count)]
+    assert got._mt.getstate() == want._mt.getstate()
+
+
+# --- the generators against their old comprehensions -------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 14), st.integers(0, 100), SEEDS)
+def test_random_hypergraph_matches_comprehension(r, n, pct, seed):
+    rng = SeededRNG(seed)
+    want = Hypergraph(r, n, [e for e in combinations(range(n), r) if rng.chance(pct, 100)])
+    assert random_hypergraph(r, n, pct, seed) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 100), SEEDS)
+def test_random_ordered_graph_matches_comprehension(n, pct, seed):
+    rng = SeededRNG(seed)
+    want = OrderedGraph(n, [p for p in combinations(range(n), 2) if rng.chance(pct, 100)])
+    assert random_ordered_graph(n, pct, seed) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), SEEDS)
+def test_random_tournament_matches_comprehension(n, seed):
+    rng = SeededRNG(seed)
+    want = Tournament(n, [bool(rng.coin()) for _ in range(comb(n, 2))])
+    assert random_tournament(n, seed) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 5), st.integers(0, 20), SEEDS)
+def test_build_gr_matches_comprehension(r, extra, seed):
+    n = r + extra
+    rng = SeededRNG(seed)
+    palette = comb(r, 2)
+    colors = tuple(rng.randrange(palette) for _ in range(comb(n, 2)))
+    assert build_gr(n, r, seed, materialize_cap=0).coloring.colors == colors
+
+
+# --- spencer_independent on masks ------------------------------------------------
+
+
+MAX_SPENCER_N = {2: 40, 3: 40, 4: 20, 5: 16}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(MAX_SPENCER_N)), st.integers(0, 60), SEEDS, st.integers(0, 6), st.data())
+def test_spencer_independent_matches_set_form(r, pct, seed, trials, data):
+    n = data.draw(st.integers(0, MAX_SPENCER_N[r]))
+    h = random_hypergraph(r, n, pct, seed)
+    assert spencer_independent(h, trials, seed) == set_spencer_independent(h, trials, seed)

@@ -1,10 +1,10 @@
 """Differential tests of the table-driven counters of the sampled path.
 
 The oracles are the implementations the tables replaced, kept here as they
-were: the per-edge mask scan of ``edge_count_mask``, the color-by-color
-backtracking of ``count_in_subset`` and ``materialize``, and the
-``randrange`` loop of ``SeededRNG.sample``. Sampled reports are compared with
-a per-subset recount over the same seeded draws.
+were: the per-edge mask scan of ``edge_count_mask`` and the color-by-color
+backtracking of ``count_in_subset`` and ``materialize``. The ``randrange``
+loop of ``SeededRNG.sample`` is ``helpers.loop_sample``. Sampled reports are
+compared with a per-subset recount over the same seeded draws.
 """
 
 from itertools import combinations
@@ -34,6 +34,8 @@ from ordersize.core import (
 from ordersize.rng import SeededRNG
 from ordersize.spectrum import size_spectrum
 from ordersize.values import g_r
+
+from helpers import loop_sample, loop_sorted_sample
 
 MAX_N = 14
 
@@ -98,20 +100,6 @@ def old_materialize(inst: GrInstance) -> Hypergraph:
 
     extend(0)
     return Hypergraph(r, n, edges)
-
-
-def old_sample(rng: SeededRNG, population, k: int) -> list:
-    pool = list(range(population)) if isinstance(population, int) else list(population)
-    if k > len(pool):
-        raise ValueError("sample larger than population")
-    for i in range(k):
-        j = i + rng.randrange(len(pool) - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k]
-
-
-def old_sorted_sample(rng: SeededRNG, population, k: int) -> tuple[int, ...]:
-    return tuple(sorted(old_sample(rng, population, k)))
 
 
 # --- inputs ------------------------------------------------------------------------
@@ -378,8 +366,8 @@ def test_sample_matches_randrange_loop(seed, size, data):
     k = data.draw(st.integers(0, size))
     population = size if data.draw(st.booleans()) else [3 * x + 1 for x in range(size)]
     got, want = SeededRNG(seed), SeededRNG(seed)
-    assert got.sample(population, k) == old_sample(want, population, k)
-    assert got.sorted_sample(population, k) == old_sorted_sample(want, population, k)
+    assert got.sample(population, k) == loop_sample(want, population, k)
+    assert got.sorted_sample(population, k) == loop_sorted_sample(want, population, k)
     assert got.bits(64) == want.bits(64)  # both streams stand at the same place
     with pytest.raises(ValueError):
         got.sample(population, size + 1)
@@ -394,7 +382,7 @@ def recount_fact_gr(inst: GrInstance, m: int, samples: int, seed: int) -> Subset
     violations = []
     rng = SeededRNG(seed)
     for _ in range(samples):
-        s = old_sorted_sample(rng, inst.n, m)
+        s = loop_sorted_sample(rng, inst.n, m)
         c = old_count_in_subset(inst, s)
         histogram[c] = histogram.get(c, 0) + 1
         if c > target:
@@ -412,7 +400,7 @@ def test_sampled_spectrum_matches_recount(h, samples, seed, data):
     rng = SeededRNG(seed)
     witnesses: dict[int, tuple[int, ...]] = {}
     for _ in range(samples):
-        s = old_sorted_sample(rng, h.n, m)
+        s = loop_sorted_sample(rng, h.n, m)
         witnesses.setdefault(old_edge_count_mask(h, mask_of(s)), s)
     rep = size_spectrum(h, m, mode="sampled", samples=samples, seed=seed)
     assert rep.witnesses == witnesses

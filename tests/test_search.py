@@ -9,7 +9,6 @@ from ordersize.search import (
     Star,
     count_independent_tsets,
     count_induced_ktt,
-    exhaustive_max_homogeneous,
     enumerate_induced_ktt,
     find_stars,
     greedy_forward_clique,
@@ -19,6 +18,8 @@ from ordersize.search import (
     max_independent_set,
     spencer_independent,
 )
+
+from helpers import exhaustive_max_homogeneous
 
 
 def seeded_3graph(n, seed, pct=50):
