@@ -229,8 +229,7 @@ def build_gr(
         raise ValueError("n must be at least r")
     rng = SeededRNG(seed)
     palette = comb(r, 2)
-    colors = rng.randranges(palette, comb(n, 2))
-    coloring = PalettedColoring(n, palette, colors)
+    coloring = PalettedColoring._from_colors(n, palette, rng.randranges(palette, comb(n, 2)))
     inst = GrInstance(r, n, coloring, seed)
     if comb(n, r) <= materialize_cap:
         inst.graph = materialize(inst)

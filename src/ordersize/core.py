@@ -337,6 +337,15 @@ class PalettedColoring:
         object.__setattr__(self, "palette", palette)
         object.__setattr__(self, "colors", cc)
 
+    @classmethod
+    def _from_colors(cls, n: int, palette: int, colors: Iterable[int]) -> "PalettedColoring":
+        """Wrap C(n, 2) pair colors that are already ints in [0, palette)."""
+        pc = object.__new__(cls)
+        object.__setattr__(pc, "n", n)
+        object.__setattr__(pc, "palette", palette)
+        object.__setattr__(pc, "colors", tuple(colors))
+        return pc
+
     def color(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i

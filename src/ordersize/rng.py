@@ -121,7 +121,7 @@ def keyed_coloring(seed: int, palette: int = 2) -> Callable[[Iterable[int]], int
 
     def color(t: Iterable[int]) -> int:
         h = hashlib.blake2b(key=key, digest_size=8)
-        h.update(",".join(str(x) for x in t).encode())
+        h.update(",".join(map(str, t)).encode())
         return int.from_bytes(h.digest(), "big") % palette
 
     return color

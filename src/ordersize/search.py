@@ -82,7 +82,7 @@ class CountReport:
 
 
 def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
-             size: int | None = None, budget: Budget | None = None):
+             size: int | None = None, budget: Budget | None = None, avoid=None):
     """Exact bit-parallel branch and bound over the candidate mask ``cand``
     (BBMC, San Segundo et al. 2011).
 
@@ -96,17 +96,39 @@ def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
     as a tuple. With ``size=t`` the result is (masks of all t-cliques in
     lexicographic order, complete); each extension step spends one unit of
     ``budget``, and a step it cannot pay for ends the search with
-    complete=False and the cliques listed so far.
+    complete=False and the cliques listed so far. A pair-link table
+    ``avoid`` (size mode only) keeps just the t-cliques that span no triple
+    of it (with ``flip=-1``: all of whose triples are in it); the walk and
+    the steps it spends are the same as without it.
     """
+    if size == 0:
+        return [0], True
     found: list[int] = []
-    floor = -1 if size is None else size - 1  # a useful clique must exceed it
-    chosen: list[int] = []  # kept only with pairs
+    # a useful clique must exceed the floor; with size=t the last level
+    # (depth t - 1) is settled in one pass
+    floor = last = -1 if size is None else size - 1
+    keep_chosen = pairs or avoid is not None
+    chosen: list[int] = []  # the clique so far, kept only with keep_chosen
+    # steps the budget can still pay for; the walk adds its steps to it once
+    left = None if budget is None or budget.limit is None else max(budget.limit - budget.used, 0)
+    steps = 0
 
-    def extend(mask: int, depth: int, cand: int) -> bool:
-        nonlocal floor
-        if depth == size:
-            found.append(mask)
-            return True
+    def extend(mask: int, depth: int, cand: int, clean: int) -> bool:
+        # clean: the candidates that keep the clique so far free of avoided
+        # triples (0 once it spans one); without avoid, every candidate
+        nonlocal floor, steps
+        if depth == last:  # every candidate completes a t-clique
+            k = cand.bit_count()
+            done = left is None or steps + k <= left
+            if not done:
+                k = left - steps  # the lowest candidates the budget pays for
+            steps += k
+            for _ in range(k):
+                low = cand & -cand
+                cand ^= low
+                if low & clean:
+                    found.append(mask | low)
+            return done
         if size is None and depth > floor:
             floor = depth
             found.append(mask)
@@ -117,24 +139,34 @@ def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
             rest ^= low
             if depth + 1 + rest.bit_count() <= floor:
                 return True  # v and every later candidate cannot reach past the floor
-            if budget is not None:
-                if not budget.can_afford(1):
-                    return False
-                budget.spend()
+            if steps == left:
+                return False
+            steps += 1
             if pairs:
                 sub = rest
                 for a in chosen:
                     sub &= rows[a][v] ^ flip
+            else:
+                sub = rest & (rows[v] ^ flip)
+            if depth + 1 + sub.bit_count() <= floor:
+                continue  # the child could only return at once
+            sub_clean = clean if low & clean else 0
+            if avoid is not None and sub_clean:
+                for a in chosen:
+                    sub_clean &= ~(avoid[a][v] ^ flip)
+            if keep_chosen:
                 chosen.append(v)
-                done = extend(mask | low, depth + 1, sub)
+                done = extend(mask | low, depth + 1, sub, sub_clean)
                 chosen.pop()
             else:
-                done = extend(mask | low, depth + 1, rest & (rows[v] ^ flip))
+                done = extend(mask | low, depth + 1, sub, sub_clean)
             if not done:
                 return False
         return True
 
-    complete = extend(0, 0, cand)
+    complete = extend(0, 0, cand, -1)
+    if budget is not None:
+        budget.used += steps
     if size is None:
         return bits_of(found[-1])
     return found, complete
@@ -193,26 +225,6 @@ def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
     return OrderedGraph._from_rows(h.n - 1, rows)
 
 
-def _has_inner_edge(links, mask: int, flip: int) -> bool:
-    """Does the vertex set ``mask`` span an edge (with ``flip=-1``: miss one)?
-
-    Stops at the first pair a < b whose pair-link row, read as in
-    ``_cliques``, meets the vertices of ``mask`` above b.
-    """
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        row = links[low.bit_length() - 1]
-        above = rest
-        while above:
-            b = above & -above
-            above ^= b
-            if (row[b.bit_length() - 1] ^ flip) & above:
-                return True
-    return False
-
-
 def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
                budget: Budget | None) -> tuple[list[Star], bool]:
     """Stars (or antistars) of size s with center and leaves in the vertex
@@ -222,7 +234,7 @@ def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
     Leaf sets are the s-cliques of the center's pair-link row within ``cand``
     (independent sets for antistars); each extension step spends one unit of
     ``budget``. An induced star must span no edge (an antistar every triple),
-    tested on the pair-link rows.
+    which the clique walk tracks on the pair-link rows as it goes.
     """
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
@@ -232,10 +244,9 @@ def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
     flip = -1 if anti else 0
     stars: list[Star] = []
     for v in bits_of(cand):
-        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget)
-        for mask in leafsets:
-            if not (induced and _has_inner_edge(links, mask, flip)):
-                stars.append(Star(v, bits_of(mask), induced, anti))
+        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
+                                      avoid=links if induced else None)
+        stars += [Star(v, bits_of(mask), induced, anti) for mask in leafsets]
         if not complete:
             return stars, False
     return stars, True

@@ -538,28 +538,19 @@ def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, 
             detail={"r": r, "m": m, "f": f, "h": h},
         )
     cut = None  # set when the base-case search ran out of budget
-    if m == m0:
-        from .hbuilder import build_H
+    try:
+        if m == m0:
+            from .hbuilder import build_H
 
-        hc = build_H(r, m, f)
-        target = g if not hc.complemented else g.complement()
-        try:
+            hc = build_H(r, m, f)
+            target = g if not hc.complemented else g.complement()
             hit = find_induced_ordered_copy(target, hc.graph, budget)
-        except BudgetExhausted as e:
-            cut, hit = e, None
-        if hit is not None:
-            return WeightedWitness(hit, r, m, f)
-    else:
-        size = m - r + 2
-        frame = WeightFrame(r, m, 1)
-        bud = Budget(budget)
-        for u in combinations(range(g.n), size):
-            if not bud.can_afford(1):
-                cut = BudgetExhausted("base-case scan budget exhausted", bud.used)
-                break
-            bud.spend()
-            if weighted_total(g, u, frame) == f:
-                return WeightedWitness(u, r, m, f)
+        else:
+            hit = _weighted_scan(g, WeightFrame(r, m, 1), f, Budget(budget))
+    except BudgetExhausted as e:
+        cut, hit = e, None
+    if hit is not None:
+        return WeightedWitness(hit, r, m, f)
     clique = _greedy_clique(g.adj, (1 << g.n) - 1)
     ind = _greedy_clique(g.adj, (1 << g.n) - 1, -1)
     best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
@@ -572,6 +563,52 @@ def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, 
         reason="guarantee precondition unmet",
         detail={"r": r, "m": m, "f": f, "h": h},
     )
+
+
+def _weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
+                   budget: Budget) -> tuple[int, ...] | None:
+    """The lexicographically first ``frame.size``-subset of g's vertices whose
+    weighted total is f, or None when there is none.
+
+    Each subset scanned spends one unit of ``budget``; a subset it cannot pay
+    for raises BudgetExhausted. Depth d keeps the weighted total of the prefix
+    cur[:d], so a lexicographic successor recomputes only the depths from the
+    first changed position on, as ``core.iter_subset_counts`` does.
+    """
+    n, size, adj = g.n, frame.size, g.adj
+    if size > n:
+        return None
+    ps = list(frame.positions)
+    weights = [[frame.weight(ps[a], ps[d]) for a in range(d)] for d in range(size)]
+    left = None if budget.limit is None else max(budget.limit - budget.used, 0)
+    used = 0
+    cur = list(range(size))
+    sums = [0] * (size + 1)
+    first = 0  # shallowest depth whose prefix changed
+    try:
+        while True:
+            if used == left:
+                raise BudgetExhausted("base-case scan budget exhausted", budget.used + used)
+            used += 1
+            for d in range(first, size):
+                row = adj[cur[d]]
+                t = sums[d]
+                for a, w in enumerate(weights[d]):
+                    if row >> cur[a] & 1:
+                        t += w
+                sums[d + 1] = t
+            if sums[size] == f:
+                return tuple(cur)
+            first = size - 1
+            while cur[first] == n - size + first:
+                first -= 1
+                if first < 0:
+                    return None
+            cur[first] += 1
+            for j in range(first + 1, size):
+                cur[j] = cur[j - 1] + 1
+    finally:
+        budget.used += used
 
 
 def find_induced_ordered_copy(

@@ -103,7 +103,7 @@ def _run_stage(
     """
     if not reverse:
         def posfn(t: tuple[int, ...]) -> int:
-            return lookup(tuple(verts[p] for p in t))
+            return lookup(tuple(map(verts.__getitem__, t)))
 
         kept, chi_pos, rows = _reduce_stage(posfn, len(verts), q, want)
         ids = [verts[p] for p in kept]

@@ -11,11 +11,12 @@ from itertools import combinations
 from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 
-from ordersize.core import Hypergraph, unrank_combination, vertex_set
+from ordersize.core import Hypergraph, OrderedGraph, unrank_combination, vertex_set
+from ordersize.errors import Budget, BudgetExhausted
 from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, ln_bounds
 from ordersize.rng import SeededRNG
 from ordersize.search import SpencerResult, Star
-from ordersize.spectrum import WeightFrame
+from ordersize.spectrum import WeightFrame, weighted_total
 from ordersize.values import (
     CubicParams,
     GeneralParams,
@@ -491,6 +492,19 @@ def exhaustive_max_homogeneous(h: Hypergraph) -> int:
             if c == 0 or c == want:
                 return size
     return min(h.n, 1)
+
+
+def combinations_weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
+                               bud: Budget) -> tuple[int, ...] | None:
+    """The r >= 4 weighted base-case scan as it was before the prefix sums:
+    ``weighted_total`` of each ``combinations`` subset, one budget unit each."""
+    for u in combinations(range(g.n), frame.size):
+        if not bud.can_afford(1):
+            raise BudgetExhausted("base-case scan budget exhausted", bud.used)
+        bud.spend()
+        if weighted_total(g, u, frame) == f:
+            return u
+    return None
 
 
 def child_env(hash_seed: str) -> dict[str, str]:

@@ -11,10 +11,10 @@ procedure written out step by step.
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of
+from ordersize.core import Hypergraph, OrderedGraph, bits_of, complete_hypergraph, mask_of
 from ordersize.errors import Budget
 from ordersize.search import (
     Star,
@@ -156,8 +156,18 @@ def test_3graph_max_clique_both_sides(h):
     assert w.set == (cl if len(cl) >= len(ind) else ind)
 
 
+K6 = OrderedGraph(6, list(combinations(range(6), 2)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs(), st.integers(0, 5), st.one_of(st.none(), st.integers(-2, 80)), st.booleans())
+@example(K6, 3, -2, False)
+@example(K6, 3, -1, False)
+@example(K6, 3, 0, False)
+@example(K6, 1, 1, False)
+@example(K6, 3, 1, False)
+@example(K6, 3, 5, False)  # runs out inside the last level: 2 steps down, 3 of its 4 leaves
+@example(OrderedGraph(6), 2, -1, True)
 def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
     limit = [budget if budget is not None else 1 << 62]
     want, want_complete = enumerate_cliques_reference(
@@ -172,8 +182,22 @@ def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
 @settings(max_examples=100, deadline=None)
 @given(hypergraphs(max_n=9), st.integers(0, 4), st.booleans(), st.booleans(),
        st.one_of(st.none(), st.integers(-1, 60)))
+@example(complete_hypergraph(3, 6), 3, False, False, -2)
+@example(complete_hypergraph(3, 6), 3, True, True, -1)
+@example(complete_hypergraph(3, 6), 3, False, False, 0)
+@example(complete_hypergraph(3, 6), 1, True, False, 1)
+@example(complete_hypergraph(3, 6), 3, True, True, 1)
+@example(complete_hypergraph(3, 8), 3, True, False, 10)  # the same walk, every leaf set dropped
 def test_find_stars_matches_link_graph_search(h, s, induced, anti, budget):
     assert find_stars(h, s, induced, anti, budget) == find_stars_reference(h, s, induced, anti, budget)
+
+
+def test_star_budget_runs_out_inside_the_last_level():
+    # center 0: leaves 1, 2 (two steps) and the last level 3..7 (five), then
+    # leaf 3 (one) leaves two steps for the last level 4..7: leaves 4 and 5
+    res = find_stars(complete_hypergraph(3, 8), 3, budget=10)
+    assert (len(res.stars), res.complete, res.examined) == (7, False, 10)
+    assert res.stars[-1] == Star(0, (1, 3, 5), False, False)
 
 
 @settings(max_examples=150, deadline=None)

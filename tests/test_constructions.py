@@ -1,6 +1,7 @@
 from itertools import combinations
 from math import comb
 
+import pytest
 
 from ordersize.core import Tournament
 from ordersize.constructions import (
@@ -62,6 +63,24 @@ def test_gr_monochromatic_has_no_edges():
     colors = PalettedColoring(6, 3, [pattern_color_index(1, 2, 3)] * comb(6, 2))
     inst = GrInstance(3, 6, colors)
     assert materialize(inst).edges == frozenset()
+
+
+def test_build_gr_colors_match_checked_constructor():
+    for n, r, seed in [(4, 4, 0), (12, 3, 5), (40, 5, 1), (25, 4, 17)]:
+        inst = build_gr(n, r, seed, materialize_cap=0)
+        palette = comb(r, 2)
+        draws = SeededRNG(seed).randranges(palette, comb(n, 2))
+        assert inst.coloring == PalettedColoring(n, palette, draws)
+        assert type(inst.coloring.colors) is tuple
+
+
+def test_checked_coloring_rejects_bad_input():
+    with pytest.raises(ValueError, match="pair colors"):
+        PalettedColoring(5, 3, [0] * (comb(5, 2) - 1))
+    with pytest.raises(ValueError, match="out of range"):
+        PalettedColoring(5, 3, [0] * 9 + [3])
+    with pytest.raises(ValueError, match="out of range"):
+        PalettedColoring(5, 3, [-1] + [0] * 9)
 
 
 def test_gr_membership_dual_evaluation():

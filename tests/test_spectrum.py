@@ -2,18 +2,22 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import combinations_weighted_scan
 from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
 from ordersize.constructions import (
     cyclic_triangle_3graph,
     random_hypergraph,
     random_ordered_graph,
 )
-from ordersize.errors import BudgetExhausted, FactorizationError, SearchFailed
+from ordersize.errors import Budget, BudgetExhausted, FactorizationError, SearchFailed
 from ordersize.rng import SeededRNG
 from ordersize.search import HomogeneousWitness
 from ordersize.spectrum import (
     WeightFrame,
+    _weighted_scan,
     WeightedWitness,
     find_mf_subset,
     find_weighted_mf_subset,
@@ -285,6 +289,30 @@ def test_weighted_search_r4_small_m_direct_scan():
                 assert out.verify(g) and out.f == f
             else:
                 assert out.size() >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weighted_scan_matches_combinations_loop(data):
+    r = data.draw(st.sampled_from([4, 5]))
+    m = data.draw(st.integers(r, 8))
+    n = data.draw(st.integers(0, 12))
+    g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    f = data.draw(st.integers(0, comb(m, r)))
+    frame = WeightFrame(r, m)
+    subsets = comb(n, frame.size)
+    budget = data.draw(st.one_of(st.none(), st.sampled_from([-1, 0]),
+                                 st.integers(1, max(subsets, 1))))
+
+    def run(scan):
+        bud = Budget(budget)
+        try:
+            out = scan(g, frame, f, bud)
+        except BudgetExhausted as e:
+            out = ("exhausted", e.used)
+        return out, bud.used
+
+    assert run(_weighted_scan) == run(combinations_weighted_scan)
 
 
 def test_weighted_search_r4_failure_outcomes():
