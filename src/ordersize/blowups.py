@@ -11,6 +11,17 @@ from itertools import combinations, product
 
 from .core import Hypergraph
 
+# The triple types, read by the structure finder and by build_pair_family. A
+# spec names the three sets of a triple, each by its side (A, or B of a pair)
+# and the rank of its index among the triple's, in vertex order: "B0A1B1" is
+# d(B_i, A_j, B_j) for i < j. Table order is the order of the constants.
+FAMILY_TYPES = {"a": "A0A1A1", "b": "A0A0A1", "c": "A0A1A2", "d": "A0A0A0"}
+PAIR_TYPES = {
+    "a1": "A0A1B1", "a2": "B0A1B1", "b1": "A0B0A1", "b2": "A0B0B1",
+    "c1": "A0A1B2", "c2": "A0B1A2", "c3": "A0B1B2", "c4": "B0A1A2",
+    "c5": "B0A1B2", "c6": "B0B1A2", "c7": "A0A1A2", "c8": "B0B1B2",
+}
+
 
 def build_type_family(
     part_sizes: list[int], a: int, b: int, c: int, d: int
@@ -56,17 +67,18 @@ def build_pair_family(
 ) -> tuple[Hypergraph, list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Blow-up over paired parts A_1, B_1, ..., A_m, B_m.
 
-    Triples meeting a set twice span no edges. For indices i < j, the types
-    (X, A_j, B_j) carry a1 (X = A_i) and a2 (X = B_i); (A_i, B_i, X) carry b1
-    (X = A_j) and b2 (X = B_j). Distinct-index triples carry c1..c6 by the
-    kind pattern AAB, ABA, ABB, BAA, BAB, BBA, and c7/c8 for AAA/BBB. Each
-    kept triple of sets adds the product of the three sets.
+    Triples meeting a set twice span no edges. Every other triple of sets
+    is one of the ``PAIR_TYPES`` and carries the density given for that type
+    (``cs`` holds c1..c6). Each kept triple of sets adds the product of the
+    three sets.
     """
     if len(cs) != 6:
         raise ValueError("cs must hold six densities c1..c6")
-    for v in (a1, a2, b1, b2, c7, c8) + tuple(cs):
-        if v not in (0, 1):
-            raise ValueError("type densities must be 0 or 1")
+    densities = (a1, a2, b1, b2, *cs, c7, c8)  # in PAIR_TYPES order
+    if any(v not in (0, 1) for v in densities):
+        raise ValueError("type densities must be 0 or 1")
+    # each spec keyed by its side letters and the index ranks of its last two sets
+    keep = {(t[0], t[2], t[4], int(t[3]), int(t[5])): v for t, v in zip(PAIR_TYPES.values(), densities)}
     if num_pairs < 0 or part_size < 0:
         raise ValueError("pair and part counts must be nonnegative")
     a_parts: list[tuple[int, ...]] = []
@@ -79,24 +91,9 @@ def build_pair_family(
         b_parts.append(tuple(range(start, start + part_size)))
         start += part_size
         labeled += [(idx, "A", a_parts[-1]), (idx, "B", b_parts[-1])]
-    c_by_kind = {
-        ("A", "A", "B"): cs[0],
-        ("A", "B", "A"): cs[1],
-        ("A", "B", "B"): cs[2],
-        ("B", "A", "A"): cs[3],
-        ("B", "A", "B"): cs[4],
-        ("B", "B", "A"): cs[5],
-        ("A", "A", "A"): c7,
-        ("B", "B", "B"): c8,
-    }
     edges: list[tuple[int, ...]] = []
     for (i1, k1, s1), (i2, k2, s2), (i3, k3, s3) in combinations(labeled, 3):
-        if i1 == i2:  # kinds must be (A, B); third has larger index
-            keep = b1 if k3 == "A" else b2
-        elif i2 == i3:  # third (smaller index) relates to the pair (A_j, B_j)
-            keep = a1 if k1 == "A" else a2
-        else:
-            keep = c_by_kind[(k1, k2, k3)]
-        if keep:
+        r2 = i2 != i1  # indices ascend in vertex order, so ranks do too
+        if keep[k1, k2, k3, r2, r2 + (i3 != i2)]:
             edges.extend(product(s1, s2, s3))
     return Hypergraph._from_edges(3, start, edges), a_parts, b_parts

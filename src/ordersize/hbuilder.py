@@ -524,25 +524,25 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
         gap = None
         k = None
 
-    graph = OrderedGraph(length, edges)
-
-    degs = [0] * length
-    for a, b in edges:
-        degs[b] += 1
-    if tuple(degs) != seq.d:
-        raise BuildError("backward degrees do not match the sequence", reason="internal")
-    weight = sum(position_weight(r, m, j + 1) for _a, j in edges)
-    if weight != ftarget:
-        raise BuildError(
-            f"total weight {weight} != target {ftarget}", reason="internal"
-        )
-
     cert = _build_certificate(seq, i_star, k, mid_hi, tail_lo)
-    expanded = expand_certificate(cert)
-    if expanded != graph:
-        raise BuildError("certificate does not expand to the built graph", reason="internal")
+    hc = HConstruction(r, m, f, seq, OrderedGraph(length, edges), cert, complemented)
+    weight, checks = recount_construction(hc)
+    for key, message in (("degrees_ok", "backward degrees do not match the sequence"),
+                         ("weight_ok", f"total weight {weight} != target {ftarget}"),
+                         ("cert_ok", "certificate does not expand to the built graph")):
+        if not checks[key]:
+            raise BuildError(message, reason="internal")
+    return hc
 
-    return HConstruction(r, m, f, seq, graph, cert, complemented)
+
+def recount_construction(hc: HConstruction) -> tuple[int, dict[str, bool]]:
+    """The weight recounted from the graph (an edge weighs what its larger
+    end does), and whether it, the backward degrees and the expanded
+    certificate match what ``hc`` claims."""
+    degrees = hc.backward_degrees()
+    weight = sum(deg * position_weight(hc.r, hc.m, j + 1) for j, deg in enumerate(degrees) if deg)
+    return weight, {"weight_ok": weight == hc.realized_weight, "degrees_ok": degrees == hc.d.d,
+                    "cert_ok": expand_certificate(hc.cert) == hc.graph}
 
 
 def _build_certificate(

@@ -108,7 +108,5 @@ def h_construction_checks(hc: hbuilder.HConstruction) -> dict:
     expanded certificate, and claim (d). The graph passes when the three
     flags hold and every claim holds or the report is advisory."""
     rep = hbuilder.verify_claim_d(hc.d)
-    recount = sum(hbuilder.position_weight(hc.r, hc.m, j + 1) for _i, j in hc.graph.edges)
-    return {"weight_ok": recount == hc.realized_weight, "degrees_ok": hc.backward_degrees() == hc.d.d,
-            "cert_ok": hbuilder.expand_certificate(hc.cert) == hc.graph,
-            "claims": rep.items, "advisory": rep.advisory}
+    _weight, checks = hbuilder.recount_construction(hc)
+    return {**checks, "claims": rep.items, "advisory": rep.advisory}

@@ -10,11 +10,12 @@ order and ties go to the lexicographically smallest object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, product
+from typing import Iterator, Sequence
 
+from .blowups import FAMILY_TYPES, PAIR_TYPES
 from .core import Hypergraph, OrderedGraph, bits_of, density, mask_of, vertex_set
 from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
@@ -28,7 +29,34 @@ from .search import (
     spencer_independent,
 )
 
-PAIR_CONSTANT_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+_Types = tuple[tuple[str, int, tuple[tuple[str, int], ...]], ...]
+
+
+def _parse_types(table: dict[str, str]) -> _Types:
+    """(type, number of indices, its three (side letter, index rank) terms),
+    one per spec of a ``blowups`` type table, in table order."""
+    out = []
+    for name, spec in table.items():
+        terms = tuple((spec[k], int(spec[k + 1])) for k in (0, 2, 4))
+        out.append((name, 1 + max(rank for _side, rank in terms), terms))
+    return tuple(out)
+
+
+_FAMILY = _parse_types(FAMILY_TYPES)
+_PAIR = _parse_types(PAIR_TYPES)
+
+
+def _type_instances(
+    types: _Types, sides: dict[str, Sequence]
+) -> Iterator[tuple[str, tuple[int, ...], tuple]]:
+    """(type, indices, its three sets) for every instance of the types on a
+    family whose sides are ``sides``: by number of indices, then by index
+    tuple, then in table order."""
+    for k in sorted({k for _name, k, _terms in types}):
+        for idx in combinations(range(len(sides["A"])), k):
+            for name, kk, terms in types:
+                if kk == k:
+                    yield name, idx, tuple(sides[side][idx[rank]] for side, rank in terms)
 
 
 def maybe_density(h: Hypergraph, x, y, z) -> Fraction | None:
@@ -74,92 +102,58 @@ def _uniform(values) -> tuple[bool, int | None]:
 # --- families -----------------------------------------------------------------
 
 
-@dataclass
-class HomogenizedFamily:
-    """Disjoint sets whose per-type densities are the recorded constants.
-
-    Types over indices i, j, k of the family: ``a`` for i < j = k, ``b`` for
-    i = j < k, ``c`` for i < j < k, ``d`` for i = j = k. A constant is None
-    only when the family is too small for instances of its type.
-    """
-
-    sets: tuple[tuple[int, ...], ...]
-    constants: dict[str, int | None]
+class _TypedFamily:
+    """A family whose triple ``types`` come from one ``blowups`` table; each
+    family sets them, its ``constants`` and its ``sides()``."""
 
     def verification_rows(self, h: Hypergraph) -> list[dict]:
-        rows = []
-        sets = self.sets
-        for i in range(len(sets)):
-            rows.append({"type": "d", "indices": (i,), "value": maybe_density(h, sets[i], sets[i], sets[i])})
-        for i, j in combinations(range(len(sets)), 2):
-            rows.append({"type": "a", "indices": (i, j), "value": maybe_density(h, sets[i], sets[j], sets[j])})
-            rows.append({"type": "b", "indices": (i, j), "value": maybe_density(h, sets[i], sets[i], sets[j])})
-        for i, j, k in combinations(range(len(sets)), 3):
-            rows.append({"type": "c", "indices": (i, j, k), "value": maybe_density(h, sets[i], sets[j], sets[k])})
-        return rows
+        return [
+            {"type": name, "indices": idx, "value": maybe_density(h, *sets)}
+            for name, idx, sets in _type_instances(self.types, self.sides())
+        ]
 
     def verify(self, h: Hypergraph) -> bool:
-        for row in self.verification_rows(h):
-            want = self.constants[row["type"]]
-            got = row["value"]
-            if got is None:
-                continue
-            if want is None or got != want:
-                return False
+        """Does every defined density of a type in ``constants`` equal its
+        constant? A constant of None admits only undefined densities."""
+        for name, _idx, sets in _type_instances(self.types, self.sides()):
+            if name in self.constants:
+                got = maybe_density(h, *sets)
+                if got is not None and (self.constants[name] is None or got != self.constants[name]):
+                    return False
         return True
 
 
 @dataclass
-class PairFamily:
-    """Paired disjoint sets with the twelve recorded pattern constants."""
+class HomogenizedFamily(_TypedFamily):
+    """Disjoint sets whose densities of each of the ``FAMILY_TYPES`` are the
+    recorded constants. A constant is None only when the family is too small
+    for instances of its type.
+    """
 
+    types = _FAMILY
+    sets: tuple[tuple[int, ...], ...]
+    constants: dict[str, int | None]
+
+    def sides(self) -> dict[str, Sequence]:
+        return {"A": self.sets}
+
+
+@dataclass
+class PairFamily(_TypedFamily):
+    """Paired disjoint sets with the twelve recorded ``PAIR_TYPES`` constants."""
+
+    types = _PAIR
     a_sets: tuple[tuple[int, ...], ...]
     b_sets: tuple[tuple[int, ...], ...]
     constants: dict[str, int | None]
 
-    def verification_rows(self, h: Hypergraph) -> list[dict]:
-        a, b = self.a_sets, self.b_sets
-        rows = []
-        n = len(a)
-        for i, j in combinations(range(n), 2):
-            rows.append({"type": "a1", "indices": (i, j), "value": maybe_density(h, a[i], a[j], b[j])})
-            rows.append({"type": "a2", "indices": (i, j), "value": maybe_density(h, b[i], a[j], b[j])})
-            rows.append({"type": "b1", "indices": (i, j), "value": maybe_density(h, a[i], b[i], a[j])})
-            rows.append({"type": "b2", "indices": (i, j), "value": maybe_density(h, a[i], b[i], b[j])})
-        for i, j, k in combinations(range(n), 3):
-            rows.append({"type": "c1", "indices": (i, j, k), "value": maybe_density(h, a[i], a[j], b[k])})
-            rows.append({"type": "c2", "indices": (i, j, k), "value": maybe_density(h, a[i], b[j], a[k])})
-            rows.append({"type": "c3", "indices": (i, j, k), "value": maybe_density(h, a[i], b[j], b[k])})
-            rows.append({"type": "c4", "indices": (i, j, k), "value": maybe_density(h, b[i], a[j], a[k])})
-            rows.append({"type": "c5", "indices": (i, j, k), "value": maybe_density(h, b[i], a[j], b[k])})
-            rows.append({"type": "c6", "indices": (i, j, k), "value": maybe_density(h, b[i], b[j], a[k])})
-            rows.append({"type": "c7", "indices": (i, j, k), "value": maybe_density(h, a[i], a[j], a[k])})
-            rows.append({"type": "c8", "indices": (i, j, k), "value": maybe_density(h, b[i], b[j], b[k])})
-        return rows
-
-    def verify(self, h: Hypergraph) -> bool:
-        for row in self.verification_rows(h):
-            want = self.constants[row["type"]]
-            got = row["value"]
-            if got is None:
-                continue
-            if want is None or got != want:
-                return False
-        return True
+    def sides(self) -> dict[str, Sequence]:
+        return {"A": self.a_sets, "B": self.b_sets}
 
     def nondistinct_zero(self, h: Hypergraph) -> bool:
-        """All triples meeting some set twice (or thrice) have density 0."""
-        all_sets = list(self.a_sets) + list(self.b_sets)
-        for s in all_sets:
-            v = maybe_density(h, s, s, s)
-            if v not in (None, 0):
-                return False
-        for s, t in combinations(all_sets, 2):
-            for x, y in ((s, t), (t, s)):
-                v = maybe_density(h, x, x, y)
-                if v not in (None, 0):
-                    return False
-        return True
+        """All triples meeting some set twice (or thrice), the types d, a and
+        b of the family A + B, have density 0."""
+        return HomogenizedFamily((*self.a_sets, *self.b_sets), {"d": 0, "a": 0, "b": 0}).verify(h)
 
 
 @dataclass
@@ -183,11 +177,8 @@ class MainStructure:
                 for r in self.digest
             ],
         }
-        if isinstance(self.family, HomogenizedFamily):
-            obj["sets"] = [list(s) for s in self.family.sets]
-        else:
-            obj["a_sets"] = [list(s) for s in self.family.a_sets]
-            obj["b_sets"] = [list(s) for s in self.family.b_sets]
+        for f in fields(self.family)[:-1]:  # "sets", or "a_sets" and "b_sets"
+            obj[f.name] = [list(s) for s in getattr(self.family, f.name)]
         return obj
 
 
@@ -303,24 +294,46 @@ def refine_to_01(
         work[i], work[j], work[k] = _best_monochromatic_rectangle(h, work[i], work[j], work[k])
 
     sizes = [len(s) for s in work]
-    if min(sizes) < p:
+    if sizes and min(sizes) < p:
         raise SearchFailed(
             f"sets shrank below the target size {p}",
             reason="sizes insufficient",
             detail={"feasible_p": min(sizes), "sizes": sizes},
         )
     out = [tuple(s[:p]) for s in work]
-    for i in range(ell):
-        _density01(h, out[i], out[i], out[i])
-        for j in range(ell):
-            if i != j:
-                _density01(h, out[i], out[i], out[j])
-    for i, j, k in combinations(range(ell), 3):
-        _density01(h, out[i], out[j], out[k])
+    for _name, _idx, triple in _type_instances(_FAMILY, {"A": out}):
+        _density01(h, *triple)
     return out
 
 
 # --- homogenization ---------------------------------------------------------------
+
+
+def _homogenize(h: Hypergraph, cls: type, sides: dict[str, list], m: int, noun: str, what: str):
+    """The family of class ``cls`` on the first m indices (in lexicographic
+    order) where each of its types has one constant density. Requires every
+    admissible density among the sides' sets to be 0 or 1 already."""
+    ell = len(sides["A"])
+    if m > ell:
+        raise SearchFailed(
+            f"need {m} indices but only {ell} {noun} given", reason="ell too small"
+        )
+    value = {(name, idx): _density01(h, *sets) for name, idx, sets in _type_instances(cls.types, sides)}
+    for combo in combinations(range(ell), m):
+        consts: dict[str, int | None] = {}
+        for name, k, _terms in cls.types:
+            ok, consts[name] = _uniform([value[name, idx] for idx in combinations(combo, k)])
+            if not ok:
+                break
+        else:
+            fam = cls(*(tuple(sets[i] for i in combo) for sets in sides.values()), consts)
+            ensure(fam.verify(h), f"{what} family")
+            return fam
+    raise SearchFailed(
+        f"no index subset with uniform {what} densities",
+        reason="ell too small for requested m",
+        detail={"ell": ell, "m": m},
+    )
 
 
 def homogenize_types(h: Hypergraph, sets: Sequence[Sequence[int]], m: int) -> HomogenizedFamily:
@@ -330,106 +343,15 @@ def homogenize_types(h: Hypergraph, sets: Sequence[Sequence[int]], m: int) -> Ho
     already. Scans index subsets in lexicographic order; the first subset
     uniform on all four types wins.
     """
-    sets = [tuple(s) for s in sets]
-    ell = len(sets)
-    if m > ell:
-        raise SearchFailed(
-            f"need {m} indices but only {ell} sets given", reason="ell too small"
-        )
-    selfd = [_density01(h, s, s, s) for s in sets]
-    pair_a: dict[tuple[int, int], int | None] = {}
-    pair_b: dict[tuple[int, int], int | None] = {}
-    for i, j in combinations(range(ell), 2):
-        pair_a[(i, j)] = _density01(h, sets[i], sets[j], sets[j])
-        pair_b[(i, j)] = _density01(h, sets[i], sets[i], sets[j])
-    trip: dict[tuple[int, int, int], int | None] = {}
-    for i, j, k in combinations(range(ell), 3):
-        trip[(i, j, k)] = _density01(h, sets[i], sets[j], sets[k])
-
-    for combo in combinations(range(ell), m):
-        ok_d, vd = _uniform([selfd[i] for i in combo])
-        if not ok_d:
-            continue
-        ok_a, va = _uniform([pair_a[(i, j)] for i, j in combinations(combo, 2)])
-        ok_b, vb = _uniform([pair_b[(i, j)] for i, j in combinations(combo, 2)])
-        if not (ok_a and ok_b):
-            continue
-        ok_c, vc = _uniform([trip[t] for t in combinations(combo, 3)])
-        if not ok_c:
-            continue
-        fam = HomogenizedFamily(
-            tuple(sets[i] for i in combo), {"a": va, "b": vb, "c": vc, "d": vd}
-        )
-        ensure(fam.verify(h), "homogenized family")
-        return fam
-    raise SearchFailed(
-        "no index subset with uniform type densities",
-        reason="ell too small for requested m",
-        detail={"ell": ell, "m": m},
-    )
+    return _homogenize(h, HomogenizedFamily, {"A": [tuple(s) for s in sets]}, m, "sets", "type")
 
 
 def homogenize_pair_types(
     h: Hypergraph, pairs: Sequence[tuple[Sequence[int], Sequence[int]]], m: int
 ) -> PairFamily:
     """Pick m pair indices with uniform constants over the twelve patterns."""
-    a_sets = [tuple(p[0]) for p in pairs]
-    b_sets = [tuple(p[1]) for p in pairs]
-    ell = len(pairs)
-    if m > ell:
-        raise SearchFailed(
-            f"need {m} indices but only {ell} pairs given", reason="ell too small"
-        )
-    pair_color: dict[tuple[int, int], tuple] = {}
-    for i, j in combinations(range(ell), 2):
-        pair_color[(i, j)] = (
-            _density01(h, a_sets[i], a_sets[j], b_sets[j]),
-            _density01(h, b_sets[i], a_sets[j], b_sets[j]),
-            _density01(h, a_sets[i], b_sets[i], a_sets[j]),
-            _density01(h, a_sets[i], b_sets[i], b_sets[j]),
-        )
-    trip_color: dict[tuple[int, int, int], tuple] = {}
-    for i, j, k in combinations(range(ell), 3):
-        a, b = a_sets, b_sets
-        trip_color[(i, j, k)] = (
-            _density01(h, a[i], a[j], b[k]),
-            _density01(h, a[i], b[j], a[k]),
-            _density01(h, a[i], b[j], b[k]),
-            _density01(h, b[i], a[j], a[k]),
-            _density01(h, b[i], a[j], b[k]),
-            _density01(h, b[i], b[j], a[k]),
-            _density01(h, a[i], a[j], a[k]),
-            _density01(h, b[i], b[j], b[k]),
-        )
-    for combo in combinations(range(ell), m):
-        consts: dict[str, int | None] = {}
-        ok = True
-        for slot in range(4):
-            good, val = _uniform([pair_color[(i, j)][slot] for i, j in combinations(combo, 2)])
-            if not good:
-                ok = False
-                break
-            consts[PAIR_CONSTANT_NAMES[slot]] = val
-        if not ok:
-            continue
-        for slot in range(8):
-            good, val = _uniform([trip_color[t][slot] for t in combinations(combo, 3)])
-            if not good:
-                ok = False
-                break
-            consts[PAIR_CONSTANT_NAMES[4 + slot]] = val
-        if not ok:
-            continue
-        fam = PairFamily(
-            tuple(a_sets[i] for i in combo), tuple(b_sets[i] for i in combo), consts
-        )
-        ensure(fam.verify(h), "pair family")
-        return fam
-    raise SearchFailed(
-        "no index subset with uniform pair-pattern densities",
-        reason="ell too small for requested m",
-        detail={"ell": ell, "m": m},
-    )
+    sides = {"A": [tuple(p[0]) for p in pairs], "B": [tuple(p[1]) for p in pairs]}
+    return _homogenize(h, PairFamily, sides, m, "pairs", "pair-pattern")
 
 
 # --- star chains -------------------------------------------------------------------
@@ -476,12 +398,8 @@ def find_star_chain(
         chain.append(best)
         current = tuple(centers[best])
     chain.reverse()
-    for i in range(len(chain)):
-        d = maybe_density(h, chain[i], chain[i], chain[i])
-        ensure(d in (None, 0), "star-chain set spans no edge")
-        for j in range(i + 1, len(chain)):
-            d = maybe_density(h, chain[i], chain[j], chain[j])
-            ensure(d in (None, 1), "star-chain sets joined")
+    ensure(HomogenizedFamily(tuple(chain), {"d": 0, "a": 1}).verify(h),
+           "star-chain sets span no edge and are joined to later sets")
     return chain
 
 
@@ -608,16 +526,11 @@ def find_pair_chain(
         pairs.append((bits_of(best[2]), bits_of(best[3])))
         current = bits_of(best[1])  # never empty: a group has a center
     pairs.reverse()
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            ai, bi = pairs[i]
-            aj, bj = pairs[j]
-            ensure(density(h, ai, aj, bj) == 1, "pair chain d(A_i, A_j, B_j) = 1")
-            ensure(density(h, bi, aj, bj) == 1, "pair chain d(B_i, A_j, B_j) = 1")
-            ensure(maybe_density(h, ai, aj, aj) in (None, 0), "pair chain d(A_i, A_j, A_j) = 0")
-            ensure(maybe_density(h, ai, bj, bj) in (None, 0), "pair chain d(A_i, B_j, B_j) = 0")
-            ensure(maybe_density(h, bi, aj, aj) in (None, 0), "pair chain d(B_i, A_j, A_j) = 0")
-            ensure(maybe_density(h, bi, bj, bj) in (None, 0), "pair chain d(B_i, B_j, B_j) = 0")
+    fam = PairFamily(tuple(a for a, _b in pairs), tuple(b for _a, b in pairs), {"a1": 1, "a2": 1})
+    ensure(fam.verify(h), "pair chain d(X_i, A_j, B_j) = 1")
+    for (ai, bi), (aj, bj) in combinations(pairs, 2):
+        for x, y in product((ai, bi), (aj, bj)):  # type a of (x, y) is d(x, y, y)
+            ensure(HomogenizedFamily((x, y), {"a": 0}).verify(h), "pair chain d(X_i, Y_j, Y_j) = 0")
     return pairs
 
 
@@ -642,6 +555,8 @@ def main_structure(
     """
     if h.r != 3:
         raise ValueError("main_structure is defined for 3-graphs")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got m={m}")
     s = max(part_size or m, 3)
     trace: list[str] = []
     hom = max_homogeneous(h, exact_limit)

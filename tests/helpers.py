@@ -12,11 +12,12 @@ from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 
 from ordersize.core import Hypergraph, OrderedGraph, unrank_combination, vertex_set
-from ordersize.errors import Budget, BudgetExhausted
+from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
 from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, ln_bounds
 from ordersize.rng import SeededRNG
 from ordersize.search import SpencerResult, Star
 from ordersize.spectrum import WeightFrame, weighted_total
+from ordersize.structure import HomogenizedFamily, PairFamily, _density01, _uniform, maybe_density
 from ordersize.values import (
     CubicParams,
     GeneralParams,
@@ -375,6 +376,173 @@ def triple_pair_family(
         if keep:
             edges.append(t)
     return Hypergraph(3, n, edges), a_parts, b_parts
+
+
+# --- structure-finder oracles: the per-type density lists the type tables replaced ---
+
+
+def listed_family_rows(h: Hypergraph, sets) -> list[dict]:
+    """``HomogenizedFamily.verification_rows`` with each type's sets written out."""
+    rows = []
+    for i in range(len(sets)):
+        rows.append({"type": "d", "indices": (i,), "value": maybe_density(h, sets[i], sets[i], sets[i])})
+    for i, j in combinations(range(len(sets)), 2):
+        rows.append({"type": "a", "indices": (i, j), "value": maybe_density(h, sets[i], sets[j], sets[j])})
+        rows.append({"type": "b", "indices": (i, j), "value": maybe_density(h, sets[i], sets[i], sets[j])})
+    for i, j, k in combinations(range(len(sets)), 3):
+        rows.append({"type": "c", "indices": (i, j, k), "value": maybe_density(h, sets[i], sets[j], sets[k])})
+    return rows
+
+
+def listed_pair_rows(h: Hypergraph, a, b) -> list[dict]:
+    """``PairFamily.verification_rows`` with each type's sets written out."""
+    rows = []
+    n = len(a)
+    for i, j in combinations(range(n), 2):
+        rows.append({"type": "a1", "indices": (i, j), "value": maybe_density(h, a[i], a[j], b[j])})
+        rows.append({"type": "a2", "indices": (i, j), "value": maybe_density(h, b[i], a[j], b[j])})
+        rows.append({"type": "b1", "indices": (i, j), "value": maybe_density(h, a[i], b[i], a[j])})
+        rows.append({"type": "b2", "indices": (i, j), "value": maybe_density(h, a[i], b[i], b[j])})
+    for i, j, k in combinations(range(n), 3):
+        rows.append({"type": "c1", "indices": (i, j, k), "value": maybe_density(h, a[i], a[j], b[k])})
+        rows.append({"type": "c2", "indices": (i, j, k), "value": maybe_density(h, a[i], b[j], a[k])})
+        rows.append({"type": "c3", "indices": (i, j, k), "value": maybe_density(h, a[i], b[j], b[k])})
+        rows.append({"type": "c4", "indices": (i, j, k), "value": maybe_density(h, b[i], a[j], a[k])})
+        rows.append({"type": "c5", "indices": (i, j, k), "value": maybe_density(h, b[i], a[j], b[k])})
+        rows.append({"type": "c6", "indices": (i, j, k), "value": maybe_density(h, b[i], b[j], a[k])})
+        rows.append({"type": "c7", "indices": (i, j, k), "value": maybe_density(h, a[i], a[j], a[k])})
+        rows.append({"type": "c8", "indices": (i, j, k), "value": maybe_density(h, b[i], b[j], b[k])})
+    return rows
+
+
+def listed_verify(rows: list[dict], constants: dict) -> bool:
+    """The ``verify`` loop both families carried: every defined row value
+    equals its type's constant."""
+    for row in rows:
+        want = constants[row["type"]]
+        got = row["value"]
+        if got is None:
+            continue
+        if want is None or got != want:
+            return False
+    return True
+
+
+def listed_nondistinct_zero(h: Hypergraph, a_sets, b_sets) -> bool:
+    """``PairFamily.nondistinct_zero`` over every set and ordered pair of sets."""
+    all_sets = list(a_sets) + list(b_sets)
+    for s in all_sets:
+        if maybe_density(h, s, s, s) not in (None, 0):
+            return False
+    for s, t in combinations(all_sets, 2):
+        for x, y in ((s, t), (t, s)):
+            if maybe_density(h, x, x, y) not in (None, 0):
+                return False
+    return True
+
+
+def listed_homogenize_types(h: Hypergraph, sets, m: int) -> HomogenizedFamily:
+    """``homogenize_types`` with its d, a, b and c tables built by hand."""
+    sets = [tuple(s) for s in sets]
+    ell = len(sets)
+    if m > ell:
+        raise SearchFailed(
+            f"need {m} indices but only {ell} sets given", reason="ell too small"
+        )
+    selfd = [_density01(h, s, s, s) for s in sets]
+    pair_a: dict[tuple[int, int], int | None] = {}
+    pair_b: dict[tuple[int, int], int | None] = {}
+    for i, j in combinations(range(ell), 2):
+        pair_a[(i, j)] = _density01(h, sets[i], sets[j], sets[j])
+        pair_b[(i, j)] = _density01(h, sets[i], sets[i], sets[j])
+    trip: dict[tuple[int, int, int], int | None] = {}
+    for i, j, k in combinations(range(ell), 3):
+        trip[(i, j, k)] = _density01(h, sets[i], sets[j], sets[k])
+
+    for combo in combinations(range(ell), m):
+        ok_d, vd = _uniform([selfd[i] for i in combo])
+        if not ok_d:
+            continue
+        ok_a, va = _uniform([pair_a[(i, j)] for i, j in combinations(combo, 2)])
+        ok_b, vb = _uniform([pair_b[(i, j)] for i, j in combinations(combo, 2)])
+        if not (ok_a and ok_b):
+            continue
+        ok_c, vc = _uniform([trip[t] for t in combinations(combo, 3)])
+        if not ok_c:
+            continue
+        fam_sets = tuple(sets[i] for i in combo)
+        consts = {"a": va, "b": vb, "c": vc, "d": vd}
+        ensure(listed_verify(listed_family_rows(h, fam_sets), consts), "homogenized family")
+        return HomogenizedFamily(fam_sets, consts)
+    raise SearchFailed(
+        "no index subset with uniform type densities",
+        reason="ell too small for requested m",
+        detail={"ell": ell, "m": m},
+    )
+
+
+LISTED_PAIR_NAMES = ("a1", "a2", "b1", "b2", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")
+
+
+def listed_homogenize_pair_types(h: Hypergraph, pairs, m: int) -> PairFamily:
+    """``homogenize_pair_types`` with its four pair and eight triple colors
+    built by hand."""
+    a_sets = [tuple(p[0]) for p in pairs]
+    b_sets = [tuple(p[1]) for p in pairs]
+    ell = len(pairs)
+    if m > ell:
+        raise SearchFailed(
+            f"need {m} indices but only {ell} pairs given", reason="ell too small"
+        )
+    pair_color: dict[tuple[int, int], tuple] = {}
+    for i, j in combinations(range(ell), 2):
+        pair_color[(i, j)] = (
+            _density01(h, a_sets[i], a_sets[j], b_sets[j]),
+            _density01(h, b_sets[i], a_sets[j], b_sets[j]),
+            _density01(h, a_sets[i], b_sets[i], a_sets[j]),
+            _density01(h, a_sets[i], b_sets[i], b_sets[j]),
+        )
+    trip_color: dict[tuple[int, int, int], tuple] = {}
+    for i, j, k in combinations(range(ell), 3):
+        a, b = a_sets, b_sets
+        trip_color[(i, j, k)] = (
+            _density01(h, a[i], a[j], b[k]),
+            _density01(h, a[i], b[j], a[k]),
+            _density01(h, a[i], b[j], b[k]),
+            _density01(h, b[i], a[j], a[k]),
+            _density01(h, b[i], a[j], b[k]),
+            _density01(h, b[i], b[j], a[k]),
+            _density01(h, a[i], a[j], a[k]),
+            _density01(h, b[i], b[j], b[k]),
+        )
+    for combo in combinations(range(ell), m):
+        consts: dict[str, int | None] = {}
+        ok = True
+        for slot in range(4):
+            good, val = _uniform([pair_color[(i, j)][slot] for i, j in combinations(combo, 2)])
+            if not good:
+                ok = False
+                break
+            consts[LISTED_PAIR_NAMES[slot]] = val
+        if not ok:
+            continue
+        for slot in range(8):
+            good, val = _uniform([trip_color[t][slot] for t in combinations(combo, 3)])
+            if not good:
+                ok = False
+                break
+            consts[LISTED_PAIR_NAMES[4 + slot]] = val
+        if not ok:
+            continue
+        fam_a = tuple(a_sets[i] for i in combo)
+        fam_b = tuple(b_sets[i] for i in combo)
+        ensure(listed_verify(listed_pair_rows(h, fam_a, fam_b), consts), "pair family")
+        return PairFamily(fam_a, fam_b, consts)
+    raise SearchFailed(
+        "no index subset with uniform pair-pattern densities",
+        reason="ell too small for requested m",
+        detail={"ell": ell, "m": m},
+    )
 
 
 # --- H builder and star oracles ---------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -133,7 +134,9 @@ def test_structure_cli(tmp_path, capsys):
     save_hypergraph(h, path)
     assert run(["structure", "--in", path, "--m", "3"]) == 0
     out = capsys.readouterr().out
-    assert "variant (a)" in out
+    assert "variant (a) found; constants {'a': 1, 'b': 0, 'c': 1, 'd': 0}" in out
+    assert run(["structure", "--in", path, "--m", "0"]) == 2
+    assert capsys.readouterr().err == "error: m must be at least 1, got m=0\n"
 
 
 def test_unknown_flag_exits_2():
@@ -292,6 +295,14 @@ def test_oracle_mismatches_exit_1(tmp_path, monkeypatch, capsys):
                       "report.json")["suites"]["appendix"]
     assert appendix["ok"] is False and {"count": 31, "subsets": 3} in appendix["violations"]
 
-    monkeypatch.setattr(hbuilder.HConstruction, "backward_degrees", lambda self: ())
+    # build_H checks its own degrees, so the mismatch enters after it: a
+    # construction whose sequence claims one more backward edge at the end
+    build_H = hbuilder.build_H
+
+    def off_by_one(*args):
+        hc = build_H(*args)
+        return replace(hc, d=replace(hc.d, d=hc.d.d[:-1] + (hc.d.d[-1] + 1,)))
+
+    monkeypatch.setattr(hbuilder, "build_H", off_by_one)
     (row,) = report(["buildh", "--r", "4", "--m", "80", "--f", "7", "--check"], "buildh.json")["rows"]
     assert row["degrees_ok"] is False and row["cert_ok"] and row["f"] == 7

@@ -235,3 +235,23 @@ def test_build_small_m_advisory_runs():
     # below the guarantee threshold the builder still works where it can
     hc = build_H(4, 30, 200)
     check_construction(hc, 200)
+
+
+@pytest.mark.parametrize("failing, message", [
+    ("degrees_ok", "backward degrees do not match the sequence"),
+    ("weight_ok", "total weight 3 != target 7"),
+    ("cert_ok", "certificate does not expand to the built graph"),
+])
+def test_build_reports_a_failed_recount(monkeypatch, failing, message):
+    # build_H and the buildh --check oracle share one recount; a failed flag
+    # stops the build with that check's message
+    from ordersize import hbuilder
+
+    def recount(hc):
+        return 3, {"weight_ok": failing != "weight_ok", "degrees_ok": failing != "degrees_ok",
+                   "cert_ok": failing != "cert_ok"}
+
+    monkeypatch.setattr(hbuilder, "recount_construction", recount)
+    with pytest.raises(hbuilder.BuildError) as err:
+        build_H(4, 80, 7)
+    assert str(err.value) == message and err.value.reason == "internal"

@@ -64,6 +64,10 @@ def test_refine_reports_feasible_size():
     assert "feasible_p" in err.value.detail
 
 
+def test_refine_of_no_sets_is_empty():
+    assert refine_to_01(seeded_3graph(8, 0), [], 3) == []
+
+
 def test_refine_rejects_overlap():
     h = seeded_3graph(8, 0)
     with pytest.raises(ValueError):
@@ -285,6 +289,13 @@ def test_main_structure_complete_reports_homogeneous():
     out = main_structure(complete_hypergraph(3, 9), 3)
     assert out.status == "homogeneous"
     assert out.homogeneous.kind == "clique" and out.homogeneous.size() == 9
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_main_structure_rejects_m_below_one(m):
+    h, _ = build_type_family([3, 3, 3, 3], 1, 0, 1, 0)
+    with pytest.raises(ValueError, match=f"m={m}"):
+        main_structure(h, m)
 
 
 def test_main_structure_digest_rows():
