@@ -286,14 +286,6 @@ class OrderedGraph:
             self.n, tuple(row ^ full ^ (1 << v) for v, row in enumerate(self.adj))
         )
 
-    def induced(self, subset: Iterable[int]) -> "OrderedGraph":
-        s = vertex_set(subset, self.n)
-        smask = mask_of(s)
-        pos = {v: i for i, v in enumerate(s)}
-        return OrderedGraph._from_rows(
-            len(s), tuple(mask_of(pos[u] for u in bits_of(self.adj[v] & smask)) for v in s)
-        )
-
     def forward_non_neighbors(self, v: int, within: int | None = None) -> int:
         """Bitmask of u > v with uv not an edge, optionally restricted."""
         scope = ((1 << self.n) - 1) if within is None else within
@@ -397,14 +389,16 @@ class Tournament:
 # --- densities -------------------------------------------------------------
 
 
-def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int]) -> Fraction:
-    """Exact edge density among three vertex sets of a 3-graph.
+def maybe_density(h: Hypergraph, x: Iterable[int], y: Iterable[int],
+                  z: Iterable[int]) -> Fraction | None:
+    """Exact edge density among three vertex sets of a 3-graph, or None when
+    the shape's denominator is empty.
 
     Supported shapes (in any argument order): three pairwise disjoint sets,
     two equal sets disjoint from the third, or three equal sets. Partially
-    overlapping sets and empty denominators are rejected. Counts run on the
-    pair-link table: popcount(links[u][w] & S) summed over the pairs of the
-    doubled set, or over one vertex from each of the two smaller disjoint sets.
+    overlapping sets are rejected. Counts run on the pair-link table:
+    popcount(links[u][w] & S) summed over the pairs of the doubled set, or
+    over one vertex from each of the two smaller disjoint sets.
     """
     if h.r != 3:
         raise ShapeError("density is defined for 3-uniform hypergraphs")
@@ -415,9 +409,7 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
 
     if xs == ys == zs:
         denom = comb(len(xs), 3)
-        if denom == 0:
-            raise ShapeError("density denominator is empty (|X| < 3)")
-        return Fraction(h.edge_count(xs), denom)
+        return Fraction(h.edge_count(xs), denom) if denom else None
 
     links = h._pair_links
 
@@ -431,7 +423,7 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
                     raise ShapeError("equal pair must be disjoint from the third set")
                 denom = comb(len(dbl), 2) * len(single)
                 if denom == 0:
-                    raise ShapeError("density denominator is empty")
+                    return None
                 sm = mask_of(single)
                 count = 0
                 for i, u in enumerate(dbl):
@@ -445,7 +437,7 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
         raise ShapeError("sets overlap partially; unsupported shape")
     denom = len(xs) * len(ys) * len(zs)
     if denom == 0:
-        raise ShapeError("density denominator is empty")
+        return None
     p, q, rest = sorted(sets, key=len)  # loop over the two smallest sets
     rm = mask_of(rest)
     count = 0
@@ -454,6 +446,14 @@ def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int])
         for w in q:
             count += (row[w] & rm).bit_count()
     return Fraction(count, denom)
+
+
+def density(h: Hypergraph, x: Iterable[int], y: Iterable[int], z: Iterable[int]) -> Fraction:
+    """``maybe_density``, with an empty denominator rejected by ShapeError."""
+    value = maybe_density(h, x, y, z)
+    if value is None:
+        raise ShapeError("density denominator is empty")
+    return value
 
 
 # --- file formats ----------------------------------------------------------

@@ -309,10 +309,10 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
     return SpencerResult(best, target, trials, len(best) >= target)
 
 
-def greedy_forward_clique(g: OrderedGraph, k: int | None = None) -> tuple[int, ...]:
+def greedy_forward_clique(g: OrderedGraph) -> tuple[int, ...]:
     """Greedy clique: take the smallest remaining vertex, drop its forward
-    non-neighbors. If every forward non-neighborhood has size < k this yields
-    a clique of size >= ceil(n/k); k plays no role in the procedure itself.
+    non-neighbors. When every forward non-neighborhood has fewer than k
+    vertices, the clique has at least ceil(n/k).
     """
     chosen = _greedy_clique(g.adj, (1 << g.n) - 1)
     ensure(g.is_clique(chosen), "greedy clique")

@@ -24,7 +24,7 @@ from .core import (
 )
 from .errors import Budget, BudgetExhausted, FactorizationError, SearchFailed, ensure
 from .rng import SeededRNG
-from .search import HomogeneousWitness, _greedy_clique, greedy_forward_clique
+from .search import HomogeneousWitness, _greedy_clique
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
 # Below this many subsets a multi-threaded exhaustive scan stays serial:
@@ -317,7 +317,7 @@ def verify_lift(
     return h.edge_count(tuple(u) + tuple(tail)) == total
 
 
-# --- weighted (m,f)-subset search (3-uniform constructive recursion) ----------
+# --- weighted (m,f)-subset search (the constructive recursion) ---------------
 
 
 def _flip_kind(w: HomogeneousWitness) -> HomogeneousWitness:
@@ -366,14 +366,11 @@ def find_weighted_mf_subset(
         if g.n < 1:
             raise ValueError("empty graph")
         return HomogeneousWitness((0,), "clique", True)
-    if r == 3:
-        if m < 3:
-            raise ValueError("m must be at least 3")
-        out = _weighted_r3(g, (1 << g.n) - 1, m, f, h)
-    elif r >= 4:
-        out = _weighted_general(g, 5 * r * r, r, m, f, h, budget)
-    else:
+    if r < 3:
         raise ValueError("r must be >= 3")
+    if r == 3 and m < 3:
+        raise ValueError("m must be at least 3")
+    out = _weighted(g, (1 << g.n) - 1, r, m, f, h, budget, 5 * r * r)
     if isinstance(out, WeightedWitness):
         ensure(out.verify(g), "weighted witness")
     else:
@@ -388,56 +385,108 @@ def find_weighted_mf_subset(
     return out
 
 
-def _weighted_r3(
-    g: OrderedGraph, mask: int, m: int, f: int, h: int
+def _weighted(
+    g: OrderedGraph, mask: int, r: int, m: int, f: int, h: int, budget: int | None, m0: int
 ) -> WeightedWitness | HomogeneousWitness:
-    """Recursive search; results are stated relative to the graph g passed in."""
-    total = comb(m, 3)
+    """The search on the vertices of ``mask``; answers are vertex ids of g.
+
+    A vertex whose forward non-neighborhood in the mask reaches the threshold
+    (h^(m-3) for r = 3, m-r+1 for r >= 4) opens a branch on that
+    neighborhood. For r = 3 the first such branch decides; for r >= 4 a failed
+    branch is skipped. The base cases are m = 3, (4, 2) and (5, 5) for r = 3,
+    and m <= m0 for r >= 4.
+    """
+    total = comb(m, r)
     if 2 * f > total:
-        out = _weighted_r3(g.complement(), mask, m, total - f, h)
+        out = _weighted(g.complement(), mask, r, m, total - f, h, budget, m0)
         if isinstance(out, WeightedWitness):
             # same vertex set; weighted totals of a set in g and its
-            # complement always sum to C(m, 3)
-            return WeightedWitness(out.vertices, 3, m, f)
+            # complement always sum to C(m, r)
+            return WeightedWitness(out.vertices, r, m, f)
         return _flip_kind(out)
 
-    nverts = mask.bit_count()
+    if r == 3:
+        if m == 3:  # normalized f is 0 here
+            ne = _first_edge_in(g.complement(), mask)
+            if ne is not None:
+                return WeightedWitness(ne, 3, 3, 0)
+            clique = bits_of(mask)
+            if len(clique) >= h:
+                return HomogeneousWitness(clique, "clique", True)
+            raise SearchFailed(
+                "complete graph below the homogeneous target",
+                reason="guarantee precondition unmet",
+                detail={"m": m, "f": f, "h": h, "vertices": mask.bit_count()},
+            )
+        if (m, f) == (4, 2):
+            return _weighted_r3_m4f2(g, mask, h)
+        if (m, f) == (5, 5):
+            return _weighted_r3_m5f5(g, mask, h)
+        need = h ** (m - 3)
+    elif m > m0:
+        # the lemma's size threshold involves untracked constants, so progress
+        # is best-effort and the returned postconditions carry the guarantee
+        need = m - r + 1
+    else:
+        cut = None  # set when the base-case search ran out of budget
+        try:
+            if m == m0:
+                from .hbuilder import build_H
 
-    if m == 3:  # normalized f is 0 here
-        ne = _first_edge_in(g.complement(), mask)
-        if ne is not None:
-            return WeightedWitness(ne, 3, 3, 0)
-        clique = bits_of(mask)
-        if len(clique) >= h:
-            return HomogeneousWitness(clique, "clique", True)
+                hc = build_H(r, m, f)
+                target = g if not hc.complemented else g.complement()
+                hit = find_induced_ordered_copy(target, mask, hc.graph, budget)
+            else:
+                hit = _weighted_scan(g, mask, WeightFrame(r, m, 1), f, Budget(budget))
+        except BudgetExhausted as e:
+            cut, hit = e, None
+        if hit is not None:
+            return WeightedWitness(hit, r, m, f)
+        clique = _greedy_clique(g.adj, mask)
+        ind = _greedy_clique(g.adj, mask, -1)
+        best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
+        if len(best) >= h:
+            return HomogeneousWitness(best, kind, False)
+        if cut is not None:
+            raise cut
         raise SearchFailed(
-            "complete graph below the homogeneous target",
+            "base-case pattern not found and no large homogeneous set",
             reason="guarantee precondition unmet",
-            detail={"m": m, "f": f, "h": h, "vertices": nverts},
+            detail={"r": r, "m": m, "f": f, "h": h},
         )
 
-    if (m, f) == (4, 2):
-        return _weighted_r3_m4f2(g, mask, h)
-    if (m, f) == (5, 5):
-        return _weighted_r3_m5f5(g, mask, h)
-
-    need = h ** (m - 3)
+    gave_up = None  # the first branch that ran out of budget
     for v in bits_of(mask):
         fnn = g.forward_non_neighbors(v, mask)
         if fnn.bit_count() >= need:
-            sub = _weighted_r3(g, fnn, m - 1, f, h)
+            try:
+                sub = _weighted(g, fnn, r, m - 1, f, h, budget, m0)
+            except (SearchFailed, BudgetExhausted) as e:
+                if r == 3:
+                    raise  # the first large branch decides
+                if isinstance(e, BudgetExhausted):
+                    gave_up = gave_up or e
+                continue
             if isinstance(sub, WeightedWitness):
                 # v precedes and is non-adjacent to everything in the witness,
                 # so positions shift by one and weights are unchanged
-                return WeightedWitness((v,) + sub.vertices, 3, m, f)
+                return WeightedWitness((v,) + sub.vertices, r, m, f)
             return sub
     clique = _greedy_clique(g.adj, mask)
     if len(clique) >= h:
         return HomogeneousWitness(clique, "clique", True)
+    if gave_up is not None:
+        raise gave_up
+    if r == 3:
+        raise SearchFailed(
+            "no vertex has a large forward non-neighborhood and the greedy clique is small",
+            reason="guarantee precondition unmet",
+            detail={"m": m, "f": f, "h": h, "vertices": mask.bit_count()},
+        )
     raise SearchFailed(
-        "no vertex has a large forward non-neighborhood and the greedy clique is small",
+        "induction step found no structure",
         reason="guarantee precondition unmet",
-        detail={"m": m, "f": f, "h": h, "vertices": nverts},
+        detail={"r": r, "m": m, "f": f, "h": h},
     )
 
 
@@ -495,94 +544,29 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
     )
 
 
-def _weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, budget):
-    total = comb(m, r)
-    if 2 * f > total:
-        out = _weighted_general(g.complement(), m0, r, m, total - f, h, budget)
-        if isinstance(out, WeightedWitness):
-            return WeightedWitness(out.vertices, r, m, f)
-        return _flip_kind(out)
-    if m > m0:
-        # descend into forward non-neighborhoods big enough to host the next
-        # level, backtracking across candidate vertices; the lemma's size
-        # threshold involves untracked constants, so progress is best-effort
-        # and the returned postconditions carry the guarantee
-        needed = max((m - 1) - r + 2, 1)
-        gave_up = None  # the first branch that ran out of budget
-        for v in range(g.n):
-            fnn = g.forward_non_neighbors(v)
-            if fnn.bit_count() >= needed:
-                sub_vertices = bits_of(fnn)
-                try:
-                    sub = _weighted_general(g.induced(sub_vertices), m0, r, m - 1, f, h, budget)
-                except SearchFailed:
-                    continue
-                except BudgetExhausted as e:
-                    if gave_up is None:
-                        gave_up = e
-                    continue
-                if isinstance(sub, WeightedWitness):
-                    mapped = (v,) + tuple(sub_vertices[i] for i in sub.vertices)
-                    return WeightedWitness(mapped, r, m, f)
-                return HomogeneousWitness(
-                    tuple(sub_vertices[i] for i in sub.set), sub.kind, sub.exact
-                )
-        clique = greedy_forward_clique(g)
-        if len(clique) >= h:
-            return HomogeneousWitness(clique, "clique", True)
-        if gave_up is not None:
-            raise gave_up
-        raise SearchFailed(
-            "induction step found no structure",
-            reason="guarantee precondition unmet",
-            detail={"r": r, "m": m, "f": f, "h": h},
-        )
-    cut = None  # set when the base-case search ran out of budget
-    try:
-        if m == m0:
-            from .hbuilder import build_H
-
-            hc = build_H(r, m, f)
-            target = g if not hc.complemented else g.complement()
-            hit = find_induced_ordered_copy(target, hc.graph, budget)
-        else:
-            hit = _weighted_scan(g, WeightFrame(r, m, 1), f, Budget(budget))
-    except BudgetExhausted as e:
-        cut, hit = e, None
-    if hit is not None:
-        return WeightedWitness(hit, r, m, f)
-    clique = _greedy_clique(g.adj, (1 << g.n) - 1)
-    ind = _greedy_clique(g.adj, (1 << g.n) - 1, -1)
-    best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
-    if len(best) >= h:
-        return HomogeneousWitness(best, kind, False)
-    if cut is not None:
-        raise cut
-    raise SearchFailed(
-        "base-case pattern not found and no large homogeneous set",
-        reason="guarantee precondition unmet",
-        detail={"r": r, "m": m, "f": f, "h": h},
-    )
-
-
-def _weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
+def _weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
                    budget: Budget) -> tuple[int, ...] | None:
-    """The lexicographically first ``frame.size``-subset of g's vertices whose
-    weighted total is f, or None when there is none.
+    """The lexicographically first ``frame.size``-subset of the vertices in
+    ``mask`` whose weighted total is f, or None when there is none.
 
     Each subset scanned spends one unit of ``budget``; a subset it cannot pay
     for raises BudgetExhausted. Depth d keeps the weighted total of the prefix
     cur[:d], so a lexicographic successor recomputes only the depths from the
     first changed position on, as ``core.iter_subset_counts`` does.
     """
-    n, size, adj = g.n, frame.size, g.adj
+    verts = bits_of(mask)
+    n, size, adj = len(verts), frame.size, g.adj
     if size > n:
         return None
     ps = list(frame.positions)
     weights = [[frame.weight(ps[a], ps[d]) for a in range(d)] for d in range(size)]
     left = None if budget.limit is None else max(budget.limit - budget.used, 0)
     used = 0
-    cur = list(range(size))
+    succ = [0] * g.n  # the next vertex of the mask
+    for a, b in zip(verts, verts[1:]):
+        succ[a] = b
+    last = verts[n - size:]  # the highest vertex each depth can hold
+    cur = list(verts[:size])
     sums = [0] * (size + 1)
     first = 0  # shallowest depth whose prefix changed
     try:
@@ -600,27 +584,29 @@ def _weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
             if sums[size] == f:
                 return tuple(cur)
             first = size - 1
-            while cur[first] == n - size + first:
+            while cur[first] == last[first]:
                 first -= 1
                 if first < 0:
                     return None
-            cur[first] += 1
+            v = cur[first] = succ[cur[first]]
             for j in range(first + 1, size):
-                cur[j] = cur[j - 1] + 1
+                v = cur[j] = succ[v]
     finally:
         budget.used += used
 
 
 def find_induced_ordered_copy(
-    g: OrderedGraph, pattern: OrderedGraph, budget: int | None = None
+    g: OrderedGraph, mask: int, pattern: OrderedGraph, budget: int | None = None
 ) -> tuple[int, ...] | None:
-    """Order-respecting induced embedding of ``pattern`` into ``g``.
+    """Order-respecting induced embedding of ``pattern`` into the vertices of
+    ``mask`` in ``g``.
 
     Backtracking over pattern positions in order; the partial map must match
     adjacency exactly. Returns the image vertices, or None; None proves
     absence only when the budget was not exhausted (exhaustion raises).
     """
-    k, n = pattern.n, g.n
+    verts = bits_of(mask)
+    k, n = pattern.n, len(verts)
     if k > n:
         return None
     bud = Budget(budget)
@@ -629,14 +615,15 @@ def find_induced_ordered_copy(
     def extend(pos: int, start: int) -> tuple[int, ...] | None:
         if pos == k:
             return tuple(image)
-        for v in range(start, n - (k - pos) + 1):
+        for i in range(start, n - (k - pos) + 1):
             bud.spend()
+            v = verts[i]
             ok = all(
                 g.has_edge(image[q], v) == pattern.has_edge(q, pos) for q in range(pos)
             )
             if ok:
                 image.append(v)
-                hit = extend(pos + 1, v + 1)
+                hit = extend(pos + 1, i + 1)
                 if hit is not None:
                     return hit
                 image.pop()

@@ -11,12 +11,11 @@ order and ties go to the lexicographically smallest object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .blowups import FAMILY_TYPES, PAIR_TYPES
-from .core import Hypergraph, OrderedGraph, bits_of, density, mask_of, vertex_set
+from .core import Hypergraph, OrderedGraph, bits_of, mask_of, maybe_density, vertex_set
 from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
     HomogeneousWitness,
@@ -57,23 +56,6 @@ def _type_instances(
             for name, kk, terms in types:
                 if kk == k:
                     yield name, idx, tuple(sides[side][idx[rank]] for side, rank in terms)
-
-
-def maybe_density(h: Hypergraph, x, y, z) -> Fraction | None:
-    """Density, or None when the shape's denominator is empty."""
-    xs, ys, zs = tuple(x), tuple(y), tuple(z)
-    eq = [xs == ys, ys == zs, xs == zs]
-    if all(eq):
-        if len(xs) < 3:
-            return None
-    elif any(eq):
-        dbl = xs if xs == ys or xs == zs else ys
-        single = zs if xs == ys else (xs if ys == zs else ys)
-        if len(dbl) < 2 or len(single) < 1:
-            return None
-    elif min(len(xs), len(ys), len(zs)) < 1:
-        return None
-    return density(h, xs, ys, zs)
 
 
 def _density01(h: Hypergraph, x, y, z) -> int | None:

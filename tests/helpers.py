@@ -11,12 +11,20 @@ from itertools import combinations
 from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 
-from ordersize.core import Hypergraph, OrderedGraph, unrank_combination, vertex_set
+from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of, unrank_combination, vertex_set
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
-from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, ln_bounds
+from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, build_H, ln_bounds
 from ordersize.rng import SeededRNG
-from ordersize.search import SpencerResult, Star
-from ordersize.spectrum import WeightFrame, weighted_total
+from ordersize.search import HomogeneousWitness, SpencerResult, Star, _greedy_clique, greedy_forward_clique
+from ordersize.spectrum import (
+    WeightedWitness,
+    WeightFrame,
+    _first_edge_in,
+    _flip_kind,
+    _weighted_r3_m4f2,
+    _weighted_r3_m5f5,
+    weighted_total,
+)
 from ordersize.structure import HomogenizedFamily, PairFamily, _density01, _uniform, maybe_density
 from ordersize.values import (
     CubicParams,
@@ -662,17 +670,238 @@ def exhaustive_max_homogeneous(h: Hypergraph) -> int:
     return min(h.n, 1)
 
 
-def combinations_weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
+def combinations_weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
                                bud: Budget) -> tuple[int, ...] | None:
     """The r >= 4 weighted base-case scan as it was before the prefix sums:
-    ``weighted_total`` of each ``combinations`` subset, one budget unit each."""
-    for u in combinations(range(g.n), frame.size):
+    ``weighted_total`` of each ``combinations`` subset of the vertices in
+    ``mask``, one budget unit each."""
+    for u in combinations(bits_of(mask), frame.size):
         if not bud.can_afford(1):
             raise BudgetExhausted("base-case scan budget exhausted", bud.used)
         bud.spend()
         if weighted_total(g, u, frame) == f:
             return u
     return None
+
+
+# --- weighted-search oracles: the recursions before they ran on vertex masks -----
+#
+# ``oracle_weighted_r3`` and ``oracle_weighted_general`` are the r = 3 and
+# r >= 4 recursions that ``spectrum._weighted`` replaced; the r >= 4 one built
+# an ``induced`` copy for every branch and mapped the answer back. With them
+# come the base-case scan and the pattern embedding on the whole graph.
+
+
+def induced(g: OrderedGraph, subset: Iterable[int]) -> OrderedGraph:
+    """The subgraph of g induced on ``subset``, relabeled 0 < 1 < ... in order,
+    as ``OrderedGraph.induced`` built it."""
+    s = vertex_set(subset, g.n)
+    smask = mask_of(s)
+    pos = {v: i for i, v in enumerate(s)}
+    return OrderedGraph._from_rows(
+        len(s), tuple(mask_of(pos[u] for u in bits_of(g.adj[v] & smask)) for v in s)
+    )
+
+
+def oracle_weighted_r3(
+    g: OrderedGraph, mask: int, m: int, f: int, h: int
+) -> WeightedWitness | HomogeneousWitness:
+    """Recursive search; results are stated relative to the graph g passed in."""
+    total = comb(m, 3)
+    if 2 * f > total:
+        out = oracle_weighted_r3(g.complement(), mask, m, total - f, h)
+        if isinstance(out, WeightedWitness):
+            # same vertex set; weighted totals of a set in g and its
+            # complement always sum to C(m, 3)
+            return WeightedWitness(out.vertices, 3, m, f)
+        return _flip_kind(out)
+
+    nverts = mask.bit_count()
+
+    if m == 3:  # normalized f is 0 here
+        ne = _first_edge_in(g.complement(), mask)
+        if ne is not None:
+            return WeightedWitness(ne, 3, 3, 0)
+        clique = bits_of(mask)
+        if len(clique) >= h:
+            return HomogeneousWitness(clique, "clique", True)
+        raise SearchFailed(
+            "complete graph below the homogeneous target",
+            reason="guarantee precondition unmet",
+            detail={"m": m, "f": f, "h": h, "vertices": nverts},
+        )
+
+    if (m, f) == (4, 2):
+        return _weighted_r3_m4f2(g, mask, h)
+    if (m, f) == (5, 5):
+        return _weighted_r3_m5f5(g, mask, h)
+
+    need = h ** (m - 3)
+    for v in bits_of(mask):
+        fnn = g.forward_non_neighbors(v, mask)
+        if fnn.bit_count() >= need:
+            sub = oracle_weighted_r3(g, fnn, m - 1, f, h)
+            if isinstance(sub, WeightedWitness):
+                # v precedes and is non-adjacent to everything in the witness,
+                # so positions shift by one and weights are unchanged
+                return WeightedWitness((v,) + sub.vertices, 3, m, f)
+            return sub
+    clique = _greedy_clique(g.adj, mask)
+    if len(clique) >= h:
+        return HomogeneousWitness(clique, "clique", True)
+    raise SearchFailed(
+        "no vertex has a large forward non-neighborhood and the greedy clique is small",
+        reason="guarantee precondition unmet",
+        detail={"m": m, "f": f, "h": h, "vertices": nverts},
+    )
+
+
+def oracle_weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h: int, budget):
+    total = comb(m, r)
+    if 2 * f > total:
+        out = oracle_weighted_general(g.complement(), m0, r, m, total - f, h, budget)
+        if isinstance(out, WeightedWitness):
+            return WeightedWitness(out.vertices, r, m, f)
+        return _flip_kind(out)
+    if m > m0:
+        # descend into forward non-neighborhoods big enough to host the next
+        # level, backtracking across candidate vertices; the lemma's size
+        # threshold involves untracked constants, so progress is best-effort
+        # and the returned postconditions carry the guarantee
+        needed = max((m - 1) - r + 2, 1)
+        gave_up = None  # the first branch that ran out of budget
+        for v in range(g.n):
+            fnn = g.forward_non_neighbors(v)
+            if fnn.bit_count() >= needed:
+                sub_vertices = bits_of(fnn)
+                try:
+                    sub = oracle_weighted_general(induced(g, sub_vertices), m0, r, m - 1, f, h, budget)
+                except SearchFailed:
+                    continue
+                except BudgetExhausted as e:
+                    if gave_up is None:
+                        gave_up = e
+                    continue
+                if isinstance(sub, WeightedWitness):
+                    mapped = (v,) + tuple(sub_vertices[i] for i in sub.vertices)
+                    return WeightedWitness(mapped, r, m, f)
+                return HomogeneousWitness(
+                    tuple(sub_vertices[i] for i in sub.set), sub.kind, sub.exact
+                )
+        clique = greedy_forward_clique(g)
+        if len(clique) >= h:
+            return HomogeneousWitness(clique, "clique", True)
+        if gave_up is not None:
+            raise gave_up
+        raise SearchFailed(
+            "induction step found no structure",
+            reason="guarantee precondition unmet",
+            detail={"r": r, "m": m, "f": f, "h": h},
+        )
+    cut = None  # set when the base-case search ran out of budget
+    try:
+        if m == m0:
+            hc = build_H(r, m, f)
+            target = g if not hc.complemented else g.complement()
+            hit = oracle_find_induced_ordered_copy(target, hc.graph, budget)
+        else:
+            hit = oracle_weighted_scan(g, WeightFrame(r, m, 1), f, Budget(budget))
+    except BudgetExhausted as e:
+        cut, hit = e, None
+    if hit is not None:
+        return WeightedWitness(hit, r, m, f)
+    clique = _greedy_clique(g.adj, (1 << g.n) - 1)
+    ind = _greedy_clique(g.adj, (1 << g.n) - 1, -1)
+    best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
+    if len(best) >= h:
+        return HomogeneousWitness(best, kind, False)
+    if cut is not None:
+        raise cut
+    raise SearchFailed(
+        "base-case pattern not found and no large homogeneous set",
+        reason="guarantee precondition unmet",
+        detail={"r": r, "m": m, "f": f, "h": h},
+    )
+
+
+def oracle_weighted_scan(g: OrderedGraph, frame: WeightFrame, f: int,
+                         budget: Budget) -> tuple[int, ...] | None:
+    """The lexicographically first ``frame.size``-subset of g's vertices whose
+    weighted total is f, or None when there is none.
+
+    Each subset scanned spends one unit of ``budget``; a subset it cannot pay
+    for raises BudgetExhausted. Depth d keeps the weighted total of the prefix
+    cur[:d], so a lexicographic successor recomputes only the depths from the
+    first changed position on, as ``core.iter_subset_counts`` does.
+    """
+    n, size, adj = g.n, frame.size, g.adj
+    if size > n:
+        return None
+    ps = list(frame.positions)
+    weights = [[frame.weight(ps[a], ps[d]) for a in range(d)] for d in range(size)]
+    left = None if budget.limit is None else max(budget.limit - budget.used, 0)
+    used = 0
+    cur = list(range(size))
+    sums = [0] * (size + 1)
+    first = 0  # shallowest depth whose prefix changed
+    try:
+        while True:
+            if used == left:
+                raise BudgetExhausted("base-case scan budget exhausted", budget.used + used)
+            used += 1
+            for d in range(first, size):
+                row = adj[cur[d]]
+                t = sums[d]
+                for a, w in enumerate(weights[d]):
+                    if row >> cur[a] & 1:
+                        t += w
+                sums[d + 1] = t
+            if sums[size] == f:
+                return tuple(cur)
+            first = size - 1
+            while cur[first] == n - size + first:
+                first -= 1
+                if first < 0:
+                    return None
+            cur[first] += 1
+            for j in range(first + 1, size):
+                cur[j] = cur[j - 1] + 1
+    finally:
+        budget.used += used
+
+
+def oracle_find_induced_ordered_copy(
+    g: OrderedGraph, pattern: OrderedGraph, budget: int | None = None
+) -> tuple[int, ...] | None:
+    """Order-respecting induced embedding of ``pattern`` into ``g``.
+
+    Backtracking over pattern positions in order; the partial map must match
+    adjacency exactly. Returns the image vertices, or None; None proves
+    absence only when the budget was not exhausted (exhaustion raises).
+    """
+    k, n = pattern.n, g.n
+    if k > n:
+        return None
+    bud = Budget(budget)
+    image: list[int] = []
+
+    def extend(pos: int, start: int) -> tuple[int, ...] | None:
+        if pos == k:
+            return tuple(image)
+        for v in range(start, n - (k - pos) + 1):
+            bud.spend()
+            ok = all(
+                g.has_edge(image[q], v) == pattern.has_edge(q, pos) for q in range(pos)
+            )
+            if ok:
+                image.append(v)
+                hit = extend(pos + 1, v + 1)
+                if hit is not None:
+                    return hit
+                image.pop()
+        return None
+
+    return extend(0, 0)
 
 
 def child_env(hash_seed: str) -> dict[str, str]:

@@ -22,7 +22,7 @@ from ordersize.core import (
 from ordersize.errors import ShapeError
 from ordersize.rng import SeededRNG
 
-from helpers import iter_combinations_from
+from helpers import induced, iter_combinations_from
 
 
 def seeded_3graph(n, seed, pct=50):
@@ -216,7 +216,7 @@ def test_ordered_graph_basics():
     g = OrderedGraph(5, [(0, 3), (1, 2)])
     assert g.has_edge(3, 0) and not g.has_edge(0, 1)
     assert g.complement().has_edge(0, 1)
-    sub = g.induced([0, 2, 3])
+    sub = induced(g, [0, 2, 3])
     assert sub.edges == frozenset({(0, 2)})
     assert g.forward_non_neighbors(0) == 0b10110
     assert g.backward_non_neighbors(3) == 0b0110

@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import combinations_weighted_scan
-from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
+from helpers import (
+    combinations_weighted_scan,
+    induced,
+    oracle_find_induced_ordered_copy,
+    oracle_weighted_general,
+    oracle_weighted_r3,
+)
+from ordersize.core import Hypergraph, OrderedGraph, bits_of, complete_hypergraph, empty_hypergraph
 from ordersize.constructions import (
     cyclic_triangle_3graph,
     random_hypergraph,
     random_ordered_graph,
 )
 from ordersize.errors import Budget, BudgetExhausted, FactorizationError, SearchFailed
+from ordersize.hbuilder import build_H
 from ordersize.rng import SeededRNG
 from ordersize.search import HomogeneousWitness
 from ordersize.spectrum import (
     WeightFrame,
-    _weighted_scan,
     WeightedWitness,
+    _weighted,
+    _weighted_scan,
     find_mf_subset,
     find_weighted_mf_subset,
     find_induced_ordered_copy,
@@ -266,8 +274,6 @@ def test_weighted_search_failure_reported():
 
 def test_weighted_search_r4_base_case_embedding():
     # a planted copy of the builder's pattern is found and lifted back
-    from ordersize.hbuilder import build_H
-
     f = 345678
     pat = build_H(4, 80, f).graph
     host = OrderedGraph(pat.n + 2, pat.edges)
@@ -298,16 +304,17 @@ def test_weighted_scan_matches_combinations_loop(data):
     m = data.draw(st.integers(r, 8))
     n = data.draw(st.integers(0, 12))
     g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
     f = data.draw(st.integers(0, comb(m, r)))
     frame = WeightFrame(r, m)
-    subsets = comb(n, frame.size)
+    subsets = comb(mask.bit_count(), frame.size)
     budget = data.draw(st.one_of(st.none(), st.sampled_from([-1, 0]),
                                  st.integers(1, max(subsets, 1))))
 
     def run(scan):
         bud = Budget(budget)
         try:
-            out = scan(g, frame, f, bud)
+            out = scan(g, mask, frame, f, bud)
         except BudgetExhausted as e:
             out = ("exhausted", e.used)
         return out, bud.used
@@ -335,11 +342,11 @@ def test_weighted_search_r4_induction_outlives_a_cut_branch(monkeypatch):
     embed = spectrum.find_induced_ordered_copy
     calls = []
 
-    def first_cut(target, pattern, budget=None):
-        calls.append(target.n)
+    def first_cut(target, mask, pattern, budget=None):
+        calls.append(mask.bit_count())
         if len(calls) == 1:
-            raise BudgetExhausted("cut short", target.n)
-        return embed(target, pattern, budget)
+            raise BudgetExhausted("cut short", mask.bit_count())
+        return embed(target, mask, pattern, budget)
 
     g = OrderedGraph(82)
     monkeypatch.setattr(spectrum, "find_induced_ordered_copy", first_cut)
@@ -347,8 +354,8 @@ def test_weighted_search_r4_induction_outlives_a_cut_branch(monkeypatch):
     assert isinstance(out, WeightedWitness) and out.verify(g) and out.vertices[0] == 1
     assert calls == [81, 80]
 
-    def always_cut(target, pattern, budget=None):
-        raise BudgetExhausted("cut short", target.n)
+    def always_cut(target, mask, pattern, budget=None):
+        raise BudgetExhausted("cut short", mask.bit_count())
 
     monkeypatch.setattr(spectrum, "find_induced_ordered_copy", always_cut)
     with pytest.raises(BudgetExhausted) as cut:
@@ -359,11 +366,99 @@ def test_weighted_search_r4_induction_outlives_a_cut_branch(monkeypatch):
 def test_find_induced_ordered_copy():
     pattern = OrderedGraph(3, [(0, 2)])
     g = OrderedGraph(5, [(0, 4), (1, 2)])
-    hit = find_induced_ordered_copy(g, pattern)
+    hit = find_induced_ordered_copy(g, 0b11111, pattern)
     assert hit is not None
     a, b, c = hit
     assert g.has_edge(a, c) and not g.has_edge(a, b) and not g.has_edge(b, c)
-    assert find_induced_ordered_copy(OrderedGraph(4, ()), OrderedGraph(2, [(0, 1)])) is None
+    # without vertex 0 the one edge left, (1, 2), has no vertex between its ends
+    assert find_induced_ordered_copy(g, 0b11110, pattern) is None
+    assert find_induced_ordered_copy(OrderedGraph(4, ()), 0b1111, OrderedGraph(2, [(0, 1)])) is None
+
+
+def relabeled(outcome, verts):
+    """An outcome of the search on ``induced(g, verts)`` in g's vertex ids."""
+    if outcome[0] == "weighted":
+        return ("weighted", tuple(verts[i] for i in outcome[1]), *outcome[2:])
+    if outcome[0] == "homogeneous":
+        return ("homogeneous", tuple(verts[i] for i in outcome[1]), *outcome[2:])
+    if outcome[0] == "embedded" and outcome[1] is not None:
+        return ("embedded", tuple(verts[i] for i in outcome[1]))
+    return outcome
+
+
+def search_outcome(fn):
+    """The answer's observable fields, or the error's."""
+    try:
+        out = fn()
+    except BudgetExhausted as e:
+        return ("budget", e.used)
+    except SearchFailed as e:
+        return ("failed", type(e).__name__, str(e), e.reason, e.detail)
+    except ValueError as e:
+        return ("value", str(e))
+    if isinstance(out, WeightedWitness):
+        return ("weighted", out.vertices, out.r, out.m, out.f, out.k)
+    if isinstance(out, HomogeneousWitness):
+        return ("homogeneous", out.set, out.kind, out.exact)
+    return ("embedded", out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_copy_on_a_mask_matches_the_relabeled_search(data):
+    n = data.draw(st.integers(0, 12))
+    g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    k = data.draw(st.integers(1, 5))
+    pattern = random_ordered_graph(k, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 300)))
+    verts = bits_of(mask)
+    got = search_outcome(lambda: find_induced_ordered_copy(g, mask, pattern, budget))
+    want = search_outcome(lambda: oracle_find_induced_ordered_copy(induced(g, verts), pattern, budget))
+    assert got == relabeled(want, verts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_weighted_recursion_matches_the_relabeling_recursions(data):
+    # a small m0 brings the r >= 4 induction and its builder base case within
+    # reach of graphs this size; 5r^2 would leave only the direct scan
+    r = data.draw(st.sampled_from([3, 4, 5]))
+    h = data.draw(st.integers(2, 6))
+    budget = data.draw(st.one_of(st.none(), st.integers(0, 60)))
+    if r == 3:
+        m0 = 5 * r * r
+        m = data.draw(st.integers(3, 7))
+    else:
+        m0 = data.draw(st.integers(r + 2, 2 * r + 2))
+        m = data.draw(st.integers(r, m0 + 3))
+    total = comb(m, r)
+    f = data.draw(st.one_of(st.sampled_from([0, 1, total - 1, total]), st.integers(0, total)))
+    if r > 3 and m > m0 and 2 * f <= comb(m0, r) and data.draw(st.booleans()):
+        # the builder's pattern behind m - m0 isolated vertices: no level
+        # complements, and each induction step lands on the next isolated
+        # vertex, down to the pattern itself at m0
+        try:
+            pattern = build_H(r, m0, f).graph
+        except SearchFailed:
+            pattern = OrderedGraph(m0 - r + 2)
+        k = m - m0
+        g = OrderedGraph(k + pattern.n, [(a + k, b + k) for a, b in pattern.edges])
+        n = g.n
+    else:
+        n = data.draw(st.integers(0, 14))
+        density = data.draw(st.one_of(st.sampled_from([0, 3, 97, 100]), st.integers(0, 100)))
+        g = random_ordered_graph(n, density, data.draw(st.integers(0, 999)))
+    mask = data.draw(st.one_of(st.just((1 << n) - 1), st.integers(0, (1 << n) - 1)))
+    verts = bits_of(mask)
+    got = search_outcome(lambda: _weighted(g, mask, r, m, f, h, budget, m0))
+    if r == 3:
+        want = search_outcome(lambda: oracle_weighted_r3(g, mask, m, f, h))
+    else:
+        sub = induced(g, verts)
+        want = relabeled(
+            search_outcome(lambda: oracle_weighted_general(sub, m0, r, m, f, h, budget)), verts)
+    assert got == want
 
 
 # --- m = r+1 realization ---------------------------------------------------------------
