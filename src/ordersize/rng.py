@@ -117,10 +117,10 @@ def keyed_coloring(seed: int, palette: int = 2) -> Callable[[Iterable[int]], int
     The color of a tuple is a pure function of (seed, tuple), so colorings over
     vertex ranges far too large to tabulate can still be queried consistently.
     """
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+    keyed = hashlib.blake2b(key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"), digest_size=8)
 
     def color(t: Iterable[int]) -> int:
-        h = hashlib.blake2b(key=key, digest_size=8)
+        h = keyed.copy()  # the keyed state, set up once per coloring
         h.update(",".join(map(str, t)).encode())
         return int.from_bytes(h.digest(), "big") % palette
 

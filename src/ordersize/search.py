@@ -199,11 +199,16 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
     """
     if h.r != 3:
         raise ValueError("max_homogeneous currently supports 3-graphs")
-    exact = h.n <= exact_limit
+    return _max_homogeneous_in(h, (1 << h.n) - 1, exact_limit)
+
+
+def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
+    """``max_homogeneous`` of the subgraph on the vertex mask ``cand``, in the
+    vertex ids of h."""
+    exact = cand.bit_count() <= exact_limit
     search = _cliques if exact else _greedy_clique
-    full = (1 << h.n) - 1
-    cl = search(h._pair_links, full, 0, True)
-    ind = search(h._pair_links, full, -1, True)
+    cl = search(h._pair_links, cand, 0, True)
+    ind = search(h._pair_links, cand, -1, True)
     if len(cl) >= len(ind):
         w = HomogeneousWitness(cl, "clique", exact)
     else:
@@ -267,10 +272,54 @@ def find_stars(
     """
     bud = Budget(budget)
     stars, complete = _star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
-    if complete:
-        for st in stars:
-            ensure(st.verify(h), "star")
+    for st in stars:  # a truncated list is checked too
+        ensure(st.verify(h), "star")
     return StarSearchResult(tuple(stars), complete, bud.used)
+
+
+def _star_groups(links, cand: int, s: int) -> list[tuple[int, int]]:
+    """(leaf mask, center mask) for every s-set L inside the vertex mask
+    ``cand`` that spans no edge and has at least one center in ``cand``
+    outside L, in lexicographic order of L; ``links`` is a 3-graph's pair-link
+    table. A center forms an edge with every pair of L, so (center, L) is an
+    induced star; the center mask holds every one of them.
+
+    One walk serves every center at once (the row-mask narrowing of BBMC, as
+    in ``_ktt_groups``). Leaves are taken in increasing order. Taking leaf x
+    ANDs links[u][x], for each leaf u taken before it, into the centers still
+    possible, and ORs the same rows into a forbidden mask, which removes the
+    later candidates that would close an edge inside L. A branch stops when
+    no center is left or too few candidates are.
+    """
+    if s < 0:
+        raise ValueError(f"star size s={s} must be nonnegative")
+    if s == 0:
+        return [(0, cand)] if cand else []
+    groups: list[tuple[int, int]] = []
+    chosen: list[int] = []  # the leaves so far
+
+    def grow(leaves: int, centers: int, rest: int, need: int) -> None:
+        # rest: the candidates above the last leaf that close no edge in L
+        while rest.bit_count() >= need:
+            low = rest & -rest
+            rest ^= low
+            x = low.bit_length() - 1
+            c, forbidden = centers & ~low, 0
+            for u in chosen:
+                row = links[u][x]
+                c &= row
+                forbidden |= row
+            if not c:
+                continue
+            if need == 1:
+                groups.append((leaves | low, c))
+                continue
+            chosen.append(x)
+            grow(leaves | low, c, rest & ~forbidden, need - 1)
+            chosen.pop()
+
+    grow(0, cand, cand, s)
+    return groups
 
 
 def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:

@@ -18,9 +18,12 @@ from .blowups import FAMILY_TYPES, PAIR_TYPES
 from .core import Hypergraph, OrderedGraph, bits_of, mask_of, maybe_density, vertex_set
 from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
+    DEFAULT_EXACT_LIMIT,
     HomogeneousWitness,
     _cliques,
     _ktt_groups,
+    _max_homogeneous_in,
+    _star_groups,
     _star_sets,
     find_stars,
     max_clique,
@@ -101,6 +104,15 @@ class _TypedFamily:
             if name in self.constants:
                 got = maybe_density(h, *sets)
                 if got is not None and (self.constants[name] is None or got != self.constants[name]):
+                    return False
+        return True
+
+    def _rows_agree(self, rows: list[dict]) -> bool:
+        """``verify`` read off the family's ``verification_rows``."""
+        for row in rows:
+            if row["type"] in self.constants:
+                want, got = self.constants[row["type"]], row["value"]
+                if got is not None and (want is None or got != want):
                     return False
         return True
 
@@ -263,9 +275,8 @@ def refine_to_01(
         seen |= set(s)
 
     for idx, s in enumerate(work):
-        if len(s) >= 3:
-            w = max_homogeneous(h.induced(s))
-            work[idx] = [s[i] for i in w.set]
+        if len(s) >= 3:  # the homogeneous subset, by max_homogeneous's rules
+            work[idx] = list(_max_homogeneous_in(h, mask_of(s), DEFAULT_EXACT_LIMIT).set)
 
     ell = len(work)
     for i in range(ell):
@@ -346,39 +357,46 @@ def find_star_chain(
     and every earlier set sees every later set's pairs as full edges.
 
     At each level the s-set serving the most induced-star centers is taken
-    and the search recurses into its center set, on the pair-link rows of h;
-    each level gets a fresh ``budget``. SearchFailed carries the stage and
-    current vertex set when the stars run out.
+    and the search recurses into its center set. One common-center walk on
+    the pair-link rows of h (``search._star_groups``) finds a level's leaf
+    sets with their center sets, and each such group is checked once on the
+    same rows. Ties go to the lexicographically first center set, then to
+    the first leaf set. Each level gets a fresh ``budget``, spent as the
+    per-center star search (``search._star_sets``) spends it. SearchFailed
+    carries the stage and current vertex set when the stars run out.
     """
     if h.r != 3:
         raise ValueError("star chains are defined for 3-graphs")
-    current: tuple[int, ...] = tuple(range(h.n))
+    links = h._pair_links
+    current = (1 << h.n) - 1
     chain: list[tuple[int, ...]] = []
     for level in range(ell):
-        bud = None if budget is None else Budget(budget)  # unlimited: count nothing
-        stars, complete = _star_sets(h, mask_of(current), s, True, False, bud)
-        if not complete:
-            raise BudgetExhausted("star enumeration budget exhausted", bud.used)
-        centers: dict[tuple[int, ...], list[int]] = {}
-        for st in stars:
-            ensure(st.verify(h), "star")
-            centers.setdefault(st.leaves, []).append(st.center)
-        if not centers:
+        if budget is not None:
+            bud = Budget(budget)
+            if not _star_sets(h, current, s, True, False, bud)[1]:
+                raise BudgetExhausted("star enumeration budget exhausted", bud.used)
+        best = None  # (number of centers, centers, leaves) as masks
+        for leaves, centers in _star_groups(links, current, s):
+            # each leaf pair forms an edge with every center and with no leaf
+            ensure(not leaves & centers and all(
+                links[u][w] & centers == centers and not links[u][w] & leaves
+                for u, w in combinations(bits_of(leaves), 2)), "induced star group")
+            k = centers.bit_count()
+            if best is not None:
+                # as in find_pair_chain: the lexicographically first center
+                # set owns the lowest bit of the two sets' difference
+                diff = centers ^ best[1]
+                if k < best[0] or k == best[0] and not centers & diff & -diff:
+                    continue
+            best = (k, centers, leaves)
+        if best is None:
             raise SearchFailed(
                 f"no induced stars of size {s} at chain stage {level}",
                 reason="too few induced stars",
-                detail={"stage": level, "vertex_set": current, "stars": 0},
+                detail={"stage": level, "vertex_set": bits_of(current), "stars": 0},
             )
-        best = max(
-            centers,
-            key=lambda leaves: (
-                len(centers[leaves]),
-                tuple(-v for v in sorted(centers[leaves])),
-                tuple(-v for v in leaves),
-            ),
-        )
-        chain.append(best)
-        current = tuple(centers[best])
+        chain.append(bits_of(best[2]))
+        current = best[1]
     chain.reverse()
     ensure(HomogenizedFamily(tuple(chain), {"d": 0, "a": 1}).verify(h),
            "star-chain sets span no edge and are joined to later sets")
@@ -547,8 +565,9 @@ def main_structure(
         defined = [v for v in fam.constants.values() if v is not None]
         if len(set(defined)) < 2:
             raise SearchFailed("constants all equal", reason="degenerate family")
-        ensure(fam.verify(h), "variant (a) family")
-        struct = MainStructure("a", fam, False, fam.verification_rows(h))
+        rows = fam.verification_rows(h)
+        ensure(fam._rows_agree(rows), "variant (a) family")
+        struct = MainStructure("a", fam, False, rows)
         return MainOutcome("structure", struct, hom, trace)
 
     def try_chain(scope: tuple[int, ...], anti: bool):
@@ -605,16 +624,18 @@ def main_structure(
             return None
         c7, c8 = fam.constants["c7"], fam.constants["c8"]
         if (c7 in (0, None)) and (c8 in (0, None)):
-            ensure(fam.verify(base), "variant (b) family")
-            struct = MainStructure("b", fam, complemented, fam.verification_rows(base))
+            rows = fam.verification_rows(base)
+            ensure(fam._rows_agree(rows), "variant (b) family")
+            struct = MainStructure("b", fam, complemented, rows)
             trace.append("variant (b) verified")
             return MainOutcome("structure", struct, hom, trace)
         sets = fam.a_sets if c7 == 1 else fam.b_sets
         fam_a = HomogenizedFamily(sets, {"a": 0, "b": 0, "c": 1, "d": 0})
-        if not fam_a.verify(base):
+        rows = fam_a.verification_rows(base)
+        if not fam_a._rows_agree(rows):
             trace.append("pair branch: fallback single family failed verification")
             return None
-        struct = MainStructure("a", fam_a, complemented, fam_a.verification_rows(base))
+        struct = MainStructure("a", fam_a, complemented, rows)
         trace.append("variant (a) via the all-same-side constant")
         return MainOutcome("structure", struct, hom, trace)
 

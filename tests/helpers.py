@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 from dataclasses import dataclass
@@ -614,6 +615,18 @@ def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:
             if h.has_edge(triple) == inner:
                 return False
     return True
+
+
+def per_call_keyed_coloring(seed: int, palette: int = 2):
+    """``keyed_coloring`` as it built the keyed blake2b state on every query."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
+
+    def color(t) -> int:
+        h = hashlib.blake2b(key=key, digest_size=8)
+        h.update(",".join(map(str, t)).encode())
+        return int.from_bytes(h.digest(), "big") % palette
+
+    return color
 
 
 def loop_sample(rng: SeededRNG, population, k: int) -> list:

@@ -5,7 +5,8 @@
 same values as the per-call loops and leave the stream at the same place.
 The generators built on ``randranges`` are compared with the per-element
 comprehensions they replaced, and ``spencer_independent`` with its set-based
-form.
+form. ``keyed_coloring`` copies one keyed hash state per query; it is compared
+with the per-query construction it replaced.
 """
 
 from itertools import combinations
@@ -22,10 +23,10 @@ from ordersize.constructions import (
     random_tournament,
 )
 from ordersize.core import Hypergraph, OrderedGraph, Tournament
-from ordersize.rng import SeededRNG
+from ordersize.rng import SeededRNG, keyed_coloring
 from ordersize.search import spencer_independent
 
-from helpers import loop_sample, loop_sorted_sample, set_spencer_independent
+from helpers import loop_sample, loop_sorted_sample, per_call_keyed_coloring, set_spencer_independent
 
 SEEDS = st.integers(0, 2**64)
 
@@ -155,3 +156,12 @@ def test_spencer_independent_matches_set_form(r, pct, seed, trials, data):
     n = data.draw(st.integers(0, MAX_SPENCER_N[r]))
     h = random_hypergraph(r, n, pct, seed)
     assert spencer_independent(h, trials, seed) == set_spencer_independent(h, trials, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**70, 2**70), st.integers(1, 7),
+       st.lists(st.lists(st.integers(-10**6, 10**6), max_size=6), min_size=1, max_size=6))
+def test_keyed_coloring_matches_per_call_construction(seed, palette, tuples):
+    got, want = keyed_coloring(seed, palette), per_call_keyed_coloring(seed, palette)
+    for t in tuples + tuples:  # a repeated query must not see the state of the last one
+        assert got(t) == want(t)

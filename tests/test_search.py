@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
+from ordersize.errors import VerificationError
 from ordersize.rng import SeededRNG
 from ordersize.search import (
     Star,
@@ -114,7 +115,13 @@ def test_find_stars_star_size_zero_and_negative():
 
 def test_find_stars_budget_truncation():
     res = find_stars(complete_hypergraph(3, 8), 3, budget=10)
-    assert not res.complete
+    assert (len(res.stars), res.complete, res.examined) == (7, False, 10)
+
+
+def test_truncated_star_list_is_verified(monkeypatch):
+    monkeypatch.setattr(Star, "verify", lambda self, h: False)
+    with pytest.raises(VerificationError, match="star"):
+        find_stars(complete_hypergraph(3, 8), 3, budget=10)
 
 
 def test_spencer_independent():

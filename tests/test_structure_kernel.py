@@ -6,13 +6,18 @@ were: the per-center link-graph grouping of ``find_pair_chain`` (one
 copy), the star search that built every candidate ``Star`` and kept those
 passing ``Star.verify``, the star and pair chains that ran on
 ``h.induced(current)`` and relabeled, and the edge-mask scans of ``density``.
+The star chain's common-center walk is also checked against a scan of every
+s-set on ``h.edges``, the family check on ``verification_rows`` against
+``verify``, and the homogeneous subset on a vertex mask against
+``max_homogeneous`` of the induced copy.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordersize.blowups import build_pair_family, build_type_family
@@ -28,15 +33,24 @@ from ordersize.core import (
 )
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ShapeError
 from ordersize.search import (
+    HomogeneousWitness,
     Star,
     StarSearchResult,
     _cliques,
     _ktt_groups,
+    _max_homogeneous_in,
+    _star_groups,
     _star_sets,
     enumerate_induced_ktt,
     link_graph,
+    max_homogeneous,
 )
-from ordersize.structure import find_pair_chain, find_star_chain
+from ordersize.structure import (
+    HomogenizedFamily,
+    PairFamily,
+    find_pair_chain,
+    find_star_chain,
+)
 
 MAX_N = 12
 
@@ -88,6 +102,22 @@ def oracle_find_stars(h, s, want_induced=False, want_anti=False, budget=None):
         if not complete:
             break
     return StarSearchResult(tuple(stars), complete, bud.used)
+
+
+def oracle_star_groups(h: Hypergraph, cand: int, s: int) -> list[tuple[int, int]]:
+    """(leaves, centers) as masks for every s-set of ``cand`` that spans no
+    edge, with every other vertex of ``cand`` that forms an edge with each of
+    its pairs as a center, read off ``h.edges``; sets without a center drop."""
+    verts = bits_of(cand)
+    out = []
+    for leaves in combinations(verts, s):
+        if any(t in h.edges for t in combinations(leaves, 3)):
+            continue
+        centers = [v for v in verts if v not in leaves and all(
+            tuple(sorted((u, w, v))) in h.edges for u, w in combinations(leaves, 2))]
+        if centers:
+            out.append((mask_of(leaves), mask_of(centers)))
+    return out
 
 
 def oracle_star_chain(h, ell, s, budget=None):
@@ -287,15 +317,83 @@ def test_star_sets_match_search_on_induced_copy(data):
     assert (stars, complete, bud.used) == (relabeled, want.complete, want.examined)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_star_chain_matches_induced_copy_chain(data):
+def test_star_groups_match_subset_scan(data):
     h = data.draw(graphs())
-    ell = data.draw(st.integers(1, 3))
-    s = data.draw(st.integers(2, 4))  # s = 1 leaves the postcondition's density undefined
-    budget = data.draw(st.one_of(st.none(), st.integers(0, 300)))
+    cand = sub_mask(data.draw, h)
+    s = data.draw(st.integers(0, 4))
+    assert _star_groups(h._pair_links, cand, s) == oracle_star_groups(h, cand, s)
+
+
+def plant(parts, consts, complemented=False):
+    h, _ = build_type_family(parts, *consts)
+    return h.complement() if complemented else h
+
+
+@settings(max_examples=120, deadline=None)
+# s = 1 leaves the postcondition's density undefined
+@given(graphs(), st.integers(1, 3), st.integers(2, 4), st.one_of(st.none(), st.integers(0, 300)))
+# planted families with a three-level chain; the level-0 groups with the most
+# centers number 12 (over 4 center sets), 4, 28 and 1
+@example(plant([3] * 4, (1, 1, 0, 0)), 3, 2, None)
+@example(plant([3] * 4, (1, 1, 0, 0)), 3, 3, None)
+@example(plant([3] * 4, (0, 0, 1, 1), True), 3, 3, 300)
+@example(plant([2] * 4, (1, 1, 1, 1)), 3, 2, None)
+@example(plant([3] * 4, (0, 1, 0, 0)), 3, 3, None)
+def test_star_chain_matches_induced_copy_chain(h, ell, s, budget):
     assert outcome(lambda: find_star_chain(h, ell, s, budget)) == \
         outcome(lambda: oracle_star_chain(h, ell, s, budget))
+
+
+# --- family checks ----------------------------------------------------------------
+
+
+@st.composite
+def families(draw):
+    """(h, family) for a planted type or pair family, maybe complemented, with
+    each type's constant the one its densities agree on, the other 0/1 value,
+    None, or left out."""
+    if draw(st.booleans()):
+        parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        h, sets = build_type_family(parts, *draw(st.tuples(*[st.integers(0, 1)] * 4)))
+        fam = HomogenizedFamily(tuple(sets), {})
+    else:
+        num = draw(st.integers(1, 3))
+        size = draw(st.integers(1, MAX_N // (2 * num)))
+        consts = draw(st.tuples(*[st.integers(0, 1)] * 10))
+        h, a, b = build_pair_family(num, size, *consts[:4], consts[4:])
+        fam = PairFamily(tuple(a), tuple(b), {})
+    if draw(st.booleans()):
+        h = h.complement()
+    defined: dict[str, set] = {}
+    for row in fam.verification_rows(h):
+        defined.setdefault(row["type"], set()).add(row["value"])
+    for name, values in defined.items():
+        right = min((v for v in values if v is not None), default=0)
+        pick = draw(st.sampled_from(["right", "wrong", "none", "absent"]))
+        if pick != "absent":
+            fam.constants[name] = {"right": right, "wrong": 1 - right, "none": None}[pick]
+    return h, fam
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_rows_check_matches_verify(hf):
+    h, fam = hf
+    assert fam._rows_agree(fam.verification_rows(h)) == fam.verify(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_homogeneous_subset_matches_induced_copy(data):
+    h = data.draw(graphs())
+    cand = sub_mask(data.draw, h)
+    limit = data.draw(st.integers(0, MAX_N))  # below the subset's size: the greedy pass
+    current = bits_of(cand)
+    want = max_homogeneous(h.induced(current), limit)
+    relabeled = HomogeneousWitness(tuple(current[i] for i in want.set), want.kind, want.exact)
+    assert _max_homogeneous_in(h, cand, limit) == relabeled
 
 
 # --- density -----------------------------------------------------------------------
