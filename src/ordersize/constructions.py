@@ -116,55 +116,24 @@ class GrInstance:
     def _index_positions(self, limit: int) -> bool:
         """Build the position masks, unless they are cached for the current
         coloring and r: mask a is the OR of the a-th vertex over all pattern
-        edges. The build is one full pattern DFS that stops once it has
-        visited ``limit`` candidate vertices; then no index is kept, and a
-        later call with a larger limit tries again. Returns whether the
-        masks are in place."""
+        edges. The edges come from one full pattern DFS of at most ``limit``
+        visits; past that no index is kept, and a later call with a larger
+        limit tries again. Returns whether the masks are in place."""
         cached = self._pos
         if (cached is not None and cached[0] is self.coloring and cached[1] == self.r
                 and (cached[2] is not None or cached[3] >= limit)):
             return cached[2] is not None
-        rows = self._pattern_rows()
-        last = self.r - 1
-        pos = [0] * self.r
-        visits = 0
+        edges: list[tuple[int, ...]] = []
+        found = self._pattern_dfs((1 << self.n) - 1, edges, limit) is not None
+        masks = tuple(mask_of(e[a] for e in edges) for a in range(self.r)) if found else None
+        self._pos = (self.coloring, self.r, masks, limit)
+        return found
 
-        def extend(depth: int, cands: list[int]) -> bool:
-            """Visit the candidates at ``depth``; True when one lies on an edge."""
-            nonlocal visits
-            c = cands[0]
-            later = cands[1:]
-            prow = rows[depth]
-            hit = False
-            while c:
-                visits += 1
-                if visits > limit:
-                    return hit
-                low = c & -c
-                c ^= low
-                v = low.bit_length() - 1
-                nxt = []
-                for mask, row in zip(later, prow):
-                    mask &= row[v]
-                    if not mask:
-                        break
-                    nxt.append(mask)
-                else:
-                    if depth + 1 == last:
-                        pos[last] |= nxt[0]
-                    elif not extend(depth + 1, nxt):
-                        continue
-                    pos[depth] |= low
-                    hit = True
-            return hit
-
-        extend(0, [(1 << self.n) - 1] * self.r)
-        self._pos = (self.coloring, self.r, tuple(pos) if visits <= limit else None, limit)
-        return visits <= limit
-
-    def _pattern_dfs(self, smask: int, out: list | None = None) -> int:
+    def _pattern_dfs(self, smask: int, out: list | None = None, limit: int | None = None) -> int | None:
         """Count the edges inside the vertex mask ``smask``; with ``out``, also
-        append each one to it as an increasing r-tuple.
+        append each one to it as an increasing r-tuple. With ``limit``, return
+        None once the walk would visit more than ``limit`` candidate vertices
+        at the positions before the last.
 
         When ``_index_positions`` has cached the position masks for the current
         coloring and r, position a starts from ``smask`` & its mask, and a
@@ -189,14 +158,18 @@ class GrInstance:
         last = self.r - 1
         chosen = [0] * last
         count = 0
+        left = -1 if limit is None else limit  # from -1 the count never reaches 0
 
-        def extend(depth: int, cands: list[int]) -> None:
-            nonlocal count
+        def extend(depth: int, cands: list[int]) -> bool:
+            nonlocal count, left
             c = cands[0]
             later = cands[1:]
             prow = rows[depth]
             final = depth + 1 == last
             while c:
+                if not left:
+                    return False
+                left -= 1
                 low = c & -c
                 c ^= low
                 v = low.bit_length() - 1
@@ -208,16 +181,16 @@ class GrInstance:
                     nxt.append(mask)
                 else:
                     chosen[depth] = v
-                    if not final:
-                        extend(depth + 1, nxt)
-                    else:
+                    if final:
                         count += nxt[0].bit_count()
                         if out is not None:
                             head = tuple(chosen)
                             out.extend(head + (w,) for w in bits_of(nxt[0]))
+                    elif not extend(depth + 1, nxt):
+                        return False
+            return True
 
-        extend(0, starts)
-        return count
+        return count if extend(0, starts) else None
 
 
 def build_gr(
@@ -295,42 +268,35 @@ def check_fact_gr(
     sampled scan first builds the instance's position masks, by a DFS of at
     most samples * m visits, the least the unmasked scan pays; a sample that
     misses one mask is then counted as 0 at once. When that DFS runs out of
-    visits, the scan runs unmasked, with the same report.
+    visits, the scan runs unmasked, with the same report. Raises ValueError
+    when m exceeds n or ``mode`` is not "auto", "exhaustive" or "sampled".
     """
+    if m > inst.n:
+        raise ValueError(f"m={m} exceeds n={inst.n}")
     target = g_r(inst.r, m)
     total = comb(inst.n, m)
-    advisory = inst.r < 4
     if mode == "auto":
         mode = "exhaustive" if total <= exhaustive_cap else "sampled"
-    histogram: dict[int, int] = {}
-    violations: list[dict] = []
-    max_edges = 0
-
-    def record(c: int, subset) -> None:
-        nonlocal max_edges
-        histogram[c] = histogram.get(c, 0) + 1
-        if c > max_edges:
-            max_edges = c
-        if c > target:
-            violations.append({"subset": list(subset), "edges": c})
-
     if mode == "exhaustive":
         graph = inst.graph if inst.graph is not None else materialize(inst)
-        for c, subset in iter_subset_counts(graph, m):
-            record(c, subset)
-        return SubsetScanReport(
-            inst.r, inst.n, m, "exhaustive", total, None, histogram, max_edges,
-            target, violations, advisory,
-        )
-    # every unindexed sample visits at least its m depth-0 vertices
-    inst._index_positions(samples * m)
-    rng = SeededRNG(seed)
-    for _ in range(samples):
-        subset = rng.sorted_sample(inst.n, m)
-        record(inst.count_in_subset(subset), subset)
+        counts = iter_subset_counts(graph, m)
+        samples, seed = total, None
+    elif mode == "sampled":
+        # every unindexed sample visits at least its m depth-0 vertices
+        inst._index_positions(samples * m)
+        draw, count = SeededRNG(seed).sorted_sample, inst.count_in_subset
+        counts = ((count(s), s) for s in (draw(inst.n, m) for _ in range(samples)))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    histogram: dict[int, int] = {}
+    violations: list[dict] = []
+    for c, subset in counts:
+        histogram[c] = histogram.get(c, 0) + 1
+        if c > target:
+            violations.append({"subset": list(subset), "edges": c})
     return SubsetScanReport(
-        inst.r, inst.n, m, "sampled", samples, seed, histogram, max_edges,
-        target, violations, advisory,
+        inst.r, inst.n, m, mode, samples, seed, histogram, max(histogram, default=0),
+        target, violations, advisory=inst.r < 4,
     )
 
 

@@ -298,40 +298,33 @@ def _merge_run(children: list[CertNode], kind: str) -> list[CertNode]:
     return merged
 
 
-def cert_disjoint(children) -> CertNode | None:
-    """Disjoint union, flattening nested unions and merging empty runs."""
+def _cert_series(kind: str, children) -> CertNode | None:
+    """Node of ``kind`` ("empty" or "clique") over the non-None children,
+    flattening nested nodes of that kind and merging its plain runs."""
     kids: list[CertNode] = []
     for c in children:
         if c is None:
             continue
-        if not c.is_leaf and c.kind == "empty":
+        if not c.is_leaf and c.kind == kind:
             kids.extend(c.children)
         else:
             kids.append(c)
-    kids = _merge_run(kids, "empty")
+    kids = _merge_run(kids, kind)
     if not kids:
         return None
     if len(kids) == 1:
         return kids[0]
-    return CertNode("empty", len(kids), tuple(kids))
+    return CertNode(kind, len(kids), tuple(kids))
+
+
+def cert_disjoint(children) -> CertNode | None:
+    """Disjoint union, flattening nested unions and merging empty runs."""
+    return _cert_series("empty", children)
 
 
 def cert_join(children) -> CertNode | None:
     """Sequential join: consecutive blocks completely adjacent."""
-    kids: list[CertNode] = []
-    for c in children:
-        if c is None:
-            continue
-        if not c.is_leaf and c.kind == "clique":
-            kids.extend(c.children)
-        else:
-            kids.append(c)
-    kids = _merge_run(kids, "clique")
-    if not kids:
-        return None
-    if len(kids) == 1:
-        return kids[0]
-    return CertNode("clique", len(kids), tuple(kids))
+    return _cert_series("clique", children)
 
 
 def cert_f0(a: CertNode | None, b: CertNode | None, c: CertNode | None) -> CertNode | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blowups import FAMILY_TYPES, PAIR_TYPES
 from .core import Hypergraph, OrderedGraph, bits_of, mask_of, maybe_density, vertex_set
@@ -100,15 +100,14 @@ class _TypedFamily:
     def verify(self, h: Hypergraph) -> bool:
         """Does every defined density of a type in ``constants`` equal its
         constant? A constant of None admits only undefined densities."""
-        for name, _idx, sets in _type_instances(self.types, self.sides()):
-            if name in self.constants:
-                got = maybe_density(h, *sets)
-                if got is not None and (self.constants[name] is None or got != self.constants[name]):
-                    return False
-        return True
+        return self._rows_agree(
+            {"type": name, "value": maybe_density(h, *sets)}
+            for name, _idx, sets in _type_instances(self.types, self.sides())
+            if name in self.constants)
 
-    def _rows_agree(self, rows: list[dict]) -> bool:
-        """``verify`` read off the family's ``verification_rows``."""
+    def _rows_agree(self, rows: Iterable[dict]) -> bool:
+        """Does each row of a type in ``constants`` agree with its constant?
+        Stops at the first row that does not."""
         for row in rows:
             if row["type"] in self.constants:
                 want, got = self.constants[row["type"]], row["value"]
@@ -350,6 +349,16 @@ def homogenize_pair_types(
 # --- star chains -------------------------------------------------------------------
 
 
+def _beats(k: int, centers: int, best: tuple | None) -> bool:
+    """Most centers wins, then the lexicographically first center set (it
+    owns the lowest bit of the two masks' difference); on a full tie the
+    group met first stays. ``best`` starts (k, centers), or is None."""
+    if best is None or k > best[0]:
+        return True
+    diff = centers ^ best[1]
+    return k == best[0] and bool(centers & diff & -diff)
+
+
 def find_star_chain(
     h: Hypergraph, ell: int, s: int, budget: int | None = None
 ) -> list[tuple[int, ...]]:
@@ -382,13 +391,8 @@ def find_star_chain(
                 links[u][w] & centers == centers and not links[u][w] & leaves
                 for u, w in combinations(bits_of(leaves), 2)), "induced star group")
             k = centers.bit_count()
-            if best is not None:
-                # as in find_pair_chain: the lexicographically first center
-                # set owns the lowest bit of the two sets' difference
-                diff = centers ^ best[1]
-                if k < best[0] or k == best[0] and not centers & diff & -diff:
-                    continue
-            best = (k, centers, leaves)
+            if _beats(k, centers, best):
+                best = (k, centers, leaves)
         if best is None:
             raise SearchFailed(
                 f"no induced stars of size {s} at chain stage {level}",
@@ -497,20 +501,11 @@ def find_pair_chain(
     best = None  # (number of centers, centers, A, B) as masks
 
     def keep(amask: int, bmask: int, centers: int) -> None:
-        # the winner has the most centers, then the lexicographically first
-        # center set (it owns the lowest bit of the two sets' difference),
-        # then the first (A, B) met
         nonlocal best
         k = centers.bit_count()
         bud.spend(k)
-        if best is not None:
-            if k < best[0]:
-                return
-            if k == best[0]:
-                diff = centers ^ best[1]
-                if not centers & diff & -diff:
-                    return
-        best = (k, centers, amask, bmask)
+        if _beats(k, centers, best):
+            best = (k, centers, amask, bmask)
 
     current: tuple[int, ...] = tuple(range(h.n))
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

@@ -12,7 +12,16 @@ from itertools import combinations
 from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 
-from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of, unrank_combination, vertex_set
+from ordersize.constructions import GrInstance, SubsetScanReport, materialize
+from ordersize.core import (
+    Hypergraph,
+    OrderedGraph,
+    bits_of,
+    iter_subset_counts,
+    mask_of,
+    unrank_combination,
+    vertex_set,
+)
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
 from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, build_H, ln_bounds
 from ordersize.rng import SeededRNG
@@ -33,6 +42,7 @@ from ordersize.values import (
     ValueCountReport,
     _square_sums,
     cubic_basis,
+    g_r,
 )
 
 
@@ -929,3 +939,123 @@ def child_env(hash_seed: str) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+# --- the G_r scan layer before the pattern walk took a visit limit ------------------
+
+
+def old_index_positions(inst: GrInstance, limit: int) -> bool:
+    """Build the position masks, unless they are cached for the current
+    coloring and r: mask a is the OR of the a-th vertex over all pattern
+    edges. The build is one full pattern DFS that stops once it has
+    visited ``limit`` candidate vertices; then no index is kept, and a
+    later call with a larger limit tries again. Returns whether the
+    masks are in place."""
+    cached = inst._pos
+    if (cached is not None and cached[0] is inst.coloring and cached[1] == inst.r
+            and (cached[2] is not None or cached[3] >= limit)):
+        return cached[2] is not None
+    rows = inst._pattern_rows()
+    last = inst.r - 1
+    pos = [0] * inst.r
+    visits = 0
+
+    def extend(depth: int, cands: list[int]) -> bool:
+        """Visit the candidates at ``depth``; True when one lies on an edge."""
+        nonlocal visits
+        c = cands[0]
+        later = cands[1:]
+        prow = rows[depth]
+        hit = False
+        while c:
+            visits += 1
+            if visits > limit:
+                return hit
+            low = c & -c
+            c ^= low
+            v = low.bit_length() - 1
+            nxt = []
+            for mask, row in zip(later, prow):
+                mask &= row[v]
+                if not mask:
+                    break
+                nxt.append(mask)
+            else:
+                if depth + 1 == last:
+                    pos[last] |= nxt[0]
+                elif not extend(depth + 1, nxt):
+                    continue
+                pos[depth] |= low
+                hit = True
+        return hit
+
+    extend(0, [(1 << inst.n) - 1] * inst.r)
+    inst._pos = (inst.coloring, inst.r, tuple(pos) if visits <= limit else None, limit)
+    return visits <= limit
+
+
+def old_check_fact_gr(
+    inst: GrInstance,
+    m: int,
+    mode: str = "auto",
+    samples: int = 100_000,
+    seed: int = 0,
+    exhaustive_cap: int = 10**6,
+) -> SubsetScanReport:
+    """``check_fact_gr`` with two loops around a ``record`` closure; its
+    sampled scan builds the index through ``old_index_positions``."""
+    target = g_r(inst.r, m)
+    total = comb(inst.n, m)
+    advisory = inst.r < 4
+    if mode == "auto":
+        mode = "exhaustive" if total <= exhaustive_cap else "sampled"
+    histogram: dict[int, int] = {}
+    violations: list[dict] = []
+    max_edges = 0
+
+    def record(c: int, subset) -> None:
+        nonlocal max_edges
+        histogram[c] = histogram.get(c, 0) + 1
+        if c > max_edges:
+            max_edges = c
+        if c > target:
+            violations.append({"subset": list(subset), "edges": c})
+
+    if mode == "exhaustive":
+        graph = inst.graph if inst.graph is not None else materialize(inst)
+        for c, subset in iter_subset_counts(graph, m):
+            record(c, subset)
+        return SubsetScanReport(
+            inst.r, inst.n, m, "exhaustive", total, None, histogram, max_edges,
+            target, violations, advisory,
+        )
+    # every unindexed sample visits at least its m depth-0 vertices
+    old_index_positions(inst, samples * m)
+    rng = SeededRNG(seed)
+    for _ in range(samples):
+        subset = rng.sorted_sample(inst.n, m)
+        record(inst.count_in_subset(subset), subset)
+    return SubsetScanReport(
+        inst.r, inst.n, m, "sampled", samples, seed, histogram, max_edges,
+        target, violations, advisory,
+    )
+
+
+def old_scan_counterexample(
+    inst: GrInstance, samples: int = 100_000, seed: int = 0, exhaustive_cap: int = 10**6
+) -> SubsetScanReport:
+    """``scan_counterexample`` on top of ``old_check_fact_gr``."""
+    r = inst.r
+    m = 2 * r
+    forbidden = 2**r - 1
+    report = old_check_fact_gr(inst, m, mode="auto", samples=samples, seed=seed,
+                               exhaustive_cap=exhaustive_cap)
+    hits = report.histogram.get(forbidden, 0)
+    violations = list(report.violations)
+    if hits:
+        violations.append({"count": forbidden, "subsets": hits})
+    return SubsetScanReport(
+        r, inst.n, m, report.mode, report.samples, report.seed,
+        report.histogram, report.max_edges, report.target, violations,
+        advisory=r < 5,
+    )

@@ -102,6 +102,9 @@ def test_verify_suites(capsys):
     for suite in ("lift", "blowup"):
         assert run(["verify", suite, "--trials", "-3"]) == 2
         assert "trials must be nonnegative" in capsys.readouterr().err
+    # 2r = 10 vertices cannot be drawn from 6: an error, not a vacuous pass
+    assert run(["verify", "appendix", "--r", "5", "--n", "6"]) == 2
+    assert "error: m=10 exceeds n=6" in capsys.readouterr().err
 
 
 def test_verify_all_report(tmp_path, capsys):

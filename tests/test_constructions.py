@@ -161,3 +161,16 @@ def test_reports_serialize():
     rep = check_fact_gr(inst, 6, mode="sampled", samples=500, seed=0)
     obj = rep.to_json_obj()
     assert obj["mode"] == "sampled" and obj["target"] == g_r(4, 6)
+
+
+def test_check_fact_rejects_m_above_n_and_unknown_modes():
+    for inst in (build_gr(8, 3, 0), build_gr(8, 3, 0, materialize_cap=0)):
+        for mode in ("auto", "exhaustive", "sampled"):
+            with pytest.raises(ValueError, match="m=9 exceeds n=8"):
+                check_fact_gr(inst, 9, mode=mode, samples=10)
+        for mode in ("exhastive", "Sampled", ""):
+            with pytest.raises(ValueError, match="unknown mode"):
+                check_fact_gr(inst, 5, mode=mode, samples=10)
+        assert check_fact_gr(inst, 8, mode="exhaustive").samples == 1
+    with pytest.raises(ValueError, match="m=10 exceeds n=6"):
+        scan_counterexample(build_gr(6, 5, 0, materialize_cap=0), samples=10)

@@ -4,7 +4,10 @@ The oracles are the implementations the tables replaced, kept here as they
 were: the per-edge mask scan of ``edge_count_mask`` and the color-by-color
 backtracking of ``count_in_subset`` and ``materialize``. The ``randrange``
 loop of ``SeededRNG.sample`` is ``helpers.loop_sample``. Sampled reports are
-compared with a per-subset recount over the same seeded draws.
+compared with a per-subset recount over the same seeded draws. The index
+build with its own DFS and the two-loop ``check_fact_gr`` and
+``scan_counterexample`` are ``helpers.old_index_positions``,
+``old_check_fact_gr`` and ``old_scan_counterexample``.
 """
 
 from itertools import combinations
@@ -27,6 +30,7 @@ from ordersize.constructions import (
 from ordersize.core import (
     Hypergraph,
     PalettedColoring,
+    bits_of,
     complete_hypergraph,
     empty_hypergraph,
     mask_of,
@@ -35,7 +39,13 @@ from ordersize.rng import SeededRNG
 from ordersize.spectrum import size_spectrum
 from ordersize.values import g_r
 
-from helpers import loop_sample, loop_sorted_sample
+from helpers import (
+    loop_sample,
+    loop_sorted_sample,
+    old_check_fact_gr,
+    old_index_positions,
+    old_scan_counterexample,
+)
 
 MAX_N = 14
 
@@ -118,11 +128,11 @@ def hypergraphs(draw, ranks=(2, 3, 4, 5)):
 
 
 @st.composite
-def instances(draw, ranks=(3, 4, 5)):
+def instances(draw, ranks=(3, 4, 5), max_n=MAX_N):
     """Pattern instances on random colorings; drawing the colors from a few
     palette entries makes edge-dense instances as well as sparse ones."""
     r = draw(st.sampled_from(ranks))
-    n = draw(st.integers(r, MAX_N))
+    n = draw(st.integers(r, max_n))
     palette = comb(r, 2)
     if draw(st.booleans()):
         return build_gr(n, r, draw(st.integers(0, 10**6)), materialize_cap=0)
@@ -315,6 +325,80 @@ def test_index_build_stops_at_its_visit_limit():
             assert 0 < CountingRow.reads <= limit * (r - 1)
         assert inst._index_positions(10**6)
         assert inst._pos[2] == position_masks_of(inst)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(max_n=24))
+def test_index_matches_the_old_build_at_every_limit(inst):
+    """At every limit up to one past the full visit count, the walk gives up
+    where the old build did: both return alike and cache alike, on a fresh
+    instance and on one that keeps the caches of the smaller limits."""
+    kept_old = GrInstance(inst.r, inst.n, inst.coloring)
+    kept_new = GrInstance(inst.r, inst.n, inst.coloring)
+    full = (1 << inst.n) - 1
+    count = inst._pattern_dfs(full)
+    limit, past_full = 0, 0
+    while past_full < 2:
+        old = GrInstance(inst.r, inst.n, inst.coloring)
+        new = GrInstance(inst.r, inst.n, inst.coloring)
+        built = old_index_positions(old, limit)
+        assert new._index_positions(limit) == built
+        assert new._pos == old._pos
+        assert old_index_positions(kept_old, limit) == kept_new._index_positions(limit) == built
+        assert kept_new._pos == kept_old._pos
+        walked = GrInstance(inst.r, inst.n, inst.coloring)._pattern_dfs(full, None, limit)
+        assert walked == (count if built else None)
+        past_full += built
+        limit += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(instances(), blocked_instances(ranks=(3, 4, 5))), st.booleans(), st.data())
+def test_limited_walk_gives_up_past_its_visits(inst, indexed, data):
+    """With or without the index, a walk limited below the number of
+    candidates the unlimited walk visits returns None; at or above it, the
+    walk counts and lists every edge. Each visit reads the first row of its
+    depth once, so counting those reads counts the visits."""
+    if indexed:
+        assert inst._index_positions(10**9)
+    rows = inst._pattern_rows()
+    inst._rows = (inst.coloring, inst.r, tuple((CountingRow(later[0]),) + later[1:] for later in rows))
+    for smask in (mask_of(data.draw(subsets(inst.n))), (1 << inst.n) - 1):
+        edges: list = []
+        CountingRow.reads = 0
+        count = inst._pattern_dfs(smask, edges)
+        visits = CountingRow.reads
+        assert count == len(edges) == old_count_in_subset(inst, bits_of(smask))
+        for limit in range(visits + 2):
+            out: list = []
+            got = inst._pattern_dfs(smask, out, limit)
+            assert got == (None if limit < visits else count)
+            if got is not None:
+                assert out == edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(instances(), blocked_instances()), st.integers(1, 40), st.integers(0, 10**6),
+       st.booleans(), st.data())
+def test_scan_reports_match_the_old_scan_layer(inst, samples, seed, materialized, data):
+    """Exhaustive, sampled and automatic scans, and the counterexample scan
+    both ways, give the old layer's report JSON and leave the same index,
+    on materialized and on implicit instances."""
+    if materialized:
+        inst.graph = materialize(inst)
+    m = data.draw(st.integers(inst.r, inst.n))
+    cap = data.draw(st.sampled_from((0, comb(inst.n, m), 10**6)))
+    twin = GrInstance(inst.r, inst.n, inst.coloring, graph=inst.graph)
+    for mode in ("exhaustive", "sampled", "auto"):
+        got = check_fact_gr(inst, m, mode, samples, seed, exhaustive_cap=cap)
+        want = old_check_fact_gr(twin, m, mode, samples, seed, exhaustive_cap=cap)
+        assert got.to_json_obj() == want.to_json_obj()
+        assert inst._pos == twin._pos
+    if inst.n >= 2 * inst.r:
+        for cap in (0, 10**6):
+            got = scan_counterexample(inst, samples, seed, exhaustive_cap=cap)
+            want = old_scan_counterexample(twin, samples, seed, exhaustive_cap=cap)
+            assert got.to_json_obj() == want.to_json_obj()
 
 
 def test_index_follows_the_coloring():

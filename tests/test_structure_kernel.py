@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ordersize import structure
 from ordersize.blowups import build_pair_family, build_type_family
 from ordersize.constructions import random_hypergraph
 from ordersize.core import (
@@ -381,7 +382,20 @@ def families(draw):
 @given(families())
 def test_rows_check_matches_verify(hf):
     h, fam = hf
-    assert fam._rows_agree(fam.verification_rows(h)) == fam.verify(h)
+    want = all(row["value"] is None or row["value"] == fam.constants[row["type"]]
+               for row in fam.verification_rows(h) if row["type"] in fam.constants)
+    assert fam._rows_agree(fam.verification_rows(h)) == fam.verify(h) == want
+
+
+def test_verify_reads_only_named_types_and_stops_at_a_mismatch(monkeypatch):
+    """``verify`` computes no density for a type without a constant, and
+    none after the first one that disagrees."""
+    h, sets = build_type_family([2, 2, 2], 1, 0, 1, 0)
+    calls = []
+    monkeypatch.setattr(structure, "maybe_density", lambda *a: calls.append(a) or 1)
+    assert HomogenizedFamily(tuple(sets), {}).verify(h) and calls == []
+    assert not HomogenizedFamily(tuple(sets), {"d": 0, "a": 0}).verify(h)
+    assert len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)
