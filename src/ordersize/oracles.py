@@ -1,7 +1,9 @@
 """Oracle checks of the constructive claims, called by both the acceptance
 criteria and the CLI (``verify``, ``values identity``, ``buildh --check``).
 Each re-checks one claim by direct counting and returns what it finds wrong;
-a negative instance count is rejected, not read as zero."""
+a negative instance count is rejected, not read as zero, and so are zero
+samples or seeds for the appendix scan, which would pass having checked
+nothing."""
 
 from __future__ import annotations
 
@@ -16,10 +18,11 @@ from .rng import SeededRNG
 MAX_IDENTITY_M = 12
 
 
-def _nonnegative(**counts: int) -> None:
+def _at_least(low: int, **counts: int) -> None:
+    """Reject a count below ``low``, which is 0 or 1."""
     for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
+        if value < low:
+            raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
 
 
 def positive_compositions(m: int):
@@ -34,7 +37,7 @@ def positive_compositions(m: int):
 
 def lift_mismatches(trials: int, seed: int) -> list[dict]:
     """``verify_lift`` on random factoring r-graphs (n = 12, r = 3, 4, 3, ...)."""
-    _nonnegative(trials=trials)
+    _at_least(0, trials=trials)
     rng = SeededRNG(seed)
     bad, n = [], 12
     for i in range(trials):
@@ -53,7 +56,7 @@ def lift_mismatches(trials: int, seed: int) -> list[dict]:
 def transform_mismatches(max_m: int) -> list[dict]:
     """``transform_params`` against the direct cubic form, for every sign
     pattern in {-1, 0, 1}^5 and positive composition of m = 1..max_m."""
-    _nonnegative(max_m=max_m)
+    _at_least(0, max_m=max_m)
     if max_m > MAX_IDENTITY_M:
         raise ValueError(f"max_m={max_m} above the identity cap {MAX_IDENTITY_M}")
     bad = []
@@ -71,7 +74,7 @@ def blowup_mismatches(trials: int, seed: int) -> list[dict]:
     """Closed-form blow-up edge counts against direct counts: ``trials``
     type blow-ups cycling through the seven (a, b, c), then ``trials``
     mixed pair blow-ups."""
-    _nonnegative(trials=trials)
+    _at_least(0, trials=trials)
     rng = SeededRNG(seed)
     configs = [abc for abc in product((0, 1), repeat=3) if abc != (0, 0, 0)]
     bad = []
@@ -97,7 +100,7 @@ def blowup_mismatches(trials: int, seed: int) -> list[dict]:
 def appendix_runs(r: int, n: int, samples: int, seeds: int, base_seed: int) -> list:
     """Sampled ``scan_counterexample`` reports on implicit G_r(n) seeded
     base_seed, base_seed + 1, ...; the mismatches are their ``violations``."""
-    _nonnegative(samples=samples, seeds=seeds)
+    _at_least(1, samples=samples, seeds=seeds)
     return [constructions.scan_counterexample(
         constructions.build_gr(n, r, base_seed + i, materialize_cap=0), samples=samples, seed=base_seed + i)
         for i in range(seeds)]

@@ -231,10 +231,11 @@ def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
 
 
 def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
-               budget: Budget | None) -> tuple[list[Star], bool]:
-    """Stars (or antistars) of size s with center and leaves in the vertex
-    mask ``cand``, centers in increasing order and each center's leaf sets in
-    lexicographic order; returns (stars, complete).
+               budget: Budget | None) -> tuple[list[tuple[int, list[int]]], bool]:
+    """Leaf masks of the stars (or antistars) of size s with center and
+    leaves in the vertex mask ``cand``: (center, leaf masks) for each center
+    in increasing order, its masks in lexicographic order; returns (groups,
+    complete).
 
     Leaf sets are the s-cliques of the center's pair-link row within ``cand``
     (independent sets for antistars); each extension step spends one unit of
@@ -247,14 +248,20 @@ def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
         raise ValueError(f"star size s={s} must be nonnegative")
     links = h._pair_links
     flip = -1 if anti else 0
-    stars: list[Star] = []
+    groups: list[tuple[int, list[int]]] = []
     for v in bits_of(cand):
         leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
                                       avoid=links if induced else None)
-        stars += [Star(v, bits_of(mask), induced, anti) for mask in leafsets]
+        groups.append((v, leafsets))
         if not complete:
-            return stars, False
-    return stars, True
+            return groups, False
+    return groups, True
+
+
+def _spans_no_edge(links, flip: int, pre: int, lead: tuple[int, ...], x: int) -> bool:
+    """Whether leaf x closes no edge with two of the leaves ``lead`` (mask
+    ``pre``); ``flip=-1`` reads every link complemented, for antistars."""
+    return not any((links[u][x] ^ flip) & pre & ~(1 << u) for u in lead)
 
 
 def find_stars(
@@ -269,11 +276,37 @@ def find_stars(
     Exhaustive over centers and leaf sets within budget; otherwise a truncated
     list flagged partial. Leaf sets are the s-cliques of the center's pair-link
     row (independent sets for antistars); each extension step spends one unit.
+
+    Every star, of a truncated list too, is checked on the center's pair-link
+    row before it is built. Leaf sets that differ only in their top leaf x
+    come in a run and share the prefix below it, which is checked once per
+    run, leaf by leaf as each star's x is; each star then adds the tests of x
+    against the prefix.
     """
-    bud = Budget(budget)
-    stars, complete = _star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
-    for st in stars:  # a truncated list is checked too
-        ensure(st.verify(h), "star")
+    bud, full = Budget(budget), (1 << h.n) - 1
+    groups, complete = _star_sets(h, full, s, want_induced, want_anti, bud)
+    if s == 0:  # each center alone, with no leaf pair to check
+        return StarSearchResult(tuple(Star(v, (), want_induced, want_anti) for v, _ in groups),
+                                complete, bud.used)
+    links, flip = h._pair_links, -1 if want_anti else 0
+    stars: list[Star] = []
+    for v, masks in groups:
+        row, outside = links[v], ~(full ^ (1 << v))
+        pre = -1
+        for mask in masks:
+            x = mask.bit_length() - 1
+            if mask ^ (1 << x) != pre:  # a new prefix: check its leaves in turn
+                pre = mask ^ (1 << x)
+                lead = bits_of(pre)
+                pre_ok, below = not pre & outside, 0
+                for i, u in enumerate(lead):
+                    pre_ok = pre_ok and not below & ~(row[u] ^ flip) and (
+                        not want_induced or _spans_no_edge(links, flip, below, lead[:i], u))
+                    below |= 1 << u
+            # x joins every prefix leaf through v, and closes no edge with two
+            ensure(pre_ok and not mask & outside and not pre & ~(row[x] ^ flip) and (
+                not want_induced or _spans_no_edge(links, flip, pre, lead, x)), "star")
+            stars.append(Star(v, lead + (x,), want_induced, want_anti))
     return StarSearchResult(tuple(stars), complete, bud.used)
 
 

@@ -371,7 +371,8 @@ def find_star_chain(
     sets with their center sets, and each such group is checked once on the
     same rows. Ties go to the lexicographically first center set, then to
     the first leaf set. Each level gets a fresh ``budget``, spent as the
-    per-center star search (``search._star_sets``) spends it. SearchFailed
+    per-center star search (``search._star_sets``, which hands back leaf
+    masks and builds no ``Star``) spends it. SearchFailed
     carries the stage and current vertex set when the stars run out.
     """
     if h.r != 3:

@@ -25,7 +25,15 @@ from ordersize.core import (
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
 from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, build_H, ln_bounds
 from ordersize.rng import SeededRNG
-from ordersize.search import HomogeneousWitness, SpencerResult, Star, _greedy_clique, greedy_forward_clique
+from ordersize.search import (
+    HomogeneousWitness,
+    SpencerResult,
+    Star,
+    StarSearchResult,
+    _cliques,
+    _greedy_clique,
+    greedy_forward_clique,
+)
 from ordersize.spectrum import (
     WeightedWitness,
     WeightFrame,
@@ -1059,3 +1067,64 @@ def old_scan_counterexample(
         report.histogram, report.max_edges, report.target, violations,
         advisory=r < 5,
     )
+
+
+# --- the star search that checked every star through Star.verify -----------------
+
+
+def center_in_first_leaf_set(walk):
+    """The clique walk ``walk`` as a star search calls it (on the center's
+    pair-link row, with every vertex but the center as a candidate), except
+    that the first leaf mask it returns also holds the center."""
+    def faulty(rows, cand, *args, **kwargs):
+        masks, complete = walk(rows, cand, *args, **kwargs)
+        center_bit = ((1 << len(rows)) - 1) ^ cand
+        return [masks[0] | center_bit] + masks[1:] if masks else masks, complete
+    return faulty
+
+
+def old_star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
+                  budget: Budget | None) -> tuple[list[Star], bool]:
+    """Stars (or antistars) of size s with center and leaves in the vertex
+    mask ``cand``, centers in increasing order and each center's leaf sets in
+    lexicographic order; returns (stars, complete).
+
+    Leaf sets are the s-cliques of the center's pair-link row within ``cand``
+    (independent sets for antistars); each extension step spends one unit of
+    ``budget``. An induced star must span no edge (an antistar every triple),
+    which the clique walk tracks on the pair-link rows as it goes.
+    """
+    if h.r != 3:
+        raise ValueError("stars are defined for 3-uniform hypergraphs")
+    if s < 0:
+        raise ValueError(f"star size s={s} must be nonnegative")
+    links = h._pair_links
+    flip = -1 if anti else 0
+    stars: list[Star] = []
+    for v in bits_of(cand):
+        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
+                                      avoid=links if induced else None)
+        stars += [Star(v, bits_of(mask), induced, anti) for mask in leafsets]
+        if not complete:
+            return stars, False
+    return stars, True
+
+
+def old_find_stars(
+    h: Hypergraph,
+    s: int,
+    want_induced: bool = False,
+    want_anti: bool = False,
+    budget: int | None = None,
+) -> StarSearchResult:
+    """Enumerate stars (or antistars) of size s, optionally induced.
+
+    Exhaustive over centers and leaf sets within budget; otherwise a truncated
+    list flagged partial. Leaf sets are the s-cliques of the center's pair-link
+    row (independent sets for antistars); each extension step spends one unit.
+    """
+    bud = Budget(budget)
+    stars, complete = old_star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
+    for st in stars:  # a truncated list is checked too
+        ensure(st.verify(h), "star")
+    return StarSearchResult(tuple(stars), complete, bud.used)

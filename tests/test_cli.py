@@ -105,6 +105,11 @@ def test_verify_suites(capsys):
     # 2r = 10 vertices cannot be drawn from 6: an error, not a vacuous pass
     assert run(["verify", "appendix", "--r", "5", "--n", "6"]) == 2
     assert "error: m=10 exceeds n=6" in capsys.readouterr().err
+    # zero samples, or zero seeds (no report at all), would pass having checked nothing
+    for name, samples, seeds in (("samples", "0", "1"), ("seeds", "10", "0")):
+        assert run(["verify", "appendix", "--r", "5", "--n", "40", "--samples", samples,
+                    "--seeds", seeds]) == 2
+        assert f"{name} must be positive, got 0" in capsys.readouterr().err
 
 
 def test_verify_all_report(tmp_path, capsys):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from ordersize import search
 from ordersize.core import Hypergraph, OrderedGraph, complete_hypergraph, empty_hypergraph
 from ordersize.errors import VerificationError
 from ordersize.rng import SeededRNG
@@ -20,7 +21,7 @@ from ordersize.search import (
     spencer_independent,
 )
 
-from helpers import exhaustive_max_homogeneous
+from helpers import center_in_first_leaf_set, exhaustive_max_homogeneous
 
 
 def seeded_3graph(n, seed, pct=50):
@@ -119,7 +120,9 @@ def test_find_stars_budget_truncation():
 
 
 def test_truncated_star_list_is_verified(monkeypatch):
-    monkeypatch.setattr(Star, "verify", lambda self, h: False)
+    # the walk hands back one leaf mask that holds the center, which no edge
+    # joins to itself
+    monkeypatch.setattr(search, "_cliques", center_in_first_leaf_set(search._cliques))
     with pytest.raises(VerificationError, match="star"):
         find_stars(complete_hypergraph(3, 8), 3, budget=10)
 

@@ -6,10 +6,13 @@ were: the per-center link-graph grouping of ``find_pair_chain`` (one
 copy), the star search that built every candidate ``Star`` and kept those
 passing ``Star.verify``, the star and pair chains that ran on
 ``h.induced(current)`` and relabeled, and the edge-mask scans of ``density``.
-The star chain's common-center walk is also checked against a scan of every
-s-set on ``h.edges``, the family check on ``verification_rows`` against
-``verify``, and the homogeneous subset on a vertex mask against
-``max_homogeneous`` of the induced copy.
+``find_stars``, which checks its stars on the pair-link rows, is checked
+against the search that checked each one through ``Star.verify`` (kept in
+``tests/helpers.py``), both on what the walk hands back and on leaf masks
+with one leaf swapped. The star chain's common-center walk is also checked
+against a scan of every s-set on ``h.edges``, the family check on
+``verification_rows`` against ``verify``, and the homogeneous subset on a
+vertex mask against ``max_homogeneous`` of the induced copy.
 """
 
 from fractions import Fraction
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ordersize import structure
+from ordersize import search, structure
 from ordersize.blowups import build_pair_family, build_type_family
 from ordersize.constructions import random_hypergraph
 from ordersize.core import (
@@ -32,7 +35,7 @@ from ordersize.core import (
     maybe_density,
     vertex_set,
 )
-from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ShapeError
+from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ShapeError, VerificationError
 from ordersize.search import (
     HomogeneousWitness,
     Star,
@@ -43,6 +46,7 @@ from ordersize.search import (
     _star_groups,
     _star_sets,
     enumerate_induced_ktt,
+    find_stars,
     link_graph,
     max_homogeneous,
 )
@@ -52,6 +56,8 @@ from ordersize.structure import (
     find_pair_chain,
     find_star_chain,
 )
+
+from helpers import old_find_stars, old_star_sets
 
 MAX_N = 12
 
@@ -244,6 +250,11 @@ def sub_mask(draw, h):
     return draw(st.integers(0, (1 << h.n) - 1))
 
 
+def plant(parts, consts, complemented=False):
+    h, _ = build_type_family(parts, *consts)
+    return h.complement() if complemented else h
+
+
 # --- pair groups -----------------------------------------------------------------
 
 
@@ -312,10 +323,83 @@ def test_star_sets_match_search_on_induced_copy(data):
     current = bits_of(cand)
     want = oracle_find_stars(h.induced(current), s, induced, anti, budget)
     bud = Budget(budget)
-    stars, complete = _star_sets(h, cand, s, induced, anti, bud)
+    groups, complete = _star_sets(h, cand, s, induced, anti, bud)
+    stars = [Star(v, bits_of(mask), induced, anti) for v, masks in groups for mask in masks]
     relabeled = [Star(current[x.center], tuple(current[u] for u in x.leaves), induced, anti)
                  for x in want.stars]
     assert (stars, complete, bud.used) == (relabeled, want.complete, want.examined)
+
+
+@st.composite
+def star_graphs(draw):
+    """``graphs()``, or a planted type family with parts of up to five
+    vertices, maybe complemented: these have induced stars and antistars of
+    size 3 and 4."""
+    if draw(st.booleans()):
+        return draw(graphs())
+    parts = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    return plant(parts, draw(st.tuples(*[st.integers(0, 1)] * 4)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_graphs(), st.integers(0, 4), st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.integers(-1, 60)))
+@example(complete_hypergraph(3, 8), 3, False, False, 10)
+@example(plant([4] * 4, (1, 1, 0, 0)), 4, True, False, None)
+@example(plant([4] * 4, (1, 1, 0, 0), True), 3, True, True, 40)
+def test_find_stars_matches_the_star_verify_search(h, s, induced, anti, budget):
+    got = find_stars(h, s, induced, anti, budget)
+    assert got == old_find_stars(h, s, induced, anti, budget)
+    assert all(x.verify(h) for x in got.stars)
+
+
+def all_but(n, *missing):
+    """The 3-graph on n vertices with every triple but ``missing``."""
+    return Hypergraph(3, n, [t for t in combinations(range(n), 3) if t not in missing])
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_graphs(), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.one_of(st.none(), st.integers(0, 60)), st.integers(0, 10**4), st.integers(0, 3),
+       st.integers(0, 10**4))
+# (the spot, leaf and vertex draws are taken modulo what there is to pick from)
+# center 0's leaf sets are 134 and 234; 234 becomes 124, whose prefix 12 is
+# not joined through 0 while its last leaf is
+@example(all_but(5, (0, 1, 2)), 3, False, False, None, 1, 1, 1)
+# 124 becomes 134, whose prefix is joined through 0 and whose last leaf is not
+@example(all_but(5, (0, 3, 4)), 3, False, False, None, 1, 1, 3)
+# 124 becomes 123, which is joined through 0 but spans an edge
+@example(all_but(5, (1, 2, 4), (1, 3, 4), (2, 3, 4)), 3, True, False, None, 0, 2, 3)
+def test_find_stars_rejects_exactly_the_leaf_sets_star_verify_rejects(
+        h, s, induced, anti, budget, spot, out, new):
+    """One leaf mask the walk hands back has one leaf swapped for another
+    vertex (maybe the center, or the first one past the last): find_stars
+    returns the stars with that leaf set if ``Star.verify`` passes it, and
+    raises otherwise."""
+    bud = Budget(budget)
+    groups, complete = _star_sets(h, (1 << h.n) - 1, s, induced, anti, bud)
+    spots = [(v, j) for v, masks in groups for j in range(len(masks))]
+    if not spots:
+        return
+    center, j = spots[spot % len(spots)]
+    leaves = bits_of(dict(groups)[center][j])
+    bad = mask_of(leaves) ^ 1 << leaves[out % len(leaves)] | 1 << new % (h.n + 1)
+    walk, row = search._cliques, h._pair_links[center]
+
+    def faulty(rows, cand, *args, **kwargs):
+        masks, done = walk(rows, cand, *args, **kwargs)
+        return (masks[:j] + [bad] + masks[j + 1:] if rows is row else masks), done
+
+    want = [Star(v, bits_of(bad if (v, i) == (center, j) else mask), induced, anti)
+            for v, masks in groups for i, mask in enumerate(masks)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_cliques", faulty)
+        if Star(center, bits_of(bad), induced, anti).verify(h):
+            assert find_stars(h, s, induced, anti, budget) == \
+                StarSearchResult(tuple(want), complete, bud.used)
+        else:
+            with pytest.raises(VerificationError, match="star"):
+                find_stars(h, s, induced, anti, budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,11 +409,6 @@ def test_star_groups_match_subset_scan(data):
     cand = sub_mask(data.draw, h)
     s = data.draw(st.integers(0, 4))
     assert _star_groups(h._pair_links, cand, s) == oracle_star_groups(h, cand, s)
-
-
-def plant(parts, consts, complemented=False):
-    h, _ = build_type_family(parts, *consts)
-    return h.complement() if complemented else h
 
 
 @settings(max_examples=120, deadline=None)
@@ -345,6 +424,29 @@ def plant(parts, consts, complemented=False):
 def test_star_chain_matches_induced_copy_chain(h, ell, s, budget):
     assert outcome(lambda: find_star_chain(h, ell, s, budget)) == \
         outcome(lambda: oracle_star_chain(h, ell, s, budget))
+
+
+@settings(max_examples=120, deadline=None)
+@given(star_graphs(), st.integers(1, 3), st.integers(2, 4), st.integers(0, 300))
+@example(plant([3] * 4, (0, 0, 1, 1), True), 3, 3, 300)
+@example(plant([4] * 4, (1, 1, 0, 0)), 3, 3, 40)
+def test_budgeted_star_chain_keeps_its_units_and_messages(h, ell, s, budget):
+    """The budget's pre-walk reads only completeness and units from
+    ``_star_sets``; with the star search that built and returned every
+    ``Star`` in its place, the chain, the errors' messages and fields, and
+    ``BudgetExhausted.used`` are the same."""
+    def full_outcome():
+        try:
+            return ("ok", find_star_chain(h, ell, s, budget))
+        except BudgetExhausted as e:
+            return ("budget", str(e), e.used)
+        except SearchFailed as e:
+            return ("failed", str(e), e.reason, e.detail)
+
+    got = full_outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_star_sets", old_star_sets)
+        assert got == full_outcome()
 
 
 # --- family checks ----------------------------------------------------------------
