@@ -34,8 +34,6 @@ from .rng import SeededRNG, keyed_coloring
 from .search import (
     HomogeneousWitness,
     Star,
-    count_independent_tsets,
-    count_induced_ktt,
     find_stars,
     greedy_forward_clique,
     link_graph,

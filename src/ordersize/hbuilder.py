@@ -276,10 +276,6 @@ def clique_node(t: int) -> CertNode:
     return CertNode("clique", t)
 
 
-def f0_node() -> CertNode:
-    return CertNode("f0", 3)
-
-
 def _single() -> CertNode:
     return CertNode("empty", 1)
 

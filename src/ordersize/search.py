@@ -74,41 +74,26 @@ class SpencerResult:
     met_target: bool
 
 
-@dataclass(frozen=True)
-class CountReport:
-    value: int
-    exact: bool
-    examined: int
+def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None, avoid=None):
+    """Every t-clique (t = ``size``) inside the candidate mask ``cand``, by an
+    exact bit-parallel branch and bound (BBMC, San Segundo et al. 2011).
 
-
-def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
-             size: int | None = None, budget: Budget | None = None, avoid=None):
-    """Exact bit-parallel branch and bound over the candidate mask ``cand``
-    (BBMC, San Segundo et al. 2011).
-
-    After v is taken, a candidate u stays when u is in rows[v] (the adjacency
-    rows of a 2-graph) or, with ``pairs``, in rows[a][v] for every vertex a
-    taken before v (the pair-link table of a 3-graph). ``flip=-1`` reads every
-    row complemented, so cliques become independent sets. Vertices are taken
-    in increasing order, so cliques are met in lexicographic order.
-
-    With ``size=None`` the lexicographically first maximum clique is returned
-    as a tuple. With ``size=t`` the result is (masks of all t-cliques in
-    lexicographic order, complete); each extension step spends one unit of
-    ``budget``, and a step it cannot pay for ends the search with
-    complete=False and the cliques listed so far. A pair-link table
-    ``avoid`` (size mode only) keeps just the t-cliques that span no triple
-    of it (with ``flip=-1``: all of whose triples are in it); the walk and
-    the steps it spends are the same as without it.
+    After v is taken, a candidate u stays when u is in rows[v], the
+    adjacency rows of a 2-graph; ``flip=-1`` reads every row complemented,
+    so cliques become independent sets. Vertices are taken in increasing
+    order, so the result, (masks of all t-cliques in lexicographic order,
+    complete), lists them in lexicographic order. Each extension step spends
+    one unit of ``budget``, and a step it cannot pay for ends the search with
+    complete=False and the cliques listed so far. A 3-graph's pair-link table
+    ``avoid`` keeps just the t-cliques that span no triple of it (with
+    ``flip=-1``: all of whose triples are in it); the walk and the steps it
+    spends are the same as without it.
     """
     if size == 0:
         return [0], True
     found: list[int] = []
-    # a useful clique must exceed the floor; with size=t the last level
-    # (depth t - 1) is settled in one pass
-    floor = last = -1 if size is None else size - 1
-    keep_chosen = pairs or avoid is not None
-    chosen: list[int] = []  # the clique so far, kept only with keep_chosen
+    last = size - 1  # the last level is settled in one pass
+    chosen: list[int] = []  # the clique so far, kept only with avoid
     # steps the budget can still pay for; the walk adds its steps to it once
     left = None if budget is None or budget.limit is None else max(budget.limit - budget.used, 0)
     steps = 0
@@ -116,7 +101,7 @@ def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
     def extend(mask: int, depth: int, cand: int, clean: int) -> bool:
         # clean: the candidates that keep the clique so far free of avoided
         # triples (0 once it spans one); without avoid, every candidate
-        nonlocal floor, steps
+        nonlocal steps
         if depth == last:  # every candidate completes a t-clique
             k = cand.bit_count()
             done = left is None or steps + k <= left
@@ -129,37 +114,29 @@ def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
                 if low & clean:
                     found.append(mask | low)
             return done
-        if size is None and depth > floor:
-            floor = depth
-            found.append(mask)
         rest = cand
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            if depth + 1 + rest.bit_count() <= floor:
-                return True  # v and every later candidate cannot reach past the floor
+            if depth + 1 + rest.bit_count() <= last:
+                return True  # v and every later candidate cannot reach t
             if steps == left:
                 return False
             steps += 1
-            if pairs:
-                sub = rest
-                for a in chosen:
-                    sub &= rows[a][v] ^ flip
-            else:
-                sub = rest & (rows[v] ^ flip)
-            if depth + 1 + sub.bit_count() <= floor:
+            sub = rest & (rows[v] ^ flip)
+            if depth + 1 + sub.bit_count() <= last:
                 continue  # the child could only return at once
             sub_clean = clean if low & clean else 0
-            if avoid is not None and sub_clean:
-                for a in chosen:
-                    sub_clean &= ~(avoid[a][v] ^ flip)
-            if keep_chosen:
+            if avoid is None:
+                done = extend(mask | low, depth + 1, sub, sub_clean)
+            else:
+                if sub_clean:
+                    for a in chosen:
+                        sub_clean &= ~(avoid[a][v] ^ flip)
                 chosen.append(v)
                 done = extend(mask | low, depth + 1, sub, sub_clean)
                 chosen.pop()
-            else:
-                done = extend(mask | low, depth + 1, sub, sub_clean)
             if not done:
                 return False
         return True
@@ -167,16 +144,92 @@ def _cliques(rows, cand: int, flip: int = 0, pairs: bool = False,
     complete = extend(0, 0, cand, -1)
     if budget is not None:
         budget.used += steps
-    if size is None:
-        return bits_of(found[-1])
     return found, complete
+
+
+def _clique_search(rows, flip: int, pairs: bool, c: list[int], chosen: list[int]):
+    """The walk of both phases of ``_max_clique``: extend(need, rest) tells
+    whether need >= 1 vertices of the mask ``rest``, all above the clique
+    ``chosen``, extend it, and leaves the lexicographically first such
+    extension in ``chosen``.
+
+    After v is taken, a candidate u stays when u is in rows[v] (a 2-graph's
+    adjacency rows) or, with ``pairs``, in rows[a][v] for every vertex a
+    taken before v (a 3-graph's pair-link table); ``flip=-1`` reads the rows
+    complemented, for independent sets. A branch stops once the candidates
+    left, or c[v], the most vertices a clique can add from v on, fall short.
+    """
+    def extend(need: int, rest: int) -> bool:
+        while rest:
+            if rest.bit_count() < need:
+                return False
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if c[v] < need:
+                return False  # c only falls as v rises
+            rest ^= low
+            if pairs:
+                sub = rest
+                for a in chosen:
+                    sub &= rows[a][v] ^ flip
+            else:
+                sub = rest & (rows[v] ^ flip)
+            chosen.append(v)
+            if need == 1 or sub.bit_count() >= need - 1 and extend(need - 1, sub):
+                return True
+            chosen.pop()
+        return False
+
+    return extend
+
+
+def _clique_bounds(rows, cand: int, flip: int, pairs: bool) -> tuple[list[int], int]:
+    """Phase 1 of ``_max_clique`` (Östergård 2002): (c, omega), where c[w]
+    is the size of a maximum clique among the vertices of ``cand`` at or
+    above w, for each w in ``cand``, and omega that of ``cand`` itself.
+
+    The vertices are taken from the highest down. With ``best`` the clique
+    number of the vertices above w, c[w] is best + 1 if some clique of that
+    size has w as its lowest vertex, and best otherwise; the walk for w stops
+    at the first one.
+    """
+    c = [0] * len(rows)
+    chosen: list[int] = []
+    extend = _clique_search(rows, flip, pairs, c, chosen)
+    best = above = 0
+    for w in reversed(bits_of(cand)):
+        chosen[:] = (w,)
+        if best == 0 or extend(best, above if pairs else above & (rows[w] ^ flip)):
+            best += 1
+        c[w] = best
+        above |= 1 << w
+    return c, best
+
+
+def _first_max_clique(rows, cand: int, flip: int, pairs: bool, c: list[int],
+                      omega: int) -> tuple[int, ...]:
+    """Phase 2 of ``_max_clique``: the lexicographically first omega-clique in
+    ``cand``, by one walk up from the lowest vertex that stops at the first
+    one, with the table c of ``_clique_bounds`` on the same rows."""
+    chosen: list[int] = []
+    if omega:
+        _clique_search(rows, flip, pairs, c, chosen)(omega, cand)
+    return tuple(chosen)
+
+
+def _max_clique(rows, cand: int, flip: int = 0, pairs: bool = False) -> tuple[int, ...]:
+    """The lexicographically first maximum clique inside the candidate mask
+    ``cand``, on rows read as in ``_clique_search``: a table of suffix clique
+    numbers (phase 1), then one lexicographic pass pruned by it (phase 2)."""
+    c, omega = _clique_bounds(rows, cand, flip, pairs)
+    return _first_max_clique(rows, cand, flip, pairs, c, omega)
 
 
 def _greedy_clique(rows, cand: int, flip: int = 0, pairs: bool = False,
                    highest: bool = False) -> tuple[int, ...]:
     """One greedy pass: take the lowest (or highest) candidate, keep the
-    candidates that the rows allow beside it, as in ``_cliques``, and repeat.
-    Returns the clique in increasing order."""
+    candidates that the rows allow beside it, as in ``_clique_search``, and
+    repeat. Returns the clique in increasing order."""
     chosen: list[int] = []
     while cand:
         v = cand.bit_length() - 1 if highest else (cand & -cand).bit_length() - 1
@@ -205,14 +258,16 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
 def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
     """``max_homogeneous`` of the subgraph on the vertex mask ``cand``, in the
     vertex ids of h."""
+    links = h._pair_links
     exact = cand.bit_count() <= exact_limit
-    search = _cliques if exact else _greedy_clique
-    cl = search(h._pair_links, cand, 0, True)
-    ind = search(h._pair_links, cand, -1, True)
-    if len(cl) >= len(ind):
-        w = HomogeneousWitness(cl, "clique", exact)
+    if exact:  # the larger omega, the clique's on ties, picks the one side phase 2 runs on
+        cl, ind = _clique_bounds(links, cand, 0, True), _clique_bounds(links, cand, -1, True)
+        flip, (c, omega) = (0, cl) if cl[1] >= ind[1] else (-1, ind)
+        found = _first_max_clique(links, cand, flip, True, c, omega)
     else:
-        w = HomogeneousWitness(ind, "independent", exact)
+        cl, ind = _greedy_clique(links, cand, 0, True), _greedy_clique(links, cand, -1, True)
+        flip, found = (0, cl) if len(cl) >= len(ind) else (-1, ind)
+    w = HomogeneousWitness(found, "independent" if flip else "clique", exact)
     ensure(w.verify(h), "homogeneous witness")
     return w
 
@@ -403,26 +458,12 @@ def greedy_forward_clique(g: OrderedGraph) -> tuple[int, ...]:
 
 def max_clique(g: OrderedGraph) -> tuple[int, ...]:
     """Exact maximum clique of a 2-graph; lexicographically first optimum."""
-    return _cliques(g.adj, (1 << g.n) - 1)
+    return _max_clique(g.adj, (1 << g.n) - 1)
 
 
 def max_independent_set(g: OrderedGraph) -> tuple[int, ...]:
     """Exact maximum independent set of a 2-graph; lexicographically first."""
-    return _cliques(g.adj, (1 << g.n) - 1, -1)
-
-
-def count_independent_tsets(g: OrderedGraph, t: int) -> int:
-    """Exact number of independent t-sets."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return len(_cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0])
-
-
-def _is_complete_between(g: OrderedGraph, amask: int, bmask: int) -> bool:
-    for a in bits_of(amask):
-        if bmask & ~g.adj[a]:
-            return False
-    return True
+    return _max_clique(g.adj, (1 << g.n) - 1, -1)
 
 
 def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
@@ -437,42 +478,6 @@ def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
     if common.bit_count() < t:
         return []
     return _cliques(g.adj, common, -1, size=t)[0]
-
-
-def count_induced_ktt(
-    g: OrderedGraph, t: int, budget: int | None = None, seed: int = 0
-) -> CountReport:
-    """Count unordered pairs of disjoint independent t-sets that are complete
-    bipartite to each other. Exact within budget, else a sampled estimate
-    (flagged by ``exact=False``), seeded for replay.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
-    tsets = _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]
-    total_pairs = len(tsets) * (len(tsets) - 1) // 2
-    if budget is None or total_pairs <= budget:
-        count = 0
-        for amask in tsets:
-            count += sum(1 for b in _ktt_partners(g, amask, t) if b > amask)
-        return CountReport(count, True, total_pairs)
-    rng = SeededRNG(seed)
-    hits = 0
-    samples = budget
-    for _ in range(samples):
-        i = rng.randrange(len(tsets))
-        j = rng.randrange(len(tsets))
-        if i == j:
-            continue
-        a, b = tsets[i], tsets[j]
-        if a & b:
-            continue
-        if _is_complete_between(g, a, b):
-            hits += 1
-    ordered_total = len(tsets) * (len(tsets) - 1)
-    est = round(hits / samples * ordered_total / 2)
-    return CountReport(est, False, samples)
 
 
 def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -20,8 +20,8 @@ from .errors import Budget, BudgetExhausted, SearchFailed, ensure
 from .search import (
     DEFAULT_EXACT_LIMIT,
     HomogeneousWitness,
-    _cliques,
     _ktt_groups,
+    _max_clique,
     _max_homogeneous_in,
     _star_groups,
     _star_sets,
@@ -436,7 +436,7 @@ def largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...
         raise ValueError("a 3-graph without vertices has no star")
     full = (1 << h.n) - 1
     flip = -1 if anti else 0
-    stars = [(v, _cliques(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
+    stars = [(v, _max_clique(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
     return max(stars, key=lambda st: len(st[1]))  # the first center on ties
 
 

@@ -32,6 +32,7 @@ from ordersize.search import (
     StarSearchResult,
     _cliques,
     _greedy_clique,
+    _ktt_partners,
     greedy_forward_clique,
 )
 from ordersize.spectrum import (
@@ -1128,3 +1129,136 @@ def old_find_stars(
     for st in stars:  # a truncated list is checked too
         ensure(st.verify(h), "star")
     return StarSearchResult(tuple(stars), complete, bud.used)
+
+
+# --- the counters that only the tests call ------------------------------------------
+
+
+@dataclass(frozen=True)
+class CountReport:
+    value: int
+    exact: bool
+    examined: int
+
+
+def count_independent_tsets(g: OrderedGraph, t: int) -> int:
+    """Exact number of independent t-sets."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return len(_cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0])
+
+
+def _is_complete_between(g: OrderedGraph, amask: int, bmask: int) -> bool:
+    for a in bits_of(amask):
+        if bmask & ~g.adj[a]:
+            return False
+    return True
+
+
+def count_induced_ktt(
+    g: OrderedGraph, t: int, budget: int | None = None, seed: int = 0
+) -> CountReport:
+    """Count unordered pairs of disjoint independent t-sets that are complete
+    bipartite to each other. Exact within budget, else a sampled estimate
+    (flagged by ``exact=False``), seeded for replay.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
+    tsets = _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]
+    total_pairs = len(tsets) * (len(tsets) - 1) // 2
+    if budget is None or total_pairs <= budget:
+        count = 0
+        for amask in tsets:
+            count += sum(1 for b in _ktt_partners(g, amask, t) if b > amask)
+        return CountReport(count, True, total_pairs)
+    rng = SeededRNG(seed)
+    hits = 0
+    samples = budget
+    for _ in range(samples):
+        i = rng.randrange(len(tsets))
+        j = rng.randrange(len(tsets))
+        if i == j:
+            continue
+        a, b = tsets[i], tsets[j]
+        if a & b:
+            continue
+        if _is_complete_between(g, a, b):
+            hits += 1
+    ordered_total = len(tsets) * (len(tsets) - 1)
+    est = round(hits / samples * ordered_total / 2)
+    return CountReport(est, False, samples)
+
+
+# --- the maximum-clique walk before the suffix-bound table --------------------------
+
+
+def old_max_clique_walk(rows, cand: int, flip: int = 0, pairs: bool = False) -> tuple[int, ...]:
+    """The lexicographically first maximum clique inside ``cand``, by the
+    size=None mode of the branch and bound that ``_max_clique`` replaced: a
+    candidate-count bound against the largest clique met so far. Its walk is
+    unchanged; the budget, ``avoid`` and t-clique branches, which never ran
+    in this mode, are left out."""
+    found: list[int] = []
+    floor = -1
+    chosen: list[int] = []  # the clique so far, kept only with pairs
+
+    def extend(mask: int, depth: int, cand: int) -> None:
+        nonlocal floor
+        if depth > floor:
+            floor = depth
+            found.append(mask)
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if depth + 1 + rest.bit_count() <= floor:
+                return  # v and every later candidate cannot reach past the floor
+            if pairs:
+                sub = rest
+                for a in chosen:
+                    sub &= rows[a][v] ^ flip
+            else:
+                sub = rest & (rows[v] ^ flip)
+            if depth + 1 + sub.bit_count() <= floor:
+                continue  # the child could only return at once
+            if pairs:
+                chosen.append(v)
+                extend(mask | low, depth + 1, sub)
+                chosen.pop()
+            else:
+                extend(mask | low, depth + 1, sub)
+
+    extend(0, 0, cand)
+    return bits_of(found[-1])
+
+
+def old_max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
+    """``search._max_homogeneous_in`` as it ran both sides to the end on the
+    old walk."""
+    exact = cand.bit_count() <= exact_limit
+    search = old_max_clique_walk if exact else _greedy_clique
+    cl = search(h._pair_links, cand, 0, True)
+    ind = search(h._pair_links, cand, -1, True)
+    if len(cl) >= len(ind):
+        return HomogeneousWitness(cl, "clique", exact)
+    return HomogeneousWitness(ind, "independent", exact)
+
+
+def old_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
+    """``structure.largest_star`` on the old walk."""
+    full, flip = (1 << h.n) - 1, -1 if anti else 0
+    stars = [(v, old_max_clique_walk(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
+    return max(stars, key=lambda st: len(st[1]))
+
+
+def with_one_more_vertex(phase2):
+    """The lexicographic pass ``phase2`` of the maximum-clique kernel, except
+    that its clique also holds the lowest candidate outside it, if any."""
+    def faulty(rows, cand, *args):
+        got = phase2(rows, cand, *args)
+        extra = cand & ~mask_of(got)
+        return tuple(sorted(got + bits_of(extra & -extra)))
+    return faulty

@@ -1,11 +1,12 @@
-"""Differential tests of the bitset clique kernel ``search._cliques`` and the
-greedy pass ``search._greedy_clique``.
+"""Differential tests of the maximum-clique kernel ``search._max_clique``, the
+t-clique walk ``search._cliques`` and the greedy pass ``search._greedy_clique``.
 
 Oracles: networkx clique numbers and a brute-force scan for the
 lexicographically first maximum clique or independent set; a ``combinations``
-scan for 3-graphs; ``enumerate_cliques_reference``, a copy of the t-clique
-enumerator the kernel replaced, with its list-cell budget; and the greedy
-procedure written out step by step.
+scan for 3-graphs; ``old_max_clique_walk``, the maximum-clique walk the
+two-phase kernel replaced; ``enumerate_cliques_reference``, a copy of the
+t-clique enumerator the kernel replaced, with its list-cell budget; and the
+greedy procedure written out step by step.
 """
 
 from itertools import combinations
@@ -21,12 +22,17 @@ from ordersize.search import (
     StarSearchResult,
     _cliques,
     _greedy_clique,
+    _max_clique,
+    _max_homogeneous_in,
     find_stars,
     link_graph,
     max_clique,
     max_homogeneous,
     max_independent_set,
 )
+from ordersize.structure import largest_star
+
+from helpers import old_largest_star, old_max_clique_walk, old_max_homogeneous_in
 
 MAX_N = 12
 
@@ -148,12 +154,46 @@ def test_max_clique_sizes_match_networkx():
 @given(hypergraphs())
 def test_3graph_max_clique_both_sides(h):
     full = (1 << h.n) - 1
-    cl = _cliques(h._pair_links, full, 0, True)
-    ind = _cliques(h._pair_links, full, -1, True)
+    cl = _max_clique(h._pair_links, full, 0, True)
+    ind = _max_clique(h._pair_links, full, -1, True)
     assert cl == first_max(h.n, lambda s: all(t in h.edges for t in combinations(s, 3)))
     assert ind == first_max(h.n, lambda s: not any(t in h.edges for t in combinations(s, 3)))
     w = max_homogeneous(h)
     assert w.set == (cl if len(cl) >= len(ind) else ind)
+
+
+@st.composite
+def dense_or_sparse(draw, r, max_n):
+    """An r-graph (r = 2 or 3) whose edges each appear with a drawn chance
+    from 0 to 100 %."""
+    n = draw(st.integers(0, max_n))
+    tuples = list(combinations(range(n), r))
+    pct = draw(st.integers(0, 100))
+    keep = draw(st.lists(st.integers(0, 99), min_size=len(tuples), max_size=len(tuples)))
+    edges = [t for t, x in zip(tuples, keep) if x < pct]
+    return OrderedGraph(n, edges) if r == 2 else Hypergraph(3, n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_max_clique_matches_the_old_walk(data):
+    """``_max_clique`` on adjacency rows, on one pair-link row (as
+    ``largest_star`` reads it) and on the pair-link table, with any candidate
+    mask and either flip; the exact branch of ``_max_homogeneous_in`` and
+    ``largest_star`` beside their old code paths."""
+    g = data.draw(dense_or_sparse(2, 14))
+    h = data.draw(dense_or_sparse(3, 14))
+    flip = data.draw(st.sampled_from([0, -1]))
+    cases = [(g.adj, g.n, False), (h._pair_links, h.n, True)]
+    if h.n:
+        cases.append((h._pair_links[data.draw(st.integers(0, h.n - 1))], h.n, False))
+    for rows, n, pairs in cases:
+        cand = data.draw(st.integers(0, (1 << n) - 1))
+        assert _max_clique(rows, cand, flip, pairs) == old_max_clique_walk(rows, cand, flip, pairs)
+    cand = data.draw(st.integers(0, (1 << h.n) - 1))
+    assert _max_homogeneous_in(h, cand, h.n) == old_max_homogeneous_in(h, cand, h.n)
+    if h.n:
+        assert largest_star(h, flip == -1) == old_largest_star(h, flip == -1)
 
 
 K6 = OrderedGraph(6, list(combinations(range(6), 2)))

@@ -77,6 +77,29 @@ def test_postconditions_hold_under_optimize():
     assert proc.stdout.startswith("raised: postcondition failed: star"), proc.stdout
 
 
+HOMOGENEOUS_PROBE = r"""
+from ordersize import Hypergraph, VerificationError, max_homogeneous, search
+from helpers import with_one_more_vertex
+assert False, "asserts must be stripped under -O"
+search._first_max_clique = with_one_more_vertex(search._first_max_clique)
+try:
+    max_homogeneous(Hypergraph(3, 4, [(0, 1, 2)]))  # the clique 012, and 0123 is none
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_homogeneous_witness_is_checked_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", HOMOGENEOUS_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: postcondition failed: homogeneous witness\n", proc.stdout
+
+
 SAMPLED_GR_PROBE = r"""
 import json
 from ordersize import build_gr, check_fact_gr

@@ -15,7 +15,6 @@ from ordersize.hbuilder import (
     d_sequence,
     empty_node,
     expand_certificate,
-    f0_node,
     ln_bounds,
     position_weight,
     verify_claim_d,
@@ -133,7 +132,7 @@ def test_verify_claim_d():
 def test_expand_leaves():
     assert expand_certificate(empty_node(4)).edges == frozenset()
     assert expand_certificate(clique_node(3)).edges == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert expand_certificate(f0_node()).edges == frozenset({(0, 2)})
+    assert expand_certificate(CertNode("f0", 3)).edges == frozenset({(0, 2)})
 
 
 def test_expand_monotone_star():

@@ -9,8 +9,6 @@ from ordersize.errors import VerificationError
 from ordersize.rng import SeededRNG
 from ordersize.search import (
     Star,
-    count_independent_tsets,
-    count_induced_ktt,
     enumerate_induced_ktt,
     find_stars,
     greedy_forward_clique,
@@ -21,7 +19,12 @@ from ordersize.search import (
     spencer_independent,
 )
 
-from helpers import center_in_first_leaf_set, exhaustive_max_homogeneous
+from helpers import (
+    center_in_first_leaf_set,
+    count_independent_tsets,
+    count_induced_ktt,
+    exhaustive_max_homogeneous,
+)
 
 
 def seeded_3graph(n, seed, pct=50):
