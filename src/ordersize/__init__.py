@@ -36,7 +36,6 @@ from .search import (
     Star,
     find_stars,
     greedy_forward_clique,
-    link_graph,
     max_clique,
     max_homogeneous,
     max_independent_set,

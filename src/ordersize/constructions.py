@@ -22,6 +22,7 @@ from .core import (
     mask_of,
     pair_rank,
 )
+from .errors import at_least
 from .rng import SeededRNG
 from .values import g_r
 
@@ -269,7 +270,8 @@ def check_fact_gr(
     most samples * m visits, the least the unmasked scan pays; a sample that
     misses one mask is then counted as 0 at once. When that DFS runs out of
     visits, the scan runs unmasked, with the same report. Raises ValueError
-    when m exceeds n or ``mode`` is not "auto", "exhaustive" or "sampled".
+    when m exceeds n, ``mode`` is not "auto", "exhaustive" or "sampled", or a
+    sampled scan gets fewer than one sample.
     """
     if m > inst.n:
         raise ValueError(f"m={m} exceeds n={inst.n}")
@@ -282,6 +284,7 @@ def check_fact_gr(
         counts = iter_subset_counts(graph, m)
         samples, seed = total, None
     elif mode == "sampled":
+        at_least(1, samples=samples)
         # every unindexed sample visits at least its m depth-0 vertices
         inst._index_positions(samples * m)
         draw, count = SeededRNG(seed).sorted_sample, inst.count_in_subset

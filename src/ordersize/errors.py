@@ -42,6 +42,13 @@ def ensure(ok: bool, what: str) -> None:
         raise VerificationError(f"postcondition failed: {what}")
 
 
+def at_least(low: int, **counts: int) -> None:
+    """Reject a count below ``low``, which is 0 or 1, with a ValueError."""
+    for name, value in counts.items():
+        if value < low:
+            raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+
+
 class SearchFailed(OrderSizeError):
     """A constructive search failed; carries a machine-readable reason."""
 

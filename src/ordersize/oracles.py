@@ -11,18 +11,12 @@ from itertools import combinations, product
 
 from . import constructions, hbuilder, spectrum, values
 from .core import Hypergraph
+from .errors import at_least
 from .rng import SeededRNG
 
 # transform_mismatches evaluates 243 * 2^(m-1) compositions for each m, so
 # each step of max_m doubles its run
 MAX_IDENTITY_M = 12
-
-
-def _at_least(low: int, **counts: int) -> None:
-    """Reject a count below ``low``, which is 0 or 1."""
-    for name, value in counts.items():
-        if value < low:
-            raise ValueError(f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
 
 
 def positive_compositions(m: int):
@@ -37,7 +31,7 @@ def positive_compositions(m: int):
 
 def lift_mismatches(trials: int, seed: int) -> list[dict]:
     """``verify_lift`` on random factoring r-graphs (n = 12, r = 3, 4, 3, ...)."""
-    _at_least(0, trials=trials)
+    at_least(0, trials=trials)
     rng = SeededRNG(seed)
     bad, n = [], 12
     for i in range(trials):
@@ -56,7 +50,7 @@ def lift_mismatches(trials: int, seed: int) -> list[dict]:
 def transform_mismatches(max_m: int) -> list[dict]:
     """``transform_params`` against the direct cubic form, for every sign
     pattern in {-1, 0, 1}^5 and positive composition of m = 1..max_m."""
-    _at_least(0, max_m=max_m)
+    at_least(0, max_m=max_m)
     if max_m > MAX_IDENTITY_M:
         raise ValueError(f"max_m={max_m} above the identity cap {MAX_IDENTITY_M}")
     bad = []
@@ -74,7 +68,7 @@ def blowup_mismatches(trials: int, seed: int) -> list[dict]:
     """Closed-form blow-up edge counts against direct counts: ``trials``
     type blow-ups cycling through the seven (a, b, c), then ``trials``
     mixed pair blow-ups."""
-    _at_least(0, trials=trials)
+    at_least(0, trials=trials)
     rng = SeededRNG(seed)
     configs = [abc for abc in product((0, 1), repeat=3) if abc != (0, 0, 0)]
     bad = []
@@ -100,7 +94,7 @@ def blowup_mismatches(trials: int, seed: int) -> list[dict]:
 def appendix_runs(r: int, n: int, samples: int, seeds: int, base_seed: int) -> list:
     """Sampled ``scan_counterexample`` reports on implicit G_r(n) seeded
     base_seed, base_seed + 1, ...; the mismatches are their ``violations``."""
-    _at_least(1, samples=samples, seeds=seeds)
+    at_least(1, samples=samples, seeds=seeds)
     return [constructions.scan_counterexample(
         constructions.build_gr(n, r, base_seed + i, materialize_cap=0), samples=samples, seed=base_seed + i)
         for i in range(seeds)]

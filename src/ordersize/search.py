@@ -1,4 +1,4 @@
-"""Homogeneous-set, star, and link-graph search primitives.
+"""Homogeneous-set, star, and pair-link search primitives.
 
 Every witness returned here is re-verified against the source graph by direct
 edge queries before it leaves the function. Tie-breaking is by smallest vertex
@@ -272,19 +272,6 @@ def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> Homogeneo
     return w
 
 
-def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
-    """For a 3-graph: the graph on V minus v with edges {xy : xyv in E}."""
-    if h.r != 3:
-        raise ValueError("link graphs are defined for 3-uniform hypergraphs")
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} out of range")
-    low = (1 << v) - 1  # bit v of a row is clear; the bits above it move down one
-    rows = tuple(
-        (row & low) | (row >> 1 & ~low) for u, row in enumerate(h._pair_links[v]) if u != v
-    )
-    return OrderedGraph._from_rows(h.n - 1, rows)
-
-
 def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
                budget: Budget | None) -> tuple[list[tuple[int, list[int]]], bool]:
     """Leaf masks of the stars (or antistars) of size s with center and
@@ -464,30 +451,6 @@ def max_clique(g: OrderedGraph) -> tuple[int, ...]:
 def max_independent_set(g: OrderedGraph) -> tuple[int, ...]:
     """Exact maximum independent set of a 2-graph; lexicographically first."""
     return _max_clique(g.adj, (1 << g.n) - 1, -1)
-
-
-def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
-    """Independent t-sets inside the common neighborhood of A.
-
-    Such a set is automatically disjoint from A and completely joined to it,
-    so (A, partner) is an induced K_{t,t}.
-    """
-    common = (1 << g.n) - 1
-    for a in bits_of(amask):
-        common &= g.adj[a]
-    if common.bit_count() < t:
-        return []
-    return _cliques(g.adj, common, -1, size=t)[0]
-
-
-def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All unordered induced K_{t,t} part pairs, each as (A, B) with A lex-first."""
-    out = []
-    for amask in _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]:
-        for bmask in _ktt_partners(g, amask, t):
-            if bmask > amask:
-                out.append((bits_of(amask), bits_of(bmask)))
-    return out
 
 
 def _ktt_groups(links, cand: int, t: int, visit) -> None:

@@ -22,7 +22,7 @@ from .core import (
     iter_subset_counts,
     mask_of,
 )
-from .errors import Budget, BudgetExhausted, FactorizationError, SearchFailed, ensure
+from .errors import Budget, BudgetExhausted, FactorizationError, SearchFailed, at_least, ensure
 from .rng import SeededRNG
 from .search import HomogeneousWitness, _greedy_clique
 
@@ -192,8 +192,8 @@ def size_spectrum(
     Exhaustive mode scans all C(n, m) subsets and refuses above ``cap``;
     with ``threads > 1`` a scan of at least ``_PARALLEL_MIN_SUBSETS``
     subsets is split over a worker pool, a smaller one stays serial.
-    Sampled mode draws seeded uniform subsets. One witness is stored per
-    achieved value, the first in scan order.
+    Sampled mode draws ``samples`` seeded uniform subsets, at least one.
+    One witness is stored per achieved value, the first in scan order.
     """
     if not h.r <= m <= h.n:
         raise ValueError(f"m={m} out of range [{h.r}, {h.n}]")
@@ -209,6 +209,7 @@ def size_spectrum(
             witnesses, examined = _scan_chunk(h, m, 0, total)
         return SpectrumReport(m, sorted(witnesses), witnesses, "exhaustive", examined)
     if mode == "sampled":
+        at_least(1, samples=samples)
         rng = SeededRNG(seed)
         witnesses = {}
         for _ in range(samples):
@@ -374,15 +375,20 @@ def find_weighted_mf_subset(
     if isinstance(out, WeightedWitness):
         ensure(out.verify(g), "weighted witness")
     else:
-        homogeneous = g.is_clique if out.kind == "clique" else g.is_independent
-        ensure(homogeneous(out.set), "homogeneous witness")
-        if len(out.set) < h:
-            raise SearchFailed(
-                "homogeneous witness smaller than the target",
-                reason="guarantee precondition unmet",
-                detail={"size": len(out.set), "h": h},
-            )
+        ensure(out.verify(g) and len(out.set) >= h, "homogeneous witness")
     return out
+
+
+def _large_or_fail(found: tuple[int, ...], kind: str, exact: bool, h: int, cut: BudgetExhausted | None,
+                   message: str, detail: dict) -> HomogeneousWitness:
+    """The one exit of a search stage that found no pattern: the homogeneous
+    set ``found`` when it reaches h, else the budget cut ``cut`` when a search
+    ran out, else a failed guarantee precondition."""
+    if len(found) >= h:
+        return HomogeneousWitness(found, kind, exact)
+    if cut is not None:
+        raise cut
+    raise SearchFailed(message, reason="guarantee precondition unmet", detail=detail)
 
 
 def _weighted(
@@ -410,14 +416,9 @@ def _weighted(
             ne = _first_edge_in(g.complement(), mask)
             if ne is not None:
                 return WeightedWitness(ne, 3, 3, 0)
-            clique = bits_of(mask)
-            if len(clique) >= h:
-                return HomogeneousWitness(clique, "clique", True)
-            raise SearchFailed(
-                "complete graph below the homogeneous target",
-                reason="guarantee precondition unmet",
-                detail={"m": m, "f": f, "h": h, "vertices": mask.bit_count()},
-            )
+            return _large_or_fail(bits_of(mask), "clique", True, h, None,
+                                  "complete graph below the homogeneous target",
+                                  {"m": m, "f": f, "h": h, "vertices": mask.bit_count()})
         if (m, f) == (4, 2):
             return _weighted_r3_m4f2(g, mask, h)
         if (m, f) == (5, 5):
@@ -445,15 +446,9 @@ def _weighted(
         clique = _greedy_clique(g.adj, mask)
         ind = _greedy_clique(g.adj, mask, -1)
         best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
-        if len(best) >= h:
-            return HomogeneousWitness(best, kind, False)
-        if cut is not None:
-            raise cut
-        raise SearchFailed(
-            "base-case pattern not found and no large homogeneous set",
-            reason="guarantee precondition unmet",
-            detail={"r": r, "m": m, "f": f, "h": h},
-        )
+        return _large_or_fail(best, kind, False, h, cut,
+                              "base-case pattern not found and no large homogeneous set",
+                              {"r": r, "m": m, "f": f, "h": h})
 
     gave_up = None  # the first branch that ran out of budget
     for v in bits_of(mask):
@@ -472,22 +467,13 @@ def _weighted(
                 # so positions shift by one and weights are unchanged
                 return WeightedWitness((v,) + sub.vertices, r, m, f)
             return sub
-    clique = _greedy_clique(g.adj, mask)
-    if len(clique) >= h:
-        return HomogeneousWitness(clique, "clique", True)
-    if gave_up is not None:
-        raise gave_up
     if r == 3:
-        raise SearchFailed(
-            "no vertex has a large forward non-neighborhood and the greedy clique is small",
-            reason="guarantee precondition unmet",
-            detail={"m": m, "f": f, "h": h, "vertices": mask.bit_count()},
-        )
-    raise SearchFailed(
-        "induction step found no structure",
-        reason="guarantee precondition unmet",
-        detail={"r": r, "m": m, "f": f, "h": h},
-    )
+        message = "no vertex has a large forward non-neighborhood and the greedy clique is small"
+        detail = {"m": m, "f": f, "h": h, "vertices": mask.bit_count()}
+    else:
+        message = "induction step found no structure"
+        detail = {"r": r, "m": m, "f": f, "h": h}
+    return _large_or_fail(_greedy_clique(g.adj, mask), "clique", True, h, gave_up, message, detail)
 
 
 def _weighted_r3_m4f2(g: OrderedGraph, mask: int, h: int):
@@ -501,14 +487,9 @@ def _weighted_r3_m4f2(g: OrderedGraph, mask: int, h: int):
                 return HomogeneousWitness(bits_of(bnn), "independent", True)
             u1, u2 = edge
             return WeightedWitness((u1, u2, v), 3, 4, 2)
-    clique = _greedy_clique(g.adj, mask, highest=True)
-    if len(clique) >= h:
-        return HomogeneousWitness(clique, "clique", True)
-    raise SearchFailed(
-        "m=4, f=2: no large backward non-neighborhood and greedy clique too small",
-        reason="guarantee precondition unmet",
-        detail={"m": 4, "f": 2, "h": h},
-    )
+    return _large_or_fail(_greedy_clique(g.adj, mask, highest=True), "clique", True, h, None,
+                          "m=4, f=2: no large backward non-neighborhood and greedy clique too small",
+                          {"m": 4, "f": 2, "h": h})
 
 
 def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
@@ -526,22 +507,12 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                         return HomogeneousWitness(bits_of(np_mask), "clique", True)
                     u1, u2 = ne
                     return WeightedWitness((vp, u1, u2, v), 3, 5, 5)
-            ind = _greedy_clique(g.adj, bnn, -1)
-            if len(ind) >= h:
-                return HomogeneousWitness(ind, "independent", True)
-            raise SearchFailed(
-                "m=5, f=5: inner stage produced neither structure",
-                reason="guarantee precondition unmet",
-                detail={"m": 5, "f": 5, "h": h},
-            )
-    clique = _greedy_clique(g.adj, mask, highest=True)
-    if len(clique) >= h:
-        return HomogeneousWitness(clique, "clique", True)
-    raise SearchFailed(
-        "m=5, f=5: no large backward non-neighborhood and greedy clique too small",
-        reason="guarantee precondition unmet",
-        detail={"m": 5, "f": 5, "h": h},
-    )
+            return _large_or_fail(_greedy_clique(g.adj, bnn, -1), "independent", True, h, None,
+                                  "m=5, f=5: inner stage produced neither structure",
+                                  {"m": 5, "f": 5, "h": h})
+    return _large_or_fail(_greedy_clique(g.adj, mask, highest=True), "clique", True, h, None,
+                          "m=5, f=5: no large backward non-neighborhood and greedy clique too small",
+                          {"m": 5, "f": 5, "h": h})
 
 
 def _weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
@@ -683,19 +654,9 @@ def realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> RealizeRe
         return chi[(x[a - 1], x[b - 1])]
 
     want_last = 1 if ftarget >= 1 else 0
-    found = None
-    for i in range(lo, hi - 1):
-        for j in range(i + 1, hi):
-            if pair_color(i, j) != 0:
-                continue
-            for l in range(j + 1, hi + 1):
-                if pair_color(i, l) == 0 and pair_color(j, l) == want_last:
-                    found = (i, j, l)
-                    break
-            if found:
-                break
-        if found:
-            break
+    found = next(((i, j, l) for i, j in combinations(range(lo, hi), 2) if pair_color(i, j) == 0
+                  for l in range(j + 1, hi + 1)
+                  if pair_color(i, l) == 0 and pair_color(j, l) == want_last), None)
     if found is None:
         return RealizeResult(None, False, complemented, k, x)
     i, j, l = found
@@ -703,15 +664,7 @@ def realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> RealizeRe
     tail_count = r - k - 1
     tail = [x[a] for a in range(ell_got - tail_count, ell_got)]
     u = tuple(sorted(head + [x[i - 1], x[j - 1], x[l - 1]] + tail))
-    if len(u) != r + 1:
-        raise SearchFailed("assembled witness has the wrong size", reason="internal")
-    count = h.edge_count(u)
-    if count != f:
-        raise SearchFailed(
-            f"assembled subset spans {count} edges, expected {f}",
-            reason="internal verification failure",
-            detail={"witness": list(u)},
-        )
+    ensure(len(u) == r + 1 and h.edge_count(u) == f, "realized (r+1, f)-subset")
     return RealizeResult(u, True, complemented, k, x)
 
 

@@ -539,7 +539,6 @@ def main_structure(
     budget: int | None = None,
     part_size: int | None = None,
     delta: float = 0.5,
-    theta: float = 0.5,
     exact_limit: int = 40,
     seed: int = 0,
 ) -> MainOutcome:
@@ -636,7 +635,7 @@ def main_structure(
         return MainOutcome("structure", struct, hom, trace)
 
     def run() -> MainOutcome:
-        trace.append(f"advisory thresholds theta={theta}, delta={delta} (reported, not enforced)")
+        trace.append(f"advisory thresholds theta=0.5, delta={delta} (reported, not enforced)")
         everything = tuple(range(h.n))
         out, star_fail = try_chain(everything, anti=False)
         if out:

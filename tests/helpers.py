@@ -32,10 +32,10 @@ from ordersize.search import (
     StarSearchResult,
     _cliques,
     _greedy_clique,
-    _ktt_partners,
     greedy_forward_clique,
 )
 from ordersize.spectrum import (
+    RealizeResult,
     WeightedWitness,
     WeightFrame,
     _first_edge_in,
@@ -1131,7 +1131,7 @@ def old_find_stars(
     return StarSearchResult(tuple(stars), complete, bud.used)
 
 
-# --- the counters that only the tests call ------------------------------------------
+# --- the link graphs and counters that only the tests call -----------------------
 
 
 @dataclass(frozen=True)
@@ -1146,6 +1146,43 @@ def count_independent_tsets(g: OrderedGraph, t: int) -> int:
     if t < 1:
         raise ValueError("t must be >= 1")
     return len(_cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0])
+
+
+def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
+    """For a 3-graph: the graph on V minus v with edges {xy : xyv in E}."""
+    if h.r != 3:
+        raise ValueError("link graphs are defined for 3-uniform hypergraphs")
+    if not 0 <= v < h.n:
+        raise ValueError(f"vertex {v} out of range")
+    low = (1 << v) - 1  # bit v of a row is clear; the bits above it move down one
+    rows = tuple(
+        (row & low) | (row >> 1 & ~low) for u, row in enumerate(h._pair_links[v]) if u != v
+    )
+    return OrderedGraph._from_rows(h.n - 1, rows)
+
+
+def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
+    """Independent t-sets inside the common neighborhood of A.
+
+    Such a set is automatically disjoint from A and completely joined to it,
+    so (A, partner) is an induced K_{t,t}.
+    """
+    common = (1 << g.n) - 1
+    for a in bits_of(amask):
+        common &= g.adj[a]
+    if common.bit_count() < t:
+        return []
+    return _cliques(g.adj, common, -1, size=t)[0]
+
+
+def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All unordered induced K_{t,t} part pairs, each as (A, B) with A lex-first."""
+    out = []
+    for amask in _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]:
+        for bmask in _ktt_partners(g, amask, t):
+            if bmask > amask:
+                out.append((bits_of(amask), bits_of(bmask)))
+    return out
 
 
 def _is_complete_between(g: OrderedGraph, amask: int, bmask: int) -> bool:
@@ -1262,3 +1299,74 @@ def with_one_more_vertex(phase2):
         extra = cand & ~mask_of(got)
         return tuple(sorted(got + bits_of(extra & -extra)))
     return faulty
+
+
+# --- the m = r+1 realization before its scan became one combinations pass ------------
+
+
+def old_realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> RealizeResult:
+    """Find an (r+1, f)-subset through stepping down with split k = f.
+
+    Values f > floor((r+1)/2) are complemented first. After stepping the
+    coloring down to a pair coloring at positions (k, k+1), the op looks for
+    positions i < j < l with the first two pairs absent and the third present
+    (an independent triple when f = 0); the witness is the pattern plus the
+    forced head and tail vertices, re-verified by a direct edge count.
+    """
+    from ordersize.stepdown import step_to_pairs
+
+    r = h.r
+    if not 0 <= f <= r + 1:
+        raise ValueError(f"f={f} out of range [0, {r + 1}]")
+    complemented = False
+    work, ftarget = h, f
+    if f > (r + 1) // 2:
+        work, ftarget, complemented = h.complement(), r + 1 - f, True
+    k = ftarget if ftarget >= 1 else 1
+    step = step_to_pairs(work, k, ell)
+    x = step.x
+    if len(x) < r + 2:
+        raise SearchFailed(
+            f"stepped-down set has only {len(x)} vertices; need at least {r + 2}",
+            reason="stepped-down input too short",
+        )
+    chi = step.chi
+    ell_got = len(x)
+    lo = k
+    hi = ell_got - r + k + 1  # last admissible 1-based position
+
+    def pair_color(a: int, b: int) -> int:
+        return chi[(x[a - 1], x[b - 1])]
+
+    want_last = 1 if ftarget >= 1 else 0
+    found = None
+    for i in range(lo, hi - 1):
+        for j in range(i + 1, hi):
+            if pair_color(i, j) != 0:
+                continue
+            for l in range(j + 1, hi + 1):
+                if pair_color(i, l) == 0 and pair_color(j, l) == want_last:
+                    found = (i, j, l)
+                    break
+            if found:
+                break
+        if found:
+            break
+    if found is None:
+        return RealizeResult(None, False, complemented, k, x)
+    i, j, l = found
+    head = [x[a] for a in range(k - 1)]
+    tail_count = r - k - 1
+    tail = [x[a] for a in range(ell_got - tail_count, ell_got)]
+    u = tuple(sorted(head + [x[i - 1], x[j - 1], x[l - 1]] + tail))
+    if len(u) != r + 1:
+        raise SearchFailed("assembled witness has the wrong size", reason="internal")
+    count = h.edge_count(u)
+    if count != f:
+        raise SearchFailed(
+            f"assembled subset spans {count} edges, expected {f}",
+            reason="internal verification failure",
+            detail={"witness": list(u)},
+        )
+    return RealizeResult(u, True, complemented, k, x)
+

@@ -30,6 +30,9 @@ def test_gen_and_spectrum(tmp_path, capsys):
     assert run(["spectrum", "--in", path, "--m", "6"]) == 0
     out = capsys.readouterr().out
     assert "s(G;6)" in out
+    # a sampled scan of no subsets would report s(G;6) >= 0 having checked nothing
+    assert run(["spectrum", "--in", path, "--m", "6", "--mode", "sampled", "--samples", "-4"]) == 2
+    assert "samples must be positive, got -4" in capsys.readouterr().err
 
 
 def test_gen_json_format(tmp_path, capsys):

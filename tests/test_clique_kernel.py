@@ -25,14 +25,13 @@ from ordersize.search import (
     _max_clique,
     _max_homogeneous_in,
     find_stars,
-    link_graph,
     max_clique,
     max_homogeneous,
     max_independent_set,
 )
 from ordersize.structure import largest_star
 
-from helpers import old_largest_star, old_max_clique_walk, old_max_homogeneous_in
+from helpers import link_graph, old_largest_star, old_max_clique_walk, old_max_homogeneous_in
 
 MAX_N = 12
 

@@ -174,3 +174,11 @@ def test_check_fact_rejects_m_above_n_and_unknown_modes():
         assert check_fact_gr(inst, 8, mode="exhaustive").samples == 1
     with pytest.raises(ValueError, match="m=10 exceeds n=6"):
         scan_counterexample(build_gr(6, 5, 0, materialize_cap=0), samples=10)
+
+
+def test_sampled_check_fact_needs_a_sample():
+    # no sample would pass with an empty histogram, having checked nothing
+    inst = build_gr(20, 4, 1, materialize_cap=0)
+    for samples in (0, -4):
+        with pytest.raises(ValueError, match=f"samples must be positive, got {samples}"):
+            check_fact_gr(inst, 8, mode="sampled", samples=samples)

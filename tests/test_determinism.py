@@ -100,6 +100,30 @@ def test_homogeneous_witness_is_checked_under_optimize():
     assert proc.stdout == "raised: postcondition failed: homogeneous witness\n", proc.stdout
 
 
+WEIGHTED_PROBE = r"""
+from ordersize import HomogeneousWitness, OrderedGraph, VerificationError, spectrum
+assert False, "asserts must be stripped under -O"
+# the one exit without its size test: the 4-clique comes back for h = 5
+spectrum._large_or_fail = lambda found, kind, exact, *rest: HomogeneousWitness(found, kind, exact)
+try:
+    spectrum.find_weighted_mf_subset(OrderedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+                                     3, 6, 3, 5)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_small_weighted_homogeneous_witness_is_caught_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", WEIGHTED_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: postcondition failed: homogeneous witness\n", proc.stdout
+
+
 SAMPLED_GR_PROBE = r"""
 import json
 from ordersize import build_gr, check_fact_gr

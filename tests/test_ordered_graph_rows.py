@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of
 from ordersize.hbuilder import CertNode, expand_certificate
-from ordersize.search import link_graph
 from ordersize.spectrum import _first_edge_in
 
-from helpers import FrozensetOrderedGraph, induced
+from helpers import FrozensetOrderedGraph, induced, link_graph
 
 MAX_N = 14
 

@@ -9,10 +9,8 @@ from ordersize.errors import VerificationError
 from ordersize.rng import SeededRNG
 from ordersize.search import (
     Star,
-    enumerate_induced_ktt,
     find_stars,
     greedy_forward_clique,
-    link_graph,
     max_clique,
     max_homogeneous,
     max_independent_set,
@@ -23,7 +21,9 @@ from helpers import (
     center_in_first_leaf_set,
     count_independent_tsets,
     count_induced_ktt,
+    enumerate_induced_ktt,
     exhaustive_max_homogeneous,
+    link_graph,
 )
 
 

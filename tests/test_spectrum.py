@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     combinations_weighted_scan,
     induced,
+    old_realize_r_plus_1,
     oracle_find_induced_ordered_copy,
     oracle_weighted_general,
     oracle_weighted_r3,
@@ -18,7 +19,13 @@ from ordersize.constructions import (
     random_hypergraph,
     random_ordered_graph,
 )
-from ordersize.errors import Budget, BudgetExhausted, FactorizationError, SearchFailed
+from ordersize.errors import (
+    Budget,
+    BudgetExhausted,
+    FactorizationError,
+    OrderSizeError,
+    SearchFailed,
+)
 from ordersize.hbuilder import build_H
 from ordersize.rng import SeededRNG
 from ordersize.search import HomogeneousWitness
@@ -113,6 +120,14 @@ def test_spectrum_cap_and_sampled():
     assert set(rep.achieved) <= set(full.achieved)
     again = size_spectrum(h, 6, mode="sampled", samples=500, seed=4)
     assert rep.achieved == again.achieved and rep.witnesses == again.witnesses
+
+
+def test_sampled_spectrum_needs_a_sample():
+    # no sample would report s >= 0 having checked nothing
+    h = cyclic_triangle_3graph(12, 0)
+    for samples in (0, -4):
+        with pytest.raises(ValueError, match=f"samples must be positive, got {samples}"):
+            size_spectrum(h, 6, mode="sampled", samples=samples)
 
 
 def test_find_mf_subset():
@@ -508,6 +523,33 @@ def test_realize_complementation():
 def test_realize_too_short():
     with pytest.raises(SearchFailed):
         realize_r_plus_1(empty_hypergraph(4, 5), 0)
+
+
+def realize_outcome(run):
+    try:
+        res = run()
+    except (OrderSizeError, ValueError) as e:
+        return (type(e).__name__, str(e))
+    return (res.witness, res.pattern_found, res.complemented, res.k, res.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_realize_matches_the_nested_loop_scan(data):
+    """Same witness, flags, split and stepped-down set as the scan that
+    looped over i, j and l, or the same error."""
+    r = data.draw(st.integers(3, 5))
+    n = data.draw(st.integers(r, 12))
+    f = data.draw(st.integers(0, r + 1))
+    density = data.draw(st.one_of(st.sampled_from([0, 100]), st.integers(0, 100)))
+    seed = data.draw(st.integers(0, 999))
+    if data.draw(st.booleans()):
+        h = random_hypergraph(r, n, density, seed)
+    else:  # colorings that factor at the split realize uses keep all of X
+        ftarget = f if f <= (r + 1) // 2 else r + 1 - f
+        h = graph_from_chi_at_k(random_ordered_graph(n, density, seed), r, max(ftarget, 1))
+    assert realize_outcome(lambda: realize_r_plus_1(h, f)) == realize_outcome(
+        lambda: old_realize_r_plus_1(h, f))
 
 
 # --- pattern-weight existence -----------------------------------------------------------

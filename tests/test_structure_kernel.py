@@ -45,9 +45,7 @@ from ordersize.search import (
     _max_homogeneous_in,
     _star_groups,
     _star_sets,
-    enumerate_induced_ktt,
     find_stars,
-    link_graph,
     max_homogeneous,
 )
 from ordersize.structure import (
@@ -57,7 +55,7 @@ from ordersize.structure import (
     find_star_chain,
 )
 
-from helpers import old_find_stars, old_star_sets
+from helpers import enumerate_induced_ktt, link_graph, old_find_stars, old_star_sets
 
 MAX_N = 12
 
