@@ -206,9 +206,9 @@ def cmd_values(args, ctx: RunContext) -> int:
         if len(coeffs) != 5:
             raise ValueError(f"--params needs five values a,b,c,d,e, got {len(coeffs)}")
         count = partial(values.count_cubic_values, values.CubicParams(*coeffs))
-        name, head = "cubic_counts.json", {"params": args.params}
+        name, head, power = "cubic_counts.json", {"params": args.params}, 3
     else:
-        count, name, head = values.count_pair_form_values, "pairform_counts.json", {}
+        count, name, head, power = values.count_pair_form_values, "pairform_counts.json", {}, 2
     rows = []
     for m in _parse_range(args.m):
         rep = count(m)
@@ -216,7 +216,7 @@ def cmd_values(args, ctx: RunContext) -> int:
         if ctx.format == "csv":
             print(rep.to_csv_row())
         else:
-            ctx.say(f"m={m}: {rep.count} distinct values")
+            ctx.say(f"m={m}: {rep.count} distinct values, count/m^{power} = {rep.count / m**power:.4f}")
     ctx.emit(name, {**head, "rows": rows})
     return EXIT_OK
 

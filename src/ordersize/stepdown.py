@@ -147,13 +147,14 @@ def step_once(coloring, ell: int | None = None, *, n: int | None = None, r: int 
     return result
 
 
-def _stage_caps(r: int, ell: int | None) -> list[int | None]:
+def _stage_caps(r: int, ell: int | None, n: int) -> list[int | None]:
     """Per-stage size caps, chained backwards from the final target.
 
     A stage with next-stage uniformity q and next-stage cap t cannot use more
     than 2^C(t-1, q-1) vertices, which is the guarantee threshold for the
     next stage; material beyond that is dead weight (and the chi tables
-    would blow up on near-constant colorings).
+    would blow up on near-constant colorings). A cap >= n never binds, so
+    each is cut to n, comparing the exponent before building the power.
     """
     stages = r - 2
     caps: list[int | None] = [None] * stages
@@ -161,10 +162,10 @@ def _stage_caps(r: int, ell: int | None) -> list[int | None]:
     for i in range(stages - 2, -1, -1):
         nxt = caps[i + 1]
         if nxt is None:
-            caps[i] = DEFAULT_INTERMEDIATE_CAP
+            caps[i] = min(DEFAULT_INTERMEDIATE_CAP, n)
         else:
-            q_next = r - (i + 1)
-            caps[i] = max(nxt, 2 ** comb(nxt - 1, q_next - 1))
+            e = comb(nxt - 1, r - i - 2)
+            caps[i] = n if e >= (n - 1).bit_length() else min(n, max(nxt, 2**e))
     return caps
 
 
@@ -189,7 +190,7 @@ def step_to_pairs(
     if not 1 <= k <= r - 1:
         raise ValueError(f"k={k} out of range [1, {r - 1}]")
     schedule = ["F"] * (r - k - 1) + ["R"] * (k - 1)
-    caps = _stage_caps(r, ell)
+    caps = _stage_caps(r, ell, n)
     verts = list(range(n))
     lookup: ColorFn = colorfn
     transcript: list[dict] = []

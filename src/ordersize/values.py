@@ -333,28 +333,52 @@ def _square_sums(total: int) -> frozenset[int]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
+def _pair_sum_runs(total: int) -> tuple[tuple[int, int], ...]:
+    """The pair sums (total^2 - s)/2 over the square sums s of ``total``, as
+    maximal runs (start, length) of consecutive integers, ascending."""
+    runs: list[list[int]] = []
+    for p in sorted((total * total - s) // 2 for s in _square_sums(total)):
+        if runs and runs[-1][0] + runs[-1][1] == p:
+            runs[-1][1] += 1
+        else:
+            runs.append([p, 1])
+    return tuple((start, length) for start, length in runs)
+
+
+def _spread(bits: int, step: int, runs: Sequence[tuple[int, int]]) -> int:
+    """OR of ``bits << step*p`` for p in the runs: a run [s, s+L) doubles to the
+    largest power of two span <= L, then shifts once by L - span and once by s."""
+    out = 0
+    for start, length in runs:
+        run, span = bits, 1
+        while 2 * span <= length:
+            run |= run << step * span
+            span *= 2
+        out |= (run | run << step * (length - span)) << step * start
+    return out
+
+
+def _pair_form_splits(m: int) -> list[int]:
+    """Per split A + B = m, A = 0..m, the bitset of the split's values."""
+    return [_spread(_spread(1, a, _pair_sum_runs(m - a)), m - a, _pair_sum_runs(a))
+            for a in range(m + 1)]
+
+
 def count_pair_form_values(m: int) -> ValueCountReport:
     """Distinct pair-form values over all splits of mass m between the two
     coordinate families.
 
     The form depends only on (A, sum a_i^2, B, sum b_i^2) with A + B = m.
-    For each split the values are a sumset: the bitset {A*(B^2 - sb)/2}
-    over square sums sb, ORed in copies shifted by B*(A^2 - sa)/2 for each
-    square sum sa. The count is the popcount of the union over all splits.
+    For each split the values are a sumset: the bitset {A*(B^2 - sb)/2},
+    ORed in copies shifted by B*(A^2 - sa)/2, each side spread over the runs
+    of its pair sums. The count is the popcount of the union over all splits.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    splits = []
+    splits = _pair_form_splits(m)
     union = 0
-    for a_total in range(m + 1):
-        b_total = m - a_total
-        b_bits = 0
-        for sb in _square_sums(b_total):
-            b_bits |= 1 << a_total * ((b_total * b_total - sb) // 2)
-        bits = 0
-        for sa in _square_sums(a_total):
-            bits |= b_bits << b_total * ((a_total * a_total - sa) // 2)
-        splits.append(bits)
+    for bits in splits:
         union |= bits
     vmin = (union & -union).bit_length() - 1
     vmax = union.bit_length() - 1

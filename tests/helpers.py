@@ -44,6 +44,7 @@ from ordersize.spectrum import (
     _weighted_r3_m5f5,
     weighted_total,
 )
+from ordersize.stepdown import DEFAULT_INTERMEDIATE_CAP
 from ordersize.structure import HomogenizedFamily, PairFamily, _density01, _uniform, maybe_density
 from ordersize.values import (
     CubicParams,
@@ -277,6 +278,37 @@ def loop_pair_form_report(m: int) -> ValueCountReport:
                     best_max = (val, (a_total, sa, b_total, sb))
     return ValueCountReport(m, ("pair-form",), len(values), "square-sum-states",
                             Fraction(best_min[0]), Fraction(best_max[0]), best_min[1], best_max[1])
+
+
+def old_pair_form_splits(m: int) -> list[int]:
+    """``values._pair_form_splits`` by one shift-OR per square sum."""
+    splits = []
+    for a_total in range(m + 1):
+        b_total = m - a_total
+        b_bits = 0
+        for sb in _square_sums(b_total):
+            b_bits |= 1 << a_total * ((b_total * b_total - sb) // 2)
+        bits = 0
+        for sa in _square_sums(a_total):
+            bits |= b_bits << b_total * ((a_total * a_total - sa) // 2)
+        splits.append(bits)
+    return splits
+
+
+def old_stage_caps(r: int, ell: int | None) -> list[int | None]:
+    """``stepdown._stage_caps`` with every power built in full and no cut at
+    n; the first cap has 2^C(1023, 3) bits at r = 5, ell = 6."""
+    stages = r - 2
+    caps: list[int | None] = [None] * stages
+    caps[-1] = ell
+    for i in range(stages - 2, -1, -1):
+        nxt = caps[i + 1]
+        if nxt is None:
+            caps[i] = DEFAULT_INTERMEDIATE_CAP
+        else:
+            q_next = r - (i + 1)
+            caps[i] = max(nxt, 2 ** comb(nxt - 1, q_next - 1))
+    return caps
 
 
 def fraction_cubic_form(p: CubicParams, x) -> Fraction:

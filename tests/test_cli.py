@@ -136,6 +136,17 @@ def test_values_cubic_csv(capsys):
     assert len(rows) == 3
 
 
+def test_values_text_lines_carry_the_growth_ratio(capsys):
+    assert run(["values", "cubic", "--params", "1,0,0,0,0", "--m", "6..7"]) == 0
+    out = capsys.readouterr().out
+    assert "m=6: 22 distinct values, count/m^3 = 0.1019" in out
+    assert "m=7: 34 distinct values, count/m^3 = 0.0991" in out
+    assert run(["values", "pairform", "--m", "29..30"]) == 0
+    out = capsys.readouterr().out
+    assert "m=29: 2645 distinct values, count/m^2 = 3.1451" in out
+    assert "m=30: 2820 distinct values, count/m^2 = 3.1333" in out
+
+
 def test_structure_cli(tmp_path, capsys):
     from ordersize.blowups import build_type_family
     from ordersize.core import save_hypergraph

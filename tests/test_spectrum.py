@@ -543,13 +543,14 @@ def test_realize_matches_the_nested_loop_scan(data):
     f = data.draw(st.integers(0, r + 1))
     density = data.draw(st.one_of(st.sampled_from([0, 100]), st.integers(0, 100)))
     seed = data.draw(st.integers(0, 999))
+    ell = data.draw(st.one_of(st.none(), st.integers(1, r + 4)))
     if data.draw(st.booleans()):
         h = random_hypergraph(r, n, density, seed)
     else:  # colorings that factor at the split realize uses keep all of X
         ftarget = f if f <= (r + 1) // 2 else r + 1 - f
         h = graph_from_chi_at_k(random_ordered_graph(n, density, seed), r, max(ftarget, 1))
-    assert realize_outcome(lambda: realize_r_plus_1(h, f)) == realize_outcome(
-        lambda: old_realize_r_plus_1(h, f))
+    assert realize_outcome(lambda: realize_r_plus_1(h, f, ell)) == realize_outcome(
+        lambda: old_realize_r_plus_1(h, f, ell))
 
 
 # --- pattern-weight existence -----------------------------------------------------------

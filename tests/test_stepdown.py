@@ -1,11 +1,18 @@
+import time
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import old_stage_caps
+from ordersize import stepdown
+from ordersize.constructions import random_hypergraph
 from ordersize.core import Hypergraph, complete_hypergraph, empty_hypergraph
 from ordersize.errors import SearchFailed
 from ordersize.rng import SeededRNG, keyed_coloring
-from ordersize.stepdown import step_once, step_to_pairs
+from ordersize.stepdown import _stage_caps, step_once, step_to_pairs
 
 
 def seeded_3graph(n, seed):
@@ -115,3 +122,39 @@ def test_transcript_structure():
     assert all("rows" in st for st in res.transcript)
     obj = res.to_json_obj()
     assert obj["k"] == 1 and len(obj["x"]) == len(res.x)
+
+
+def test_stage_caps_are_cut_at_n_before_any_power():
+    start = time.perf_counter()
+    assert _stage_caps(5, 7, 8) == [8, 8, 7]
+    assert _stage_caps(8, None, 100) == [100, 100, 100, 100, 64, None]
+    assert time.perf_counter() - start < 1
+    # where the full powers are cheap, every cap is the old one cut at n
+    for r, ells in ((3, range(1, 20)), (4, range(1, 12)), (5, range(1, 6))):
+        for ell in [None, *ells]:
+            old = old_stage_caps(r, ell)
+            for n in range(1, 70):
+                assert _stage_caps(r, ell, n) == [min(c, n) for c in old[:-1]] + [ell], (r, ell, n)
+
+
+def step_outcome(h, k, ell):
+    try:
+        return step_to_pairs(h, k, ell)
+    except SearchFailed as e:
+        return (str(e), e.detail["result"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_step_to_pairs_matches_the_uncut_caps(data):
+    """A cap >= n never binds, so the cut caps give the same result, or the
+    same failure, as the full ones."""
+    r = data.draw(st.integers(3, 5))
+    n = data.draw(st.integers(r, 12))
+    k = data.draw(st.integers(1, r - 1))
+    ell = data.draw(st.one_of(st.none(), st.integers(1, 5 if r == 5 else n + 1)))
+    density = data.draw(st.one_of(st.sampled_from([0, 100]), st.integers(0, 100)))
+    h = random_hypergraph(r, n, density, data.draw(st.integers(0, 999)))
+    got = step_outcome(h, k, ell)
+    with patch.object(stepdown, "_stage_caps", lambda r, ell, n: old_stage_caps(r, ell)):
+        assert step_outcome(h, k, ell) == got

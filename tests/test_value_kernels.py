@@ -13,17 +13,23 @@ from helpers import (
     fraction_cubic_form,
     fraction_general_form,
     loop_pair_form_report,
+    old_pair_form_splits,
     pair_state_form_values,
     scan_pattern_weight_exists,
     walk_cubic_report,
     walk_general_report,
 )
+from ordersize import values
 from ordersize.spectrum import WeightFrame, pattern_weight_exists
 from ordersize.values import (
     DEFAULT_COMPOSITION_CAP,
     CubicParams,
     GeneralParams,
     _count_form_values,
+    _pair_form_splits,
+    _pair_sum_runs,
+    _spread,
+    _square_sums,
     count_cubic_values,
     count_general_values,
     count_pair_form_values,
@@ -87,6 +93,50 @@ def test_transformed_counter_matches_cubic_counter(p, m):
 def test_pair_form_counter_matches_square_sum_loop():
     for m in range(1, 41):
         assert count_pair_form_values(m) == loop_pair_form_report(m), m
+
+
+def test_pair_form_splits_match_one_shift_per_square_sum(monkeypatch):
+    """Same split bitsets as the old loop, and so the same report: the old
+    kernel is the old splits under the unchanged union and witness code."""
+    reports = {m: count_pair_form_values(m) for m in range(1, 61)}
+    for m in range(1, 61):
+        assert _pair_form_splits(m) == old_pair_form_splits(m), m
+    monkeypatch.setattr(values, "_pair_form_splits", old_pair_form_splits)
+    for m in range(1, 61):
+        assert count_pair_form_values(m) == reports[m], m
+
+
+def test_pair_sum_runs_are_the_maximal_runs():
+    for total in range(61):
+        runs = _pair_sum_runs(total)
+        assert {s + j for s, length in runs for j in range(length)} == {
+            (total * total - s) // 2 for s in _square_sums(total)}, total
+        assert all(length >= 1 for _, length in runs)
+        # ascending, and at least one missing integer between two runs
+        assert all(s0 + n0 < s1 for (s0, n0), (s1, _) in zip(runs, runs[1:])), total
+
+
+run_length = st.one_of(
+    st.just(1),
+    st.integers(0, 6).map(lambda k: 2**k),
+    st.integers(0, 6).map(lambda k: 2**k + 1),
+    st.integers(1, 80),
+)
+
+
+@given(st.integers(1, 2**40), st.one_of(st.just(0), st.integers(1, 9)),
+       st.lists(st.tuples(st.integers(0, 5), run_length), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_spread_matches_one_shift_per_offset(bits, step, gaps_and_lengths):
+    runs, start = [], 0
+    for gap, length in gaps_and_lengths:
+        runs.append((start + gap, length))
+        start += gap + length + 1
+    naive = 0
+    for s, length in runs:
+        for p in range(s, s + length):
+            naive |= bits << step * p
+    assert _spread(bits, step, runs) == naive
 
 
 @pytest.mark.parametrize("p", [
