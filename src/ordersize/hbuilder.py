@@ -58,9 +58,10 @@ class DSequence:
     """Greedy-maximal backward degree sequence for (r, m, f).
 
     ``d[i-1]`` holds the value at 1-based position i. ``i_star`` is the first
-    position from 2 on where the degree drops below its cap i-1; ``gap`` is a
-    zero run (k, l) located by the structural checks; ``tail_degree_sum`` is
-    the degree mass on the last r-3 positions.
+    position from 2 on where the degree drops below its cap i-1; ``gap`` is the
+    first zero run (k, l) of length at least ``tail_degree_sum`` + 2, the one
+    that hosts the tail leaves (r >= 4 only); ``tail_degree_sum`` is the
+    degree mass on the last r-3 positions.
     """
 
     r: int
@@ -496,21 +497,19 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
     tail_lo = m - 2 * r + 6
     big_d = seq.tail_degree_sum
     if tail_lo <= length:
-        gap = _find_gap(seq.d, i_star, m, r, big_d + 2)
-        if gap is None:
+        if seq.gap is None:  # d_sequence's first gap of length at least big_d + 2
             raise BuildError(
                 "no zero run long enough to host the tail leaves",
                 reason="gap not found",
                 detail={"needed": big_d + 2},
             )
-        k, _l = gap
+        k = seq.gap[0]
         pos = k + 1
         for i in range(length, tail_lo - 1, -1):
             for b in range(d(i)):
                 add(pos, i)
                 pos += 1
     else:
-        gap = None
         k = None
 
     cert = _build_certificate(seq, i_star, k, mid_hi, tail_lo)

@@ -11,6 +11,7 @@ order and ties go to the lexicographically smallest object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -191,6 +192,14 @@ def _relation_vector(h: Hypergraph, pair: tuple[int, int], targets: Sequence[int
     return tuple(1 if h.has_edge((x1, x2, y)) else 0 for y in targets)
 
 
+def _larger_side(targets: Sequence[int], color: tuple[int, ...]) -> list[int]:
+    """The targets whose bit in ``color`` is 1, or those whose bit is 0 when
+    they are more."""
+    ones = [y for y, bit in zip(targets, color) if bit]
+    zeros = [y for y, bit in zip(targets, color) if not bit]
+    return ones if len(ones) >= len(zeros) else zeros
+
+
 def _best_monochromatic_clique(
     h: Hypergraph, a: list[int], b: list[int]
 ) -> tuple[list[int], list[int]]:
@@ -210,9 +219,7 @@ def _best_monochromatic_clique(
     for vec in sorted(colors):
         g = OrderedGraph(len(a), colors[vec])
         clique = max_clique(g)
-        ones = [y for y, bit in zip(b, vec) if bit]
-        zeros = [y for y, bit in zip(b, vec) if not bit]
-        side = ones if len(ones) >= len(zeros) else zeros
+        side = _larger_side(b, vec)
         score = (min(len(clique), len(side)), len(clique) + len(side))
         if best is None or score > best[0]:
             best = (score, clique, side)
@@ -234,14 +241,12 @@ def _best_monochromatic_rectangle(
     colors = sorted(set(vec.values()))
     cap = min(len(a), 12)  # subsets of the A side; desk-scale sets are small
     for color in colors:
+        side = _larger_side(c, color)
         for size in range(cap, 0, -1):
             found = None
             for xs in combinations(range(len(a)), size):
                 ys = [j for j in range(len(b)) if all(vec[(i, j)] == color for i in xs)]
                 if ys:
-                    ones = [z for z, bit in zip(c, color) if bit]
-                    zeros = [z for z, bit in zip(c, color) if not bit]
-                    side = ones if len(ones) >= len(zeros) else zeros
                     score = (min(size, len(ys), len(side)), size + len(ys) + len(side))
                     if found is None or score > found[0]:
                         found = (score, xs, ys, side)
@@ -383,7 +388,8 @@ def find_star_chain(
     for level in range(ell):
         if budget is not None:
             bud = Budget(budget)
-            if not _star_sets(h, current, s, True, False, bud)[1]:
+            # the induced test changes neither the walk nor its steps, so it is skipped
+            if not _star_sets(h, current, s, False, False, bud)[1]:
                 raise BudgetExhausted("star enumeration budget exhausted", bud.used)
         best = None  # (number of centers, centers, leaves) as masks
         for leaves, centers in _star_groups(links, current, s):
@@ -413,17 +419,16 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
 
     Builds the (s+1)-graph whose edges are the vertex sets of induced stars
     and runs the random-deletion independent-set heuristic on it; the output
-    is re-verified by re-enumerating stars inside it.
+    is re-verified by re-enumerating stars inside it. Stars come as the leaf
+    masks of ``search._star_sets``, so no ``Star`` and no induced copy is built.
     """
-    res = find_stars(h, s, want_induced=True)
-    if not res.stars:
+    groups, _complete = _star_sets(h, (1 << h.n) - 1, s, True, False, None)
+    edges = {bits_of(leaves | 1 << v) for v, masks in groups for leaves in masks}
+    if not edges:
         return tuple(range(h.n))
-    edges = {tuple(sorted((st.center,) + st.leaves)) for st in res.stars}
-    star_h = Hypergraph(s + 1, h.n, edges)
-    sp = spencer_independent(star_h, trials, seed)
-    out = sp.set
-    check = find_stars(h.induced(out), s, want_induced=True)
-    ensure(not check.stars, "star-free subset")
+    out = spencer_independent(Hypergraph(s + 1, h.n, edges), trials, seed).set
+    ensure(not any(masks for _v, masks in _star_sets(h, mask_of(out), s, True, False, None)[0]),
+           "star-free subset")
     return out
 
 
@@ -448,20 +453,14 @@ def no_large_star_subset(h: Hypergraph, s: int, delta: float) -> tuple[tuple[int
     vertex set is star-free; otherwise the leaves of a maximum star are
     returned and verified antistar-free at their own threshold.
     """
-    stars = find_stars(h, s, want_induced=True)
-    if stars.stars:
-        raise SearchFailed(
-            "graph has an induced star of the forbidden size",
-            reason="precondition violated",
-            detail={"witness": stars.stars[0]},
-        )
-    antis = find_stars(h, s, want_induced=True, want_anti=True)
-    if antis.stars:
-        raise SearchFailed(
-            "graph has an induced antistar of the forbidden size",
-            reason="precondition violated",
-            detail={"witness": antis.stars[0]},
-        )
+    for anti, noun in ((False, "star"), (True, "antistar")):
+        found = find_stars(h, s, want_induced=True, want_anti=anti).stars
+        if found:
+            raise SearchFailed(
+                f"graph has an induced {noun} of the forbidden size",
+                reason="precondition violated",
+                detail={"witness": found[0]},
+            )
     if h.n == 0:
         return (), "star-free"
     _v, leaves = largest_star(h)
@@ -539,14 +538,16 @@ def main_structure(
     budget: int | None = None,
     part_size: int | None = None,
     delta: float = 0.5,
-    exact_limit: int = 40,
+    exact_limit: int = DEFAULT_EXACT_LIMIT,
     seed: int = 0,
 ) -> MainOutcome:
     """Orchestrate the branch structure: star-rich graphs yield the single
     family (variant a) on either side; otherwise star-free and antistar-free
     subsets lead through a pair chain to variant (b), or back to (a) when an
     all-A or all-B constant comes out 1. Whatever returns is fully verified;
-    if no branch lands, the homogeneous witness is reported instead.
+    if no branch lands, the homogeneous witness is reported instead. The
+    complement of h is built at most once, and every family lands through
+    one exit that checks it on the side it was found on.
     """
     if h.r != 3:
         raise ValueError("main_structure is defined for 3-graphs")
@@ -556,14 +557,14 @@ def main_structure(
     trace: list[str] = []
     hom = max_homogeneous(h, exact_limit)
 
-    def finish_a(fam: HomogenizedFamily) -> MainOutcome:
-        defined = [v for v in fam.constants.values() if v is not None]
-        if len(set(defined)) < 2:
-            raise SearchFailed("constants all equal", reason="degenerate family")
-        rows = fam.verification_rows(h)
-        ensure(fam._rows_agree(rows), "variant (a) family")
-        struct = MainStructure("a", fam, False, rows)
-        return MainOutcome("structure", struct, hom, trace)
+    @cache
+    def side(complemented: bool) -> Hypergraph:
+        return h.complement() if complemented else h
+
+    def land(variant: str, fam: HomogenizedFamily | PairFamily, complemented: bool) -> MainOutcome:
+        rows = fam.verification_rows(side(complemented))
+        ensure(fam._rows_agree(rows), f"variant ({variant}) family")
+        return MainOutcome("structure", MainStructure(variant, fam, complemented, rows), hom, trace)
 
     def try_chain(scope: tuple[int, ...], anti: bool):
         """Star (or antistar) chain inside the scope, refined and homogenized.
@@ -571,19 +572,18 @@ def main_structure(
         Returns (outcome, failing_scope): exactly one is None. Antistar
         results are restated in original-graph terms by flipping constants.
         """
-        work = h if not anti else h.complement()
+        work = side(anti)
         label = "antistar" if anti else "star"
         try:
-            sub = work.induced(scope)
-            chain_local = find_star_chain(sub, m, s, budget)
+            chain_local = find_star_chain(work.induced(scope), m, s, budget)
             chain = [tuple(scope[i] for i in c) for c in chain_local]
             trace.append(f"{label} chain of {m} sets of size {s} found")
-            refined = refine_to_01(work, chain, max(m, 3))
-            fam = homogenize_types(work, refined, m)
+            fam = homogenize_types(work, refine_to_01(work, chain, max(m, 3)), m)
             if anti:
-                flipped = {k: (None if v is None else 1 - v) for k, v in fam.constants.items()}
-                fam = HomogenizedFamily(fam.sets, flipped)
-            return finish_a(fam), None
+                fam.constants = {k: (None if v is None else 1 - v) for k, v in fam.constants.items()}
+            if len({v for v in fam.constants.values() if v is not None}) < 2:
+                raise SearchFailed("constants all equal", reason="degenerate family")
+            return land("a", fam, False), None
         except SearchFailed as e:
             trace.append(f"{label} branch: {e.reason}")
             failed = e.detail.get("vertex_set")
@@ -594,23 +594,15 @@ def main_structure(
         """Pair chain inside the given vertices (complemented side when
         flagged), refined, homogenized, and classified into (b) or the
         fallback (a). None means the branch did not land."""
-        work = h.induced(w_ids) if not complemented else h.induced(w_ids).complement()
-        base = h if not complemented else h.complement()
+        base = side(complemented)
         try:
-            chain = find_pair_chain(work, m, s, budget)
-            flat = [seq for pair in chain for seq in pair]
-            refined = refine_to_01(work, flat, max(m, 3))
-            refined_pairs = [(refined[2 * i], refined[2 * i + 1]) for i in range(len(chain))]
-            fam_local = homogenize_pair_types(work, refined_pairs, m)
+            pairs = find_pair_chain(base.induced(w_ids), m, s, budget)
+            chain = [tuple(w_ids[i] for i in ss) for pair in pairs for ss in pair]  # in h's ids
+            refined = refine_to_01(base, chain, max(m, 3))
+            fam = homogenize_pair_types(base, list(zip(refined[::2], refined[1::2])), m)
         except SearchFailed as e:
             trace.append(f"pair branch: {e.reason}")
             return None
-        # restate in original vertex ids, against the complemented side of h
-        fam = PairFamily(
-            tuple(tuple(w_ids[i] for i in ss) for ss in fam_local.a_sets),
-            tuple(tuple(w_ids[i] for i in ss) for ss in fam_local.b_sets),
-            fam_local.constants,
-        )
         if not fam.nondistinct_zero(base):
             trace.append("pair branch: non-distinct densities not all zero")
             return None
@@ -618,21 +610,13 @@ def main_structure(
             trace.append("pair branch: a1/a2 constants not both 1")
             return None
         c7, c8 = fam.constants["c7"], fam.constants["c8"]
-        if (c7 in (0, None)) and (c8 in (0, None)):
-            rows = fam.verification_rows(base)
-            ensure(fam._rows_agree(rows), "variant (b) family")
-            struct = MainStructure("b", fam, complemented, rows)
+        if c7 != 1 and c8 != 1:
             trace.append("variant (b) verified")
-            return MainOutcome("structure", struct, hom, trace)
-        sets = fam.a_sets if c7 == 1 else fam.b_sets
-        fam_a = HomogenizedFamily(sets, {"a": 0, "b": 0, "c": 1, "d": 0})
-        rows = fam_a.verification_rows(base)
-        if not fam_a._rows_agree(rows):
-            trace.append("pair branch: fallback single family failed verification")
-            return None
-        struct = MainStructure("a", fam_a, complemented, rows)
+            return land("b", fam, complemented)
+        # d, a and b are 0 on A + B and c7 (or c8) is 1, so all of A (or B) is a family
         trace.append("variant (a) via the all-same-side constant")
-        return MainOutcome("structure", struct, hom, trace)
+        sets = fam.a_sets if c7 == 1 else fam.b_sets
+        return land("a", HomogenizedFamily(sets, {"a": 0, "b": 0, "c": 1, "d": 0}), complemented)
 
     def run() -> MainOutcome:
         trace.append(f"advisory thresholds theta=0.5, delta={delta} (reported, not enforced)")
@@ -656,24 +640,20 @@ def main_structure(
         out, anti_fail = try_chain(scope, anti=True)
         if out:
             return out
-        free2 = star_free_subset(h.induced(anti_fail).complement(), s, seed=seed)
+        free2 = star_free_subset(side(True).induced(anti_fail), s, seed=seed)
         scope = tuple(sorted(anti_fail[i] for i in free2))
         trace.append(f"antistar-free subset of size {len(scope)}")
 
         # scope now has no induced stars or antistars of size s
-        sub = h.induced(scope)
         try:
-            w_local, side = no_large_star_subset(sub, s, delta)
+            w_local, found = no_large_star_subset(h.induced(scope), s, delta)
         except SearchFailed as e:
             trace.append(f"no-large-star stage: {e.reason}")
             return MainOutcome("homogeneous", None, hom, trace)
         w_ids = tuple(scope[i] for i in w_local)
-        complemented = side == "antistar-free"
-        trace.append(f"working on {side} subset of size {len(w_ids)}; complemented={complemented}")
-        out = pair_branch(w_ids, complemented)
-        if out:
-            return out
-        return MainOutcome("homogeneous", None, hom, trace)
+        complemented = found == "antistar-free"
+        trace.append(f"working on {found} subset of size {len(w_ids)}; complemented={complemented}")
+        return pair_branch(w_ids, complemented) or MainOutcome("homogeneous", None, hom, trace)
 
     try:
         return run()

@@ -1,11 +1,14 @@
+import hashlib
+import json
 from itertools import combinations, product
 
 import pytest
 
+from ordersize import structure
 from ordersize.blowups import build_pair_family, build_type_family
-from ordersize.constructions import random_hypergraph
+from ordersize.constructions import cyclic_triangle_3graph, random_hypergraph
 from ordersize.core import Hypergraph, complete_hypergraph, density, empty_hypergraph
-from ordersize.errors import SearchFailed
+from ordersize.errors import BudgetExhausted, SearchFailed
 from ordersize.rng import SeededRNG
 from ordersize.structure import (
     find_pair_chain,
@@ -62,6 +65,13 @@ def test_refine_reports_feasible_size():
     with pytest.raises(SearchFailed) as err:
         refine_to_01(h, [range(0, 6), range(6, 12)], 6)
     assert "feasible_p" in err.value.detail
+
+
+def test_refine_ties_keep_the_side_of_ones():
+    # the pair step, then the triple step, splits its two targets one to one
+    h = Hypergraph(3, 4, [(0, 1, 2)])
+    assert refine_to_01(h, [(0, 1), (2, 3)], 1) == [(0,), (2,)]
+    assert refine_to_01(h, [(0,), (1,), (2, 3)], 1) == [(0,), (1,), (2,)]
 
 
 def test_refine_of_no_sets_is_empty():
@@ -304,3 +314,108 @@ def test_main_structure_digest_rows():
     obj = out.structure.to_json_obj()
     assert obj["variant"] == "a" and obj["digest"]
     assert {r["type"] for r in obj["digest"]} == {"a", "b", "c", "d"}
+
+
+@pytest.mark.parametrize("c7, c8, side", [(1, 0, 0), (0, 1, 1)])
+def test_main_structure_lands_the_all_same_side_family(c7, c8, side):
+    h, ap, bp = build_pair_family(4, 3, 1, 1, 0, 0, (0,) * 6, c7=c7, c8=c8)
+    out = main_structure(h, 3)
+    st = out.structure
+    assert out.status == "structure" and st.variant == "a" and not st.complemented
+    assert st.family.constants == {"a": 0, "b": 0, "c": 1, "d": 0}
+    assert st.family.sets == tuple((ap, bp)[side][1:])
+    assert out.trace[-1] == "variant (a) via the all-same-side constant"
+
+
+def _outcome_record(h, m, **kw) -> list:
+    """A main_structure outcome as JSON data: status, structure, witness and
+    trace, or the error's type, message, reason, detail, units used and trace."""
+    try:
+        out = main_structure(h, m, **kw)
+    except (SearchFailed, BudgetExhausted) as e:
+        return [type(e).__name__, str(e), getattr(e, "reason", None),
+                repr(getattr(e, "detail", None)), getattr(e, "used", None), getattr(e, "trace", None)]
+    w = out.homogeneous
+    return [out.status, out.structure and out.structure.to_json_obj(),
+            [list(w.set), w.kind, w.exact], out.trace]
+
+
+def _golden_cases():
+    """(h, m, keywords): planted type and pair families, random 3-graphs
+    with and without budgets, and cyclic-triangle graphs."""
+    for a, b, c, d in product((0, 1), repeat=4):
+        yield build_type_family([3] * 4, a, b, c, d)[0], 3, {}
+    rng = SeededRNG(24)
+    for _ in range(10):
+        cs = tuple(rng.coin() for _ in range(6))
+        yield build_pair_family(4, 3, 1, 1, rng.coin(), rng.coin(), cs, rng.coin(), rng.coin())[0], 3, {}
+    for k in range(8):
+        bits = [rng.coin() for _ in range(12)]
+        h = build_pair_family(3, 3, *bits[:4], tuple(bits[4:10]), *bits[10:])[0]
+        yield (h.complement() if k % 2 else h), 1 + k % 3, {}
+    for n in range(6, 15):
+        for seed in range(3):
+            h = random_hypergraph(3, n, (20, 50, 80)[seed], seed + n)
+            yield h, 2 + seed % 2, {}
+            yield h, 3, {"budget": 40 * n}
+    yield random_hypergraph(3, 16, 90, 2), 1, {}  # its pair family meets a set twice in an edge
+    for n in (6, 8, 10, 12):
+        yield cyclic_triangle_3graph(n, n), 2, {}
+        yield cyclic_triangle_3graph(n, n), 3, {"budget": 500}
+
+
+def _pair_plant_behind_the_deep_path(monkeypatch, c7: int, c8: int, cs) -> Hypergraph:
+    """The complement of a planted pair family with three more vertices, with
+    the star stages patched so that the complemented pair branch runs on the
+    family's vertices, which are not all of h's."""
+    p = build_pair_family(4, 3, 1, 1, 0, 1, cs, c7, c8)[0]
+    ids = [v for v in range(p.n + 3) if v not in (0, 13, p.n + 2)]
+    h = Hypergraph(3, p.n + 3, [tuple(ids[v] for v in e) for e in p.edges]).complement()
+
+    def no_chain(g, ell, s, budget=None):
+        raise SearchFailed("patched", reason="too few induced stars",
+                           detail={"vertex_set": tuple(range(g.n))})
+
+    monkeypatch.setattr(structure, "find_star_chain", no_chain)
+    monkeypatch.setattr(structure, "star_free_subset", lambda g, s, trials=200, seed=0: tuple(range(g.n)))
+    monkeypatch.setattr(structure, "no_large_star_subset", lambda g, s, delta: (tuple(ids), "antistar-free"))
+    return h
+
+
+_PLANTS_BEHIND = [(0, 0, (0, 1, 0, 0, 1, 0)), (1, 0, (0, 0, 1, 0, 0, 1)), (0, 1, (1, 0, 0, 1, 0, 0))]
+
+
+def test_main_structure_outcomes_match_the_golden_digest(monkeypatch):
+    """Pins every outcome on the corpus byte for byte, errors included, so a
+    rewrite of the finder that changes any of them fails here."""
+    records = [_outcome_record(h, m, **kw) for h, m, kw in _golden_cases()]
+    for c7, c8, cs in _PLANTS_BEHIND:
+        records.append(_outcome_record(_pair_plant_behind_the_deep_path(monkeypatch, c7, c8, cs), 3))
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "e27613702953e6212f0a9afb0c3725faa07b63f251ec70bfd548f0c415da6d86"
+
+
+@pytest.mark.parametrize("c7, c8, cs", _PLANTS_BEHIND)
+def test_complemented_pair_branch_lands_in_h_ids(monkeypatch, c7, c8, cs):
+    h = _pair_plant_behind_the_deep_path(monkeypatch, c7, c8, cs)
+    out = main_structure(h, 3)
+    st = out.structure
+    assert out.status == "structure" and st.complemented
+    assert st.variant == ("a" if c7 or c8 else "b")
+    assert st.family.verify(h.complement())
+    assert not {0, 13, h.n - 1} & {v for sets in st.family.sides().values() for s in sets for v in s}
+
+
+def test_main_structure_builds_at_most_one_complement(monkeypatch):
+    calls = []
+    complement = Hypergraph.complement
+    monkeypatch.setattr(Hypergraph, "complement", lambda g: calls.append(g) or complement(g))
+    cases = [(random_hypergraph(3, n, pct, n), 2, {}) for n in (12, 14, 16) for pct in (30, 50, 70)]
+    cases += [(cyclic_triangle_3graph(12, 3), 3, {})]
+    deep = 0
+    for h, m, kw in cases:
+        calls.clear()
+        out = main_structure(h, m, **kw)
+        deep += "antistar-free subset" in " ".join(out.trace)
+        assert len(calls) <= 1, out.trace
+    assert deep >= 5  # most cases reach the stages that used to build their own
