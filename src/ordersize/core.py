@@ -124,6 +124,17 @@ class Hypergraph:
         return tuple(tuple(row) for row in rows)
 
     @cached_property
+    def _pair_tops(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """3-uniform: (width, rows). Entry [a][b], a < b, packs a 1 into the
+        width-bit field of each c with (a, b, c) an edge; the width holds
+        C(n - 2, 2), the most pairs of a scan prefix that close an edge with c."""
+        width = max(1, comb(max(self.n - 2, 0), 2).bit_length())
+        rows = [[0] * self.n for _ in range(self.n)]
+        for a, b, c in self.edges:
+            rows[a][b] |= 1 << c * width
+        return width, tuple(tuple(row) for row in rows)
+
+    @cached_property
     def _top_rests(self) -> tuple[tuple[int, ...], ...]:
         """Row v holds the masks of e - {v} over the edges e with max(e) = v."""
         rows: list[list[int]] = [[] for _ in range(self.n)]
@@ -541,34 +552,69 @@ def iter_subset_counts(
 
     Depth d keeps the mask and the induced count of the prefix cur[:d]; a
     lexicographic successor recomputes only the depths from the first changed
-    position on, so the usual step costs one vertex added to an (m-1)-prefix.
-    Adding v to a prefix P adds the edges whose largest vertex is v and whose
-    other vertices lie in P: for r = 3 that is the sum over u in P of
-    popcount(links[v][u] & P), for other r a test of each rest mask of v.
+    position on. For r = 3 and m >= 2, depth d <= m - 2 also keeps a packed
+    vector T whose field v counts the pairs of the prefix that close an edge
+    with v: adding v to a prefix P adds T[v] to the count and tops[u][v] to T
+    for each u in P. The last two positions x < y over an (m-2)-prefix P then
+    count count(P) + T[x] + T[y] + popcount(links[y][x] & P), so a subset
+    costs O(1) operations whatever m is. For other r, adding v to a prefix P
+    adds the edges whose largest vertex is v: a test of each rest mask of v.
     """
     n = h.n
     stop = comb(n, m) if count is None else min(comb(n, m), start + count)
     if start >= stop:
         return
-    links = h._lower_links if h.r == 3 else None
-    rests = h._top_rests if links is None else None
     cur = list(unrank_combination(start, n, m))
+    left = stop - start
     masks = [0] * (m + 1)
     counts = [0] * (m + 1)
     first = 0  # shallowest depth whose prefix changed
-    for left in range(stop - start - 1, -1, -1):
+    if h.r == 3 and m >= 2:
+        width, tops = h._pair_tops
+        field = (1 << width) - 1
+        links = h._lower_links
+        k = m - 2
+        packs = [0] * (k + 1)
+        while True:
+            for d in range(first, k):
+                v = cur[d]
+                t = packs[d]
+                counts[d + 1] = counts[d] + (t >> v * width & field)
+                for u in cur[:d]:
+                    t += tops[u][v]
+                packs[d + 1] = t
+                masks[d + 1] = masks[d] | 1 << v
+            c, t, below = counts[k], packs[k], masks[k]
+            x, y = cur[k], cur[-1]
+            while True:  # the y-runs of the tail over the prefix cur[:k]
+                cx = c + (t >> x * width & field)
+                end = y + left if y + left < n else n
+                left -= end - y
+                for y in range(y, end):
+                    cur[-1] = y
+                    yield cx + (t >> y * width & field) + (links[y][x] & below).bit_count(), cur
+                if not left:
+                    return
+                x += 1
+                if x == n - 1:
+                    break
+                cur[k] = x
+                y = x + 1
+            first = k - 1
+            while cur[first] == n - m + first:
+                first -= 1
+            cur[first] += 1
+            for j in range(first + 1, m):
+                cur[j] = cur[j - 1] + 1
+    rests = h._top_rests
+    for left in range(left - 1, -1, -1):
         for d in range(first, m):
             v = cur[d]
             below = masks[d]
             c = counts[d]
-            if links is not None:
-                row = links[v]
-                for u in cur[1:d]:  # the prefix minimum has nothing below it
-                    c += (row[u] & below).bit_count()
-            else:
-                for t in rests[v]:
-                    if t & below == t:
-                        c += 1
+            for t in rests[v]:
+                if t & below == t:
+                    c += 1
             counts[d + 1] = c
             masks[d + 1] = below | 1 << v
         yield counts[m], cur

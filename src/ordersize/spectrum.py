@@ -197,6 +197,7 @@ def size_spectrum(
     """
     if not h.r <= m <= h.n:
         raise ValueError(f"m={m} out of range [{h.r}, {h.n}]")
+    at_least(1, threads=threads)
     total = comb(h.n, m)
     if mode == "exhaustive":
         if total > cap:

@@ -1035,6 +1035,61 @@ def old_index_positions(inst: GrInstance, limit: int) -> bool:
     return visits <= limit
 
 
+# --- the lexicographic scan kernel before the packed pair-completion tail ------
+
+
+def old_iter_subset_counts(
+    h: Hypergraph, m: int, start: int = 0, count: int | None = None
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield (induced edge count, subset) for consecutive lexicographic m-subsets.
+
+    The scan starts at rank ``start`` and yields ``count`` subsets, by default
+    all the rest. The subset is one live list that is rewritten in place
+    between yields, so copy it to keep it.
+
+    Depth d keeps the mask and the induced count of the prefix cur[:d]; a
+    lexicographic successor recomputes only the depths from the first changed
+    position on, so the usual step costs one vertex added to an (m-1)-prefix.
+    Adding v to a prefix P adds the edges whose largest vertex is v and whose
+    other vertices lie in P: for r = 3 that is the sum over u in P of
+    popcount(links[v][u] & P), for other r a test of each rest mask of v.
+    """
+    n = h.n
+    stop = comb(n, m) if count is None else min(comb(n, m), start + count)
+    if start >= stop:
+        return
+    links = h._lower_links if h.r == 3 else None
+    rests = h._top_rests if links is None else None
+    cur = list(unrank_combination(start, n, m))
+    masks = [0] * (m + 1)
+    counts = [0] * (m + 1)
+    first = 0  # shallowest depth whose prefix changed
+    for left in range(stop - start - 1, -1, -1):
+        for d in range(first, m):
+            v = cur[d]
+            below = masks[d]
+            c = counts[d]
+            if links is not None:
+                row = links[v]
+                for u in cur[1:d]:  # the prefix minimum has nothing below it
+                    c += (row[u] & below).bit_count()
+            else:
+                for t in rests[v]:
+                    if t & below == t:
+                        c += 1
+            counts[d + 1] = c
+            masks[d + 1] = below | 1 << v
+        yield counts[m], cur
+        if not left:
+            return
+        first = m - 1
+        while cur[first] == n - m + first:
+            first -= 1
+        cur[first] += 1
+        for j in range(first + 1, m):
+            cur[j] = cur[j - 1] + 1
+
+
 def old_check_fact_gr(
     inst: GrInstance,
     m: int,

@@ -245,6 +245,16 @@ def test_threads_match_sequential(tmp_path):
     assert seq.witnesses == par.witnesses
 
 
+def test_spectrum_rejects_nonpositive_threads(tmp_path, capsys):
+    path = str(tmp_path / "g.hg")
+    assert run(["gen", "cyclic", "--n", "8", "--to", path]) == 0
+    for threads in ("0", "-3"):
+        out = str(tmp_path / f"out{threads}")
+        assert run(["--threads", threads, "--out", out, "spectrum", "--in", path, "--m", "4"]) == 2
+        assert f"threads must be positive, got {threads}" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_values_cubic_rejects_wrong_param_count(capsys):
     assert run(["values", "cubic", "--params", "1,0,0", "--m", "5"]) == 2
     assert "five values" in capsys.readouterr().err

@@ -2,8 +2,10 @@
 
 The oracle is the per-subset recount the kernel replaced: consecutive
 combinations from ``iter_combinations_from``, each counted from scratch with
-``edge_count_mask``. ``check_fact_gr`` is compared with a per-subset
-``count_in_subset`` loop over the pair colors.
+``edge_count_mask``. The r = 3 path, which settles the last two positions from
+packed pair-completion counts, is also compared yield for yield with the
+kernel before it, ``helpers.old_iter_subset_counts``. ``check_fact_gr`` is
+compared with a per-subset ``count_in_subset`` loop over the pair colors.
 """
 
 from itertools import combinations
@@ -30,7 +32,7 @@ from ordersize.errors import BudgetExhausted
 from ordersize.spectrum import _merge_chunks, _scan_chunk, find_mf_subset, size_spectrum
 from ordersize.values import g_r
 
-from helpers import iter_combinations_from
+from helpers import iter_combinations_from, old_iter_subset_counts
 
 KINDS = ("empty", "complete", "random")
 
@@ -111,6 +113,58 @@ def test_kernel_yields_one_live_list():
     lists = {id(s) for _, s in iter_subset_counts(h, 4)}
     assert len(lists) == 1
     assert list(iter_subset_counts(h, 4, comb(6, 4), 5)) == []
+
+
+def scan(kernel, h: Hypergraph, m: int, start: int = 0, count: int | None = None):
+    return [(c, tuple(s)) for c, s in kernel(h, m, start, count)]
+
+
+@st.composite
+def r3_graphs(draw):
+    """A 3-graph with n <= 12 and any m in 0..n, or 13 <= n <= 40 and m <= 4."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        m = draw(st.integers(0, n))
+    else:
+        n = draw(st.integers(13, 40))
+        m = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(KINDS))
+    return make_graph(kind, 3, n, draw(st.integers(1, 99)), draw(st.integers(0, 10**6))), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_r3_kernel_matches_old_kernel(data):
+    h, m = data.draw(r3_graphs())
+    total = comb(h.n, m)
+    if total <= 5000:
+        assert scan(iter_subset_counts, h, m) == scan(old_iter_subset_counts, h, m)
+    start = data.draw(st.integers(0, total))
+    count = data.draw(st.integers(0, min(total - start + 2, 3000)))
+    assert (scan(iter_subset_counts, h, m, start, count)
+            == scan(old_iter_subset_counts, h, m, start, count))
+
+
+def test_r3_kernel_chunks_cut_inside_tail_runs():
+    # every (start, count) pair, so chunks begin and end at every position of
+    # every y-run, including m = 2, whose whole scan is one tail
+    for seed, density in ((1, 50), (2, 80)):
+        h = random_hypergraph(3, 7, density, seed)
+        for m in range(2, 6):
+            total = comb(7, m)
+            full = scan(old_iter_subset_counts, h, m)
+            for start in range(total + 1):
+                for count in range(total - start + 2):
+                    assert scan(iter_subset_counts, h, m, start, count) == full[start:start + count]
+
+
+def test_r3_packed_fields_hold_complete_counts():
+    # at m = n the fields of the last prefix reach C(n - 2, 2), the width's bound
+    for n in range(3, 25):
+        h = complete_hypergraph(3, n)
+        for m in (n - 1, n):
+            counts = [c for c, _ in iter_subset_counts(h, m)]
+            assert counts == [comb(m, 3)] * comb(n, m), (n, m)
 
 
 @settings(max_examples=60, deadline=None)

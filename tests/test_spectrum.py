@@ -88,6 +88,14 @@ def test_small_threaded_scan_starts_no_pool(monkeypatch):
                 == size_spectrum(h, 6).to_json_obj())
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_size_spectrum_rejects_nonpositive_threads(mode):
+    h = random_hypergraph(3, 8, 50, 3)
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match=f"^threads must be positive, got {threads}$"):
+            size_spectrum(h, 4, mode=mode, samples=10, threads=threads)
+
+
 def test_large_threaded_scan_matches_serial(monkeypatch):
     import multiprocessing
 
