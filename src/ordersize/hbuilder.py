@@ -2,11 +2,13 @@
 
 For uniformity r and m vertices, the graph lives on the L = m-r+2 weighted
 positions with pair weights w_j = C(m-j, r-2) (split 1). The backward degree
-sequence d_1..d_L is chosen greedily maximal subject to sum(d_i * w_i) <= f;
-realizing those backward degrees by a clique prefix, a monotone star forest,
-and a nested star forest gives a graph of total weight exactly f whose
-substitution certificate over empty graphs, cliques, and the three-vertex
-pattern F0 (single edge 13) witnesses the ordered Erdos-Hajnal property.
+sequence d_1..d_L is chosen greedily maximal subject to sum(d_i * w_i) <= f.
+Those backward degrees are realized by a clique prefix, a monotone star
+forest, and a nested star forest, laid out directly as a substitution
+certificate over empty graphs, cliques, and the three-vertex pattern F0
+(single edge 13). The graph, of total weight exactly f, is that
+certificate's expansion, so the certificate witnesses its ordered
+Erdos-Hajnal property.
 """
 
 from __future__ import annotations
@@ -442,13 +444,12 @@ class HConstruction:
 def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
     """Ordered graph on the m-r+2 weighted positions with total weight f.
 
-    Backward degrees follow the greedy sequence: a clique prefix up to
-    i_star - 1, the i_star vertex wired to the first d_{i_star} vertices, a
-    monotone star forest on the middle, and the last r-3 positions wired into
-    a zero run as a nested star forest. Values of f above half the range are
-    complemented (flagged) first. ``strict`` enforces m >= 5r^2; without it
-    the builder attempts any m and raises BuildError when the structure does
-    not fit.
+    The graph is the expansion of its substitution certificate, built from
+    the greedy backward degree sequence (see ``_build_certificate``). Values
+    of f above half the range are complemented (flagged) first. ``strict``
+    enforces m >= 5r^2; without it the builder attempts any m and raises
+    BuildError when the structure does not fit. The backward degrees and the
+    weight are recounted from the graph before it is returned.
     """
     if r < 4:
         raise ValueError("the base construction needs r >= 4")
@@ -466,54 +467,8 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
             "no position with a degree drop; m is too small for this f",
             reason="no i_star",
         )
-    length = seq.length
-    i_star = seq.i_star
-    d = seq.at
-    edges: list[tuple[int, int]] = []
-
-    def add(i: int, j: int) -> None:
-        # positions are 1-based; vertices 0-based
-        edges.append((i - 1, j - 1))
-
-    for j in range(2, i_star):
-        for i in range(1, j):
-            add(i, j)
-    for i in range(1, d(i_star) + 1):
-        add(i, i_star)
-
-    zeros_seen = [1]  # position 1 always has degree 0
-    mid_hi = min(m - 2 * r + 5, length)
-    for i in range(i_star, mid_hi + 1):
-        if d(i) == 0:
-            zeros_seen.append(i)
-        elif i > i_star:
-            if d(i) != 1:
-                raise BuildError(
-                    f"middle position {i} has degree {d(i)} > 1",
-                    reason="degree pattern violated",
-                )
-            add(zeros_seen[-1], i)
-
-    tail_lo = m - 2 * r + 6
-    big_d = seq.tail_degree_sum
-    if tail_lo <= length:
-        if seq.gap is None:  # d_sequence's first gap of length at least big_d + 2
-            raise BuildError(
-                "no zero run long enough to host the tail leaves",
-                reason="gap not found",
-                detail={"needed": big_d + 2},
-            )
-        k = seq.gap[0]
-        pos = k + 1
-        for i in range(length, tail_lo - 1, -1):
-            for b in range(d(i)):
-                add(pos, i)
-                pos += 1
-    else:
-        k = None
-
-    cert = _build_certificate(seq, i_star, k, mid_hi, tail_lo)
-    hc = HConstruction(r, m, f, seq, OrderedGraph(length, edges), cert, complemented)
+    cert = _build_certificate(seq)
+    hc = HConstruction(r, m, f, seq, expand_certificate(cert), cert, complemented)
     weight, checks = recount_construction(hc)
     for key, message in (("degrees_ok", "backward degrees do not match the sequence"),
                          ("weight_ok", f"total weight {weight} != target {ftarget}"),
@@ -533,15 +488,34 @@ def recount_construction(hc: HConstruction) -> tuple[int, dict[str, bool]]:
                     "cert_ok": expand_certificate(hc.cert) == hc.graph}
 
 
-def _build_certificate(
-    seq: DSequence, i_star: int, k: int | None, mid_hi: int, tail_lo: int
-) -> CertNode:
-    d = seq.at
-    length = seq.length
+def _build_certificate(seq: DSequence) -> CertNode:
+    """Substitution tree of the graph whose backward degrees are ``seq``.
+
+    V1 is the clique on 1..i_star-1, with i_star joined to its first d_{i_star}
+    positions and the degree-one positions before the first zero i1 >= i_star
+    pendant to position 1; V2 is the monotone star forest on i1..k, k the gap
+    start; V3 nests the last r-3 positions over their leaves in the gap (the
+    last position's first) around the stars U2 after them. Raises the
+    BuildError of a middle degree above 1 first, then that of a missing gap.
+    """
+    r, m, d, length, i_star = seq.r, seq.m, seq.at, seq.length, seq.i_star
+    mid_hi = m - 2 * r + 5  # the last middle position; the tail follows it
+    for i in range(i_star + 1, mid_hi + 1):
+        if d(i) > 1:
+            raise BuildError(
+                f"middle position {i} has degree {d(i)} > 1",
+                reason="degree pattern violated",
+            )
+    if seq.gap is None:  # d_sequence's first gap of length at least tail_degree_sum + 2
+        raise BuildError(
+            "no zero run long enough to host the tail leaves",
+            reason="gap not found",
+            detail={"needed": seq.tail_degree_sum + 2},
+        )
+    k = seq.gap[0]
 
     # i1: first position >= i_star with degree zero
     i1 = next(i for i in range(i_star, length + 1) if d(i) == 0)
-
     # V1 = positions 1..i1-1
     if i1 == i_star:
         cert_v1: CertNode | None = clique_node(i_star - 1)
@@ -554,35 +528,21 @@ def _build_certificate(
         pend = empty_node(i1 - 1 - i_star) if i1 - 1 - i_star > 0 else None
         cert_v1 = cert_join([_single(), cert_disjoint([cert_x, pend])])
 
-    if k is None:
-        # no tail block: everything after V1 is a monotone star forest
-        stars = _star_shape(seq, i1, length)
-        cert_v2 = cert_disjoint([_monotone_star(t) for t in stars]) if stars else None
-        return _finish_cert(cert_v1, cert_v2, None)
-
-    stars_v2 = _star_shape(seq, i1, k)
-    cert_v2 = cert_disjoint([_monotone_star(t) for t in stars_v2]) if stars_v2 else None
-
-    big_d = seq.tail_degree_sum
-    stars_u2 = _star_shape(seq, k + big_d + 1, mid_hi)
-    cert_u2 = cert_disjoint([_monotone_star(t) for t in stars_u2]) if stars_u2 else None
-    leaf_sizes = [d(i) for i in range(length, tail_lo - 1, -1)]
-    cert_v3 = _nested_tree(leaf_sizes, cert_u2)
-    return _finish_cert(cert_v1, cert_v2, cert_v3)
+    cert_u2 = _star_forest(seq, k + seq.tail_degree_sum + 1, mid_hi)
+    cert_v3 = _nested_tree([d(i) for i in range(length, mid_hi, -1)], cert_u2)
+    node = cert_disjoint([cert_v1, _star_forest(seq, i1, k), cert_v3])
+    ensure(node is not None, "certificate is nonempty")
+    return node
 
 
-def _star_shape(seq: DSequence, lo: int, hi: int) -> list[int]:
-    """Leaf counts of the consecutive stars covering positions lo..hi."""
+def _star_forest(seq: DSequence, lo: int, hi: int) -> CertNode | None:
+    """Monotone star forest on positions lo..hi: each zero position is a
+    center whose leaves are the positions up to the next zero (None when the
+    range is empty)."""
     stars: list[int] = []
     for i in range(lo, hi + 1):
         if seq.at(i) == 0:
             stars.append(0)
         else:
             stars[-1] += 1
-    return stars
-
-
-def _finish_cert(*parts: CertNode | None) -> CertNode:
-    node = cert_disjoint(list(parts))
-    ensure(node is not None, "certificate is nonempty")
-    return node
+    return cert_disjoint([_monotone_star(t) for t in stars])

@@ -435,9 +435,8 @@ def _weighted(
             if m == m0:
                 from .hbuilder import build_H
 
-                hc = build_H(r, m, f)
-                target = g if not hc.complemented else g.complement()
-                hit = find_induced_ordered_copy(target, mask, hc.graph, budget)
+                # 2f <= C(m, r) here, so build_H builds for g, not its complement
+                hit = find_induced_ordered_copy(g, mask, build_H(r, m, f).graph, budget)
             else:
                 hit = _weighted_scan(g, mask, WeightFrame(r, m, 1), f, Budget(budget))
         except BudgetExhausted as e:

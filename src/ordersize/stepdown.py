@@ -21,7 +21,7 @@ from math import comb
 from typing import Callable
 
 from .core import Hypergraph
-from .errors import FactorizationError, SearchFailed
+from .errors import FactorizationError, SearchFailed, at_least
 
 ColorFn = Callable[[tuple[int, ...]], int]
 
@@ -133,6 +133,8 @@ def step_once(coloring, ell: int | None = None, *, n: int | None = None, r: int 
     colorfn, n, r = _wrap_coloring(coloring, n, r)
     if r < 3:
         raise ValueError("stepping down needs r >= 3")
+    if ell is not None:
+        at_least(1, ell=ell)
     chosen, chi, rows = _reduce_stage(colorfn, n, r, ell)
     result = StepResult(tuple(chosen), r - 1, chi, [{"direction": "F", "rows": rows}])
     if ell is not None and len(chosen) < ell:
@@ -189,6 +191,8 @@ def step_to_pairs(
         raise ValueError("stepping down needs r >= 3")
     if not 1 <= k <= r - 1:
         raise ValueError(f"k={k} out of range [1, {r - 1}]")
+    if ell is not None:
+        at_least(1, ell=ell)
     schedule = ["F"] * (r - k - 1) + ["R"] * (k - 1)
     caps = _stage_caps(r, ell, n)
     verts = list(range(n))

@@ -23,7 +23,15 @@ from ordersize.core import (
     vertex_set,
 )
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
-from ordersize.hbuilder import ClaimReport, DSequence, _best_gap, build_H, ln_bounds
+from ordersize.hbuilder import (
+    BuildError,
+    ClaimReport,
+    DSequence,
+    _best_gap,
+    build_H,
+    d_sequence,
+    ln_bounds,
+)
 from ordersize.rng import SeededRNG
 from ordersize.search import (
     HomogeneousWitness,
@@ -649,6 +657,64 @@ def fraction_verify_claim_d(seq: DSequence) -> ClaimReport:
         items["d"] = False
         details["gap"] = None
     return ClaimReport(items, advisory, gap, details)
+
+
+def old_build_H_graph(r: int, m: int, f: int) -> OrderedGraph:
+    """The graph ``build_H`` once built edge by edge: a clique prefix, the
+    i_star wiring, the middle stars and the tail wired into the gap. Raises
+    the BuildError that build did; the inputs must pass build_H's checks."""
+    complemented = 2 * f > comb(m, r)
+    ftarget = comb(m, r) - f if complemented else f
+    seq = d_sequence(r, m, ftarget)
+    if seq.i_star is None:
+        raise BuildError(
+            "no position with a degree drop; m is too small for this f",
+            reason="no i_star",
+        )
+    length = seq.length
+    i_star = seq.i_star
+    d = seq.at
+    edges: list[tuple[int, int]] = []
+
+    def add(i: int, j: int) -> None:
+        # positions are 1-based; vertices 0-based
+        edges.append((i - 1, j - 1))
+
+    for j in range(2, i_star):
+        for i in range(1, j):
+            add(i, j)
+    for i in range(1, d(i_star) + 1):
+        add(i, i_star)
+
+    zeros_seen = [1]  # position 1 always has degree 0
+    mid_hi = min(m - 2 * r + 5, length)
+    for i in range(i_star, mid_hi + 1):
+        if d(i) == 0:
+            zeros_seen.append(i)
+        elif i > i_star:
+            if d(i) != 1:
+                raise BuildError(
+                    f"middle position {i} has degree {d(i)} > 1",
+                    reason="degree pattern violated",
+                )
+            add(zeros_seen[-1], i)
+
+    tail_lo = m - 2 * r + 6
+    big_d = seq.tail_degree_sum
+    if tail_lo <= length:
+        if seq.gap is None:  # d_sequence's first gap of length at least big_d + 2
+            raise BuildError(
+                "no zero run long enough to host the tail leaves",
+                reason="gap not found",
+                detail={"needed": big_d + 2},
+            )
+        k = seq.gap[0]
+        pos = k + 1
+        for i in range(length, tail_lo - 1, -1):
+            for b in range(d(i)):
+                add(pos, i)
+                pos += 1
+    return OrderedGraph(length, edges)
 
 
 def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:

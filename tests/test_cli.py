@@ -77,6 +77,15 @@ def test_stepdown_failure_exit_codes(tmp_path, monkeypatch, capsys):
     assert report["achieved"] == [0, 1]
 
 
+def test_stepdown_rejects_nonpositive_ell(tmp_path, capsys):
+    path = str(tmp_path / "g.hg")
+    run(["--seed", "3", "gen", "random", "--n", "8", "--r", "3", "--to", path])
+    out = str(tmp_path / "out")
+    assert run(["--out", out, "stepdown", "--in", path, "--pairs", "--ell", "0"]) == 2
+    assert "ell must be positive, got 0" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_verification_failure_exits_1(tmp_path, monkeypatch, capsys):
     from ordersize.search import HomogeneousWitness
 

@@ -2,9 +2,13 @@ from fractions import Fraction
 from math import comb, log
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import old_build_H_graph
 from ordersize.core import OrderedGraph
 from ordersize.hbuilder import (
+    BuildError,
     CertNode,
     build_H,
     cert_disjoint,
@@ -254,3 +258,32 @@ def test_build_reports_a_failed_recount(monkeypatch, failing, message):
     with pytest.raises(hbuilder.BuildError) as err:
         build_H(4, 80, 7)
     assert str(err.value) == message and err.value.reason == "internal"
+
+
+# --- the certificate against the edge-by-edge construction ---------------------------------
+
+
+def built_or_error(build, r, m, f):
+    try:
+        return build(r, m, f)
+    except BuildError as e:
+        return (str(e), e.reason, e.detail)
+
+
+def assert_matches_edge_loop(r, m, f):
+    got = built_or_error(lambda *a: build_H(*a).graph, r, m, f)
+    assert got == built_or_error(old_build_H_graph, r, m, f), (r, m, f)
+
+
+@pytest.mark.parametrize("r, ms", [(4, range(6, 15)), (5, range(7, 12))])
+def test_graph_is_the_edge_loop_graph_for_every_f(r, ms):
+    for m in ms:
+        for f in range(comb(m, r) + 1):
+            assert_matches_edge_loop(r, m, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 7), st.data())
+def test_graph_is_the_edge_loop_graph(r, data):
+    m = data.draw(st.integers(r + 2, 5 * r * r + 5))
+    assert_matches_edge_loop(r, m, data.draw(st.integers(0, comb(m, r))))

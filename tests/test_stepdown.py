@@ -68,6 +68,15 @@ def test_small_ell_never_errors():
         assert res.x == (0, 1)
 
 
+@pytest.mark.parametrize("r", [3, 4])
+@pytest.mark.parametrize("ell", [0, -2])
+def test_nonpositive_ell_is_rejected(r, ell):
+    h = random_hypergraph(r, 8, 50, 1)
+    for step in (lambda: step_to_pairs(h, 1, ell=ell), lambda: step_once(h, ell)):
+        with pytest.raises(ValueError, match=f"^ell must be positive, got {ell}$"):
+            step()
+
+
 def test_existence_bound_never_errors():
     # n at the guarantee threshold 2^C(l-1, r-1) always succeeds
     for seed in range(20):
