@@ -58,7 +58,6 @@ from .hbuilder import (
     DSequence,
     HConstruction,
     build_H,
-    certify_star_forests,
     d_sequence,
     expand_certificate,
     verify_claim_d,

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .core import OrderedGraph, bits_of
+from .core import OrderedGraph
 from .errors import SearchFailed, ensure
 
 
@@ -250,15 +250,16 @@ class CertNode:
                     raise ValueError("an f0 leaf has exactly 3 vertices")
             elif self.size < 1:
                 raise ValueError("leaves must have at least one vertex")
+        # the vertex count, kept so that an expansion reads each block's span in O(1)
+        total = sum(c._n for c in self.children) if self.children else self.size
+        object.__setattr__(self, "_n", total)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
 
     def total_size(self) -> int:
-        if self.is_leaf:
-            return self.size
-        return sum(c.total_size() for c in self.children)
+        return self._n
 
     def leaf_kinds(self) -> set[str]:
         if self.is_leaf:
@@ -279,8 +280,7 @@ def clique_node(t: int) -> CertNode:
     return CertNode("clique", t)
 
 
-def _single() -> CertNode:
-    return CertNode("empty", 1)
+_SINGLE = CertNode("empty", 1)  # one vertex; nodes are immutable, so trees share it
 
 
 def _is_plain(node: CertNode, kind: str) -> bool:
@@ -337,45 +337,44 @@ def cert_f0(a: CertNode | None, b: CertNode | None, c: CertNode | None) -> CertN
     return CertNode("f0", 3, (a, b, c))
 
 
-_F0 = OrderedGraph(3, [(0, 2)])  # the three-vertex pattern with the single edge 13
-
-
 def expand_certificate(node: CertNode) -> OrderedGraph:
-    """Recursive expansion of a substitution tree into an ordered graph.
+    """Expansion of a substitution tree into an ordered graph, in one
+    top-down walk.
 
-    A leaf is its host graph. Otherwise each block's rows are shifted to the
-    block's offset and ORed with the span masks of the blocks that its host
-    vertex is joined to.
+    Each leaf's rows are appended once, at the leaf's offset, ORed with the
+    span masks of the blocks that its ancestors join it to: a clique host
+    joins each child to every sibling, an f0 host joins its first and third
+    slots, and an empty host joins nothing. One graph is built at the end.
     """
-    if node.kind == "f0":
-        host = _F0
-    elif node.kind == "clique":
-        host = OrderedGraph(node.size).complement()
-    else:
-        host = OrderedGraph(node.size)
-    if node.is_leaf:
-        return host
-    blocks = [expand_certificate(c) for c in node.children]
-    offsets = []
-    spans = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        spans.append(((1 << b.n) - 1) << total)
-        total += b.n
     rows: list[int] = []
-    for bi, b in enumerate(blocks):
-        joined = 0
-        for bj in bits_of(host.adj[bi]):
-            joined |= spans[bj]
-        rows.extend(row << offsets[bi] | joined for row in b.adj)
-    return OrderedGraph._from_rows(total, tuple(rows))
 
+    def walk(node: CertNode, joined: int) -> None:
+        start = len(rows)
+        if node.is_leaf:
+            n = node.size
+            if node.kind == "empty":
+                rows.extend([joined] * n)
+            elif node.kind == "clique":
+                span = ((1 << n) - 1) << start
+                rows.extend(span ^ 1 << v | joined for v in range(start, start + n))
+            else:  # f0: the single edge between its first and last vertex
+                rows.extend((4 << start | joined, joined, 1 << start | joined))
+        elif node.kind == "empty":
+            for child in node.children:
+                walk(child, joined)
+        elif node.kind == "clique":
+            span = ((1 << node._n) - 1) << start
+            for child in node.children:
+                walk(child, joined | span ^ ((1 << child._n) - 1) << len(rows))
+        else:
+            a, b, c = node.children
+            before_c = start + a._n + b._n
+            walk(a, joined | ((1 << c._n) - 1) << before_c)
+            walk(b, joined)
+            walk(c, joined | ((1 << a._n) - 1) << start)
 
-def _monotone_star(leaves: int) -> CertNode:
-    if leaves == 0:
-        return _single()
-    return cert_join([_single(), empty_node(leaves)])
+    walk(node, 0)
+    return OrderedGraph._from_rows(len(rows), tuple(rows))
 
 
 def _nested_tree(leaf_sizes: list[int], middle: CertNode | None) -> CertNode | None:
@@ -385,26 +384,7 @@ def _nested_tree(leaf_sizes: list[int], middle: CertNode | None) -> CertNode | N
         return middle
     first, rest = leaf_sizes[0], leaf_sizes[1:]
     inner = _nested_tree(rest, middle)
-    return cert_f0(empty_node(first) if first > 0 else None, inner, _single())
-
-
-def certify_star_forests(kind: str, shape: list[int]) -> CertNode:
-    """Certificates for the two forest shapes.
-
-    ``monotone``: shape lists leaf counts of consecutive stars, each star a
-    center followed by its leaves. ``nested``: shape lists leaf block sizes
-    L_1..L_t, blocks first in order, then the centers in reverse.
-    """
-    if not shape:
-        raise ValueError("shape must be nonempty")
-    if kind == "monotone":
-        node = cert_disjoint([_monotone_star(t) for t in shape])
-    elif kind == "nested":
-        node = _nested_tree(list(shape), None)
-    else:
-        raise ValueError(f"unknown forest kind {kind!r}")
-    ensure(node is not None, "certificate is nonempty")
-    return node
+    return cert_f0(empty_node(first) if first > 0 else None, inner, _SINGLE)
 
 
 # --- the construction -------------------------------------------------------------
@@ -462,11 +442,8 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
     complemented = 2 * f > comb(m, r)
     ftarget = comb(m, r) - f if complemented else f
     seq = d_sequence(r, m, ftarget)
-    if seq.i_star is None:
-        raise BuildError(
-            "no position with a degree drop; m is too small for this f",
-            reason="no i_star",
-        )
+    # with every degree at its cap the weight would be C(m, r), above ftarget
+    ensure(seq.i_star is not None, "a degree drops below its cap")
     cert = _build_certificate(seq)
     hc = HConstruction(r, m, f, seq, expand_certificate(cert), cert, complemented)
     weight, checks = recount_construction(hc)
@@ -522,11 +499,11 @@ def _build_certificate(seq: DSequence) -> CertNode:
     else:
         a = d(i_star)
         inner = cert_disjoint(
-            [clique_node(i_star - 1 - a) if i_star - 1 - a > 0 else None, _single()]
+            [clique_node(i_star - 1 - a) if i_star - 1 - a > 0 else None, _SINGLE]
         )
         cert_x = cert_join([clique_node(a - 1) if a - 1 > 0 else None, inner])
         pend = empty_node(i1 - 1 - i_star) if i1 - 1 - i_star > 0 else None
-        cert_v1 = cert_join([_single(), cert_disjoint([cert_x, pend])])
+        cert_v1 = cert_join([_SINGLE, cert_disjoint([cert_x, pend])])
 
     cert_u2 = _star_forest(seq, k + seq.tail_degree_sum + 1, mid_hi)
     cert_v3 = _nested_tree([d(i) for i in range(length, mid_hi, -1)], cert_u2)
@@ -538,11 +515,29 @@ def _build_certificate(seq: DSequence) -> CertNode:
 def _star_forest(seq: DSequence, lo: int, hi: int) -> CertNode | None:
     """Monotone star forest on positions lo..hi: each zero position is a
     center whose leaves are the positions up to the next zero (None when the
-    range is empty)."""
-    stars: list[int] = []
-    for i in range(lo, hi + 1):
-        if seq.at(i) == 0:
-            stars.append(0)
-        else:
-            stars[-1] += 1
-    return cert_disjoint([_monotone_star(t) for t in stars])
+    range is empty).
+
+    One pass over the centers lays out the disjoint union's children: a run
+    of z centers without leaves is one empty leaf of size z, a center with
+    one leaf a clique leaf of size 2, and a center with t >= 2 leaves a
+    clique host over the center and an empty leaf of size t.
+    """
+    d = seq.d
+    kids: list[CertNode] = []
+    bare = 0  # leafless centers not yet laid out
+    i = lo
+    while i <= hi:  # position i is a center; its leaves run up to the next zero
+        j = i + 1
+        while j <= hi and d[j - 1]:
+            j += 1
+        leaves, i = j - i - 1, j
+        if not leaves:
+            bare += 1
+            continue
+        if bare:
+            kids.append(empty_node(bare))
+            bare = 0
+        kids.append(clique_node(2) if leaves == 1 else CertNode("clique", 2, (_SINGLE, empty_node(leaves))))
+    if bare:
+        kids.append(empty_node(bare))
+    return cert_disjoint(kids)

@@ -11,6 +11,7 @@ from functools import cached_property
 from itertools import combinations
 from math import ceil, comb, lcm
 from typing import Iterable, Iterator
+from unittest import mock
 
 from ordersize.constructions import GrInstance, SubsetScanReport, materialize
 from ordersize.core import (
@@ -23,13 +24,20 @@ from ordersize.core import (
     vertex_set,
 )
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
+from ordersize import hbuilder
 from ordersize.hbuilder import (
     BuildError,
+    CertNode,
     ClaimReport,
     DSequence,
+    HConstruction,
     _best_gap,
+    _nested_tree,
     build_H,
+    cert_disjoint,
+    cert_join,
     d_sequence,
+    empty_node,
     ln_bounds,
 )
 from ordersize.rng import SeededRNG
@@ -715,6 +723,91 @@ def old_build_H_graph(r: int, m: int, f: int) -> OrderedGraph:
                 add(pos, i)
                 pos += 1
     return OrderedGraph(length, edges)
+
+
+def _single() -> CertNode:
+    return CertNode("empty", 1)
+
+
+def _monotone_star(leaves: int) -> CertNode:
+    if leaves == 0:
+        return _single()
+    return cert_join([_single(), empty_node(leaves)])
+
+
+def certify_star_forests(kind: str, shape: list[int]) -> CertNode:
+    """Certificates for the two forest shapes.
+
+    ``monotone``: shape lists leaf counts of consecutive stars, each star a
+    center followed by its leaves. ``nested``: shape lists leaf block sizes
+    L_1..L_t, blocks first in order, then the centers in reverse.
+    """
+    if not shape:
+        raise ValueError("shape must be nonempty")
+    if kind == "monotone":
+        node = cert_disjoint([_monotone_star(t) for t in shape])
+    elif kind == "nested":
+        node = _nested_tree(list(shape), None)
+    else:
+        raise ValueError(f"unknown forest kind {kind!r}")
+    ensure(node is not None, "certificate is nonempty")
+    return node
+
+
+def old_star_forest(seq: DSequence, lo: int, hi: int) -> CertNode | None:
+    """Monotone star forest on positions lo..hi: each zero position is a
+    center whose leaves are the positions up to the next zero (None when the
+    range is empty)."""
+    stars: list[int] = []
+    for i in range(lo, hi + 1):
+        if seq.at(i) == 0:
+            stars.append(0)
+        else:
+            stars[-1] += 1
+    return cert_disjoint([_monotone_star(t) for t in stars])
+
+
+_F0 = OrderedGraph(3, [(0, 2)])  # the three-vertex pattern with the single edge 13
+
+
+def old_expand_certificate(node: CertNode) -> OrderedGraph:
+    """Recursive expansion of a substitution tree into an ordered graph.
+
+    A leaf is its host graph. Otherwise each block's rows are shifted to the
+    block's offset and ORed with the span masks of the blocks that its host
+    vertex is joined to.
+    """
+    if node.kind == "f0":
+        host = _F0
+    elif node.kind == "clique":
+        host = OrderedGraph(node.size).complement()
+    else:
+        host = OrderedGraph(node.size)
+    if node.is_leaf:
+        return host
+    blocks = [old_expand_certificate(c) for c in node.children]
+    offsets = []
+    spans = []
+    total = 0
+    for b in blocks:
+        offsets.append(total)
+        spans.append(((1 << b.n) - 1) << total)
+        total += b.n
+    rows: list[int] = []
+    for bi, b in enumerate(blocks):
+        joined = 0
+        for bj in bits_of(host.adj[bi]):
+            joined |= spans[bj]
+        rows.extend(row << offsets[bi] | joined for row in b.adj)
+    return OrderedGraph._from_rows(total, tuple(rows))
+
+
+def old_build_H(r: int, m: int, f: int) -> HConstruction:
+    """``build_H`` as it laid out the middle forests one ``_monotone_star``
+    per center and expanded certificates one host graph per tree node."""
+    with mock.patch.object(hbuilder, "_star_forest", old_star_forest), \
+            mock.patch.object(hbuilder, "expand_certificate", old_expand_certificate):
+        return build_H(r, m, f)
 
 
 def pairwise_star_verify(star: Star, h: Hypergraph) -> bool:

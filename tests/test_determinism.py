@@ -124,6 +124,31 @@ def test_small_weighted_homogeneous_witness_is_caught_under_optimize():
     assert proc.stdout == "raised: postcondition failed: homogeneous witness\n", proc.stdout
 
 
+NO_DROP_PROBE = r"""
+import dataclasses
+from ordersize import VerificationError, hbuilder
+assert False, "asserts must be stripped under -O"
+# a sequence with every degree at its cap weighs C(m, r), so no target reaches it
+sequence = hbuilder.d_sequence
+hbuilder.d_sequence = lambda r, m, f: dataclasses.replace(sequence(r, m, f), i_star=None)
+try:
+    hbuilder.build_H(4, 80, 7)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_missing_degree_drop_is_a_fault_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", NO_DROP_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: postcondition failed: "), proc.stdout
+
+
 SAMPLED_GR_PROBE = r"""
 import json
 from ordersize import build_gr, check_fact_gr

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import old_build_H_graph
+from helpers import certify_star_forests, old_build_H, old_build_H_graph, old_star_forest
 from ordersize.core import OrderedGraph
 from ordersize.hbuilder import (
     BuildError,
     CertNode,
+    DSequence,
+    _star_forest,
     build_H,
     cert_disjoint,
     cert_f0,
     cert_join,
-    certify_star_forests,
     clique_node,
     d_sequence,
     empty_node,
@@ -176,6 +177,16 @@ def test_certify_nested():
         assert got.edges == nested_forest_direct(shape).edges
 
 
+def test_star_forest_lays_out_runs():
+    # centers 1, 2 bare; 3 with leaf 4; 5 with leaves 6, 7; 8 with leaf 9; 10, 11 bare
+    seq = DSequence(4, 13, 0, (0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0), 2, None, 0)
+    got = _star_forest(seq, 1, 11)
+    star = CertNode("clique", 2, (empty_node(1), empty_node(2)))
+    assert got == CertNode("empty", 5, (empty_node(2), clique_node(2), star, clique_node(2), empty_node(2)))
+    for lo, hi in ((1, 11), (3, 4), (5, 7), (10, 11), (1, 0)):
+        assert _star_forest(seq, lo, hi) == old_star_forest(seq, lo, hi), (lo, hi)
+
+
 def test_certify_rejects_empty_shape():
     with pytest.raises(ValueError):
         certify_star_forests("monotone", [])
@@ -260,7 +271,7 @@ def test_build_reports_a_failed_recount(monkeypatch, failing, message):
     assert str(err.value) == message and err.value.reason == "internal"
 
 
-# --- the certificate against the edge-by-edge construction ---------------------------------
+# --- the construction against the edge-by-edge graph and the star-by-star certificate -------
 
 
 def built_or_error(build, r, m, f):
@@ -270,20 +281,25 @@ def built_or_error(build, r, m, f):
         return (str(e), e.reason, e.detail)
 
 
-def assert_matches_edge_loop(r, m, f):
-    got = built_or_error(lambda *a: build_H(*a).graph, r, m, f)
-    assert got == built_or_error(old_build_H_graph, r, m, f), (r, m, f)
+def assert_matches_oracles(r, m, f):
+    """The whole construction (certificate included) is the star-by-star
+    build's and the graph is the edge loop's, or the BuildErrors agree."""
+    got = built_or_error(build_H, r, m, f)
+    assert got == built_or_error(old_build_H, r, m, f), (r, m, f)
+    graph = got if isinstance(got, tuple) else got.graph
+    assert graph == built_or_error(old_build_H_graph, r, m, f), (r, m, f)
 
 
 @pytest.mark.parametrize("r, ms", [(4, range(6, 15)), (5, range(7, 12))])
 def test_graph_is_the_edge_loop_graph_for_every_f(r, ms):
     for m in ms:
         for f in range(comb(m, r) + 1):
-            assert_matches_edge_loop(r, m, f)
+            assert_matches_oracles(r, m, f)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 7), st.data())
 def test_graph_is_the_edge_loop_graph(r, data):
     m = data.draw(st.integers(r + 2, 5 * r * r + 5))
-    assert_matches_edge_loop(r, m, data.draw(st.integers(0, comb(m, r))))
+    assert_matches_oracles(r, m, data.draw(st.integers(0, comb(m, r))))
+

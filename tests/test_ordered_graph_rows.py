@@ -2,20 +2,22 @@
 
 The oracles are the implementations the rows replaced: the frozenset-of-pairs
 graph (``helpers.FrozensetOrderedGraph``), the edge-list expansion of
-substitution certificates, the relabeling ``link_graph``, and the pair scans
-that looked for the first edge and the first non-edge inside a vertex mask.
+substitution certificates and their recursive expansion
+(``helpers.old_expand_certificate``), the relabeling ``link_graph``, and the
+pair scans that looked for the first edge and the first non-edge inside a
+vertex mask.
 """
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordersize.core import Hypergraph, OrderedGraph, bits_of, mask_of
 from ordersize.hbuilder import CertNode, expand_certificate
 from ordersize.spectrum import _first_edge_in
 
-from helpers import FrozensetOrderedGraph, induced, link_graph
+from helpers import FrozensetOrderedGraph, induced, link_graph, old_expand_certificate
 
 MAX_N = 14
 
@@ -146,6 +148,21 @@ def test_expand_certificate_matches_edge_expansion(node):
     got = expand_certificate(node)
     assert got.n == node.total_size()
     assert_same(got, expand_by_edges(node))
+
+
+nested_same_kind = CertNode("clique", 2, (
+    CertNode("clique", 2, (CertNode("empty", 2), CertNode("f0", 3))),
+    CertNode("empty", 2, (CertNode("empty", 2, (CertNode("clique", 2), CertNode("empty", 1))),
+                          CertNode("f0", 3, (CertNode("clique", 1), CertNode("empty", 2),
+                                             CertNode("f0", 3, (CertNode("empty", 1),) * 3))))),
+))
+
+
+@example(nested_same_kind)
+@given(st.recursive(leaves, hosts, max_leaves=12))
+@settings(max_examples=200, deadline=None)
+def test_expand_certificate_matches_the_recursive_expansion(node):
+    assert expand_certificate(node) == old_expand_certificate(node)
 
 
 # --- link graphs and first-edge scans -------------------------------------------------
