@@ -266,12 +266,13 @@ def check_fact_gr(
     the cap (or when forced), sampled otherwise; any count above the bound is
     recorded with its witness subset. An exhaustive scan runs on the
     materialized r-graph, built first when the instance is implicit. A
-    sampled scan first builds the instance's position masks, by a DFS of at
-    most samples * m visits, the least the unmasked scan pays; a sample that
-    misses one mask is then counted as 0 at once. When that DFS runs out of
-    visits, the scan runs unmasked, with the same report. Raises ValueError
-    when m exceeds n, ``mode`` is not "auto", "exhaustive" or "sampled", or a
-    sampled scan gets fewer than one sample.
+    sampled scan counts the stream ``SeededRNG(seed).sorted_samples`` with
+    ``count_in_subset``. It first builds the instance's position masks, by a
+    DFS of at most samples * m visits, the least the unmasked scan pays; a
+    sample that misses one mask is then counted as 0 at once. When that DFS
+    runs out of visits, the scan runs unmasked, with the same report. Raises
+    ValueError when m exceeds n, ``mode`` is not "auto", "exhaustive" or
+    "sampled", or a sampled scan gets fewer than one sample.
     """
     if m > inst.n:
         raise ValueError(f"m={m} exceeds n={inst.n}")
@@ -287,8 +288,8 @@ def check_fact_gr(
         at_least(1, samples=samples)
         # every unindexed sample visits at least its m depth-0 vertices
         inst._index_positions(samples * m)
-        draw, count = SeededRNG(seed).sorted_sample, inst.count_in_subset
-        counts = ((count(s), s) for s in (draw(inst.n, m) for _ in range(samples)))
+        count = inst.count_in_subset
+        counts = ((count(s), s) for s in SeededRNG(seed).sorted_samples(inst.n, m, samples))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     histogram: dict[int, int] = {}

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError
@@ -212,7 +213,7 @@ class Hypergraph:
         """Sum of popcount(tops[t] & smask) over the (r - 1)-tuples t of the
         subset above its minimum."""
         get = self._top_tuples.get
-        return sum((get(t, 0) & smask).bit_count() for t in combinations(verts[1:], self.r - 1))
+        return sum([(get(t, 0) & smask).bit_count() for t in combinations(verts[1:], self.r - 1)])
 
     def _count_by_rests(self, verts: Sequence[int], smask: int) -> int:
         """Number of rest masks of the subset vertices that lie inside ``smask``."""
@@ -490,12 +491,12 @@ def read_hg_text(text: str) -> Hypergraph:
     r, n = int(head[0]), int(head[1])
     edges = []
     for ln in lines[1:]:
-        vs = [int(t) for t in ln.split()]
+        vs = tuple(map(int, ln.split()))
         if len(vs) != r:
             raise ValueError(f"edge line {ln!r} does not have {r} entries")
-        if any(vs[i] >= vs[i + 1] for i in range(len(vs) - 1)):
+        if not all(map(lt, vs, vs[1:])):
             raise ValueError(f"edge line {ln!r} is not strictly increasing")
-        edges.append(tuple(vs))
+        edges.append(vs)
     _check_shape(r, n)
     for e in edges:
         if e[0] < 0 or e[-1] >= n:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import repeat
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class SeededRNG:
@@ -21,8 +21,6 @@ class SeededRNG:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._mt = random.Random(self.seed)
-        # draw plan of the last (size, k) sampled: (size, k, steps, template)
-        self._plan: tuple | None = None
 
     def bits(self, k: int) -> int:
         return self._mt.getrandbits(k)
@@ -62,41 +60,60 @@ class SeededRNG:
     def coin(self) -> int:
         return self._mt.getrandbits(1)
 
-    def chance(self, num: int, den: int) -> bool:
-        """True with probability num/den."""
-        return self.randrange(den) < num
-
     def sample(self, population: Sequence[int] | int, k: int) -> list:
         """k distinct elements, as a partial Fisher-Yates; order randomized.
 
-        Step i swaps position i with i + randrange(size - i). The steps and,
-        for an int population, the ``list(range(size))`` to copy are kept for
-        the last (size, k), which a sampled scan asks for on every draw.
+        Step i swaps position i with i + randrange(size - i). It is one draw
+        of the step loop that ``sorted_samples`` runs, left unsorted.
         """
         if k < 0:
             raise ValueError("sample size must be nonnegative")
         whole = isinstance(population, int)
-        size = population if whole else len(population)
-        if k > size:
+        if k > (population if whole else len(population)):
             raise ValueError("sample larger than population")
-        plan = self._plan
-        if plan is None or plan[0] != size or plan[1] != k or (whole and plan[3] is None):
-            steps = tuple((i, size - i, (size - i - 1).bit_length() or 1) for i in range(k))
-            plan = self._plan = (size, k, steps, list(range(size)) if whole else None)
-        pool = plan[3].copy() if whole else list(population)
-        getrandbits = self._mt.getrandbits
-        for i, span, width in plan[2]:
-            # randrange(span), inlined: the same draws, so the same stream
-            x = getrandbits(width)
-            while x >= span:
-                x = getrandbits(width)
-            j = i + x
-            pool[i], pool[j] = pool[j], pool[i]
-        del pool[k:]
-        return pool
+        pool = list(range(population)) if whole else list(population)
+        return next(self._draws(pool, k, 1, False))
 
     def sorted_sample(self, population: Sequence[int] | int, k: int) -> tuple[int, ...]:
         return tuple(sorted(self.sample(population, k)))
+
+    def sorted_samples(self, n: int, k: int, count: int) -> Iterator[tuple[int, ...]]:
+        """The subsets ``count`` calls of ``sorted_sample(n, k)`` would draw.
+
+        The arguments are checked at the call, before any draw. The steps
+        and the ``list(range(n))`` each draw copies are built once per
+        stream, and the draws are made lazily, one per subset taken: a draw
+        made on this generator between two subsets lands in the stream where
+        it lands between two ``sorted_sample`` calls.
+        """
+        if k < 0:
+            raise ValueError("sample size must be nonnegative")
+        if k > n:
+            raise ValueError("sample larger than population")
+        if count < 0:
+            raise ValueError("sorted_samples needs count >= 0")
+        return self._draws(list(range(n)), k, count, True)
+
+    def _draws(self, template: list, k: int, count: int, ordered: bool) -> Iterator:
+        """``count`` partial Fisher-Yates draws of k elements of a copy of
+        ``template``: the k-prefix, sorted into a tuple when ``ordered``."""
+        size = len(template)
+        steps = [(i, size - i, (size - i - 1).bit_length() or 1) for i in range(k)]
+        getrandbits = self._mt.getrandbits
+        for _ in repeat(None, count):
+            pool = template.copy()
+            for i, span, width in steps:
+                # randrange(span), inlined: the same draws, so the same stream
+                x = getrandbits(width)
+                while x >= span:
+                    x = getrandbits(width)
+                j = i + x
+                pool[i], pool[j] = pool[j], pool[i]
+            del pool[k:]
+            if ordered:
+                pool.sort()
+                pool = tuple(pool)
+            yield pool
 
     def subseed(self, *tags: int | str) -> int:
         """Derived seed for an independent child stream, stable in the tags."""

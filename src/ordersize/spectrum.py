@@ -27,11 +27,14 @@ from .rng import SeededRNG
 from .search import HomogeneousWitness, _greedy_clique
 
 DEFAULT_EXHAUSTIVE_CAP = 10**8
-# Below this many subsets a multi-threaded exhaustive scan stays serial:
-# starting the worker pool costs more than it saves (on 2 cores, a random
-# 3-graph: 77,520 subsets took 157 ms serial and 176 ms with two workers,
-# 116,280 took 268 and 160 ms).
-_PARALLEL_MIN_SUBSETS = 100_000
+# Below this many subsets a multi-threaded exhaustive scan stays serial, as
+# starting the worker pool costs more than it saves: on 2 cores, at density
+# 1/2, two workers broke even between 319,770 and 490,314 subsets at r = 3.
+# At r >= 4 the break-even follows the edge density (about 13,000 subsets at
+# 1/2, none found below 80,000 at 1/10) and r >= 5 is unprobed, so r >= 4
+# keeps a threshold of 100,000.
+_PARALLEL_MIN_SUBSETS = 500_000  # r <= 3
+_PARALLEL_MIN_SUBSETS_R4 = 100_000  # r >= 4
 
 
 # --- weight frames ----------------------------------------------------------
@@ -191,8 +194,10 @@ def size_spectrum(
 
     Exhaustive mode scans all C(n, m) subsets and refuses above ``cap``;
     with ``threads > 1`` a scan of at least ``_PARALLEL_MIN_SUBSETS``
-    subsets is split over a worker pool, a smaller one stays serial.
-    Sampled mode draws ``samples`` seeded uniform subsets, at least one.
+    subsets (``_PARALLEL_MIN_SUBSETS_R4`` for r >= 4) is split over a worker
+    pool, a smaller one stays serial.
+    Sampled mode draws ``samples`` seeded uniform subsets, at least one,
+    from the stream ``SeededRNG(seed).sorted_samples``.
     One witness is stored per achieved value, the first in scan order.
     """
     if not h.r <= m <= h.n:
@@ -204,18 +209,18 @@ def size_spectrum(
             raise ValueError(
                 f"exhaustive scan of {total} subsets exceeds the cap {cap}; use sampled mode"
             )
-        if threads > 1 and total >= _PARALLEL_MIN_SUBSETS:
+        least = _PARALLEL_MIN_SUBSETS if h.r <= 3 else _PARALLEL_MIN_SUBSETS_R4
+        if threads > 1 and total >= least:
             witnesses, examined = _scan_parallel(h, m, total, threads)
         else:
             witnesses, examined = _scan_chunk(h, m, 0, total)
         return SpectrumReport(m, sorted(witnesses), witnesses, "exhaustive", examined)
     if mode == "sampled":
         at_least(1, samples=samples)
-        rng = SeededRNG(seed)
+        count = h._count_sorted
         witnesses = {}
-        for _ in range(samples):
-            subset = rng.sorted_sample(h.n, m)
-            f = h._count_sorted(subset, mask_of(subset))
+        for subset in SeededRNG(seed).sorted_samples(h.n, m, samples):
+            f = count(subset, mask_of(subset))
             if f not in witnesses:
                 witnesses[f] = subset
         return SpectrumReport(m, sorted(witnesses), witnesses, "sampled", samples, seed, samples)

@@ -52,6 +52,7 @@ from ordersize.search import (
 )
 from ordersize.spectrum import (
     RealizeResult,
+    SpectrumReport,
     WeightedWitness,
     WeightFrame,
     _first_edge_in,
@@ -839,9 +840,14 @@ def per_call_keyed_coloring(seed: int, palette: int = 2):
     return color
 
 
+def chance(rng: SeededRNG, num: int, den: int) -> bool:
+    """True with probability num/den: one ``randrange(den)`` draw."""
+    return rng.randrange(den) < num
+
+
 def loop_sample(rng: SeededRNG, population, k: int) -> list:
-    """``SeededRNG.sample`` as the per-call loop the draw plan replaced: the
-    pool is rebuilt and every step's range drawn by ``randrange`` on each call."""
+    """``SeededRNG.sample`` as a per-call loop: the pool is rebuilt and every
+    step's range drawn by ``randrange`` on each call."""
     pool = list(range(population)) if isinstance(population, int) else list(population)
     if k > len(pool):
         raise ValueError("sample larger than population")
@@ -853,6 +859,22 @@ def loop_sample(rng: SeededRNG, population, k: int) -> list:
 
 def loop_sorted_sample(rng: SeededRNG, population, k: int) -> tuple[int, ...]:
     return tuple(sorted(loop_sample(rng, population, k)))
+
+
+def old_edge_count_mask(h: Hypergraph, smask: int) -> int:
+    """``Hypergraph.edge_count_mask`` as a test of every edge mask."""
+    return sum(1 for m in h._edge_masks if m & ~smask == 0)
+
+
+def old_sampled_spectrum(h: Hypergraph, m: int, samples: int, seed: int) -> SpectrumReport:
+    """Sampled ``size_spectrum`` as one ``sorted_sample`` loop draw and one
+    edge-mask recount per sample."""
+    rng = SeededRNG(seed)
+    witnesses: dict[int, tuple[int, ...]] = {}
+    for _ in range(samples):
+        subset = loop_sorted_sample(rng, h.n, m)
+        witnesses.setdefault(old_edge_count_mask(h, mask_of(subset)), subset)
+    return SpectrumReport(m, sorted(witnesses), witnesses, "sampled", samples, seed, samples)
 
 
 def set_spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
@@ -872,7 +894,7 @@ def set_spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerRes
     best: tuple[int, ...] = ()
     edges = sorted(h.edges)
     for _ in range(max(1, trials)):
-        kept = set(v for v in range(n) if rng.chance(num, den))
+        kept = set(v for v in range(n) if chance(rng, num, den))
         for e in edges:
             if all(v in kept for v in e):
                 kept.discard(max(e))

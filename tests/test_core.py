@@ -22,12 +22,12 @@ from ordersize.core import (
 from ordersize.errors import ShapeError
 from ordersize.rng import SeededRNG
 
-from helpers import induced, iter_combinations_from
+from helpers import chance, induced, iter_combinations_from
 
 
 def seeded_3graph(n, seed, pct=50):
     rng = SeededRNG(seed)
-    edges = [e for e in combinations(range(n), 3) if rng.chance(pct, 100)]
+    edges = [e for e in combinations(range(n), 3) if chance(rng, pct, 100)]
     return Hypergraph(3, n, edges)
 
 
@@ -180,6 +180,15 @@ def old_read_hg_text(text: str) -> Hypergraph:
     "3 5\n0 1 5\n",            # a vertex at n
     "3 5\n-1 0 2\n",           # a negative vertex
     "3 5\n0 1 2\n0 1 9\n2 1 0\n",  # out of range before a bad order
+    # two bad lines of different kinds, with comments and blank lines between:
+    # the first one names the error
+    "3 5\n0 1\n# note\n\n0 x 2\n",       # a short line before a bad token
+    "3 5\n0 x 2\n\n# note\n0 1\n",       # a bad token before a short line
+    "3 5\n 2 1 0 \n# note\n\n0 1 9\n",   # a descending line before an out-of-range one
+    "3 5\n0 1 9\n\n# note\n1 1 2\n",     # out of range before a repeated vertex
+    "3 5\n0 1 2 3\n# note\n2 1 0\n",    # a long line before a descending one
+    "3 5\n3 2 1\n\n0 1\n",              # a descending line before a short one
+    "3 5\n0 1 2\n0 1 2.5\n0 1\n",        # a bad token after a good line
     "1 4\n2\n",                # r = 1, with a line of one vertex
     "1 4\n",                   # r = 1, no edges
     "0 3\n",

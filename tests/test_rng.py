@@ -1,8 +1,9 @@
 """Differential tests of the seeded generator's batched draws.
 
-``SeededRNG.sample`` runs from a draw plan kept for the last (size, k), and
-``randranges`` makes many ``randrange`` draws at once; both must give the
-same values as the per-call loops and leave the stream at the same place.
+``SeededRNG.sample`` and the subset stream ``sorted_samples`` run one
+Fisher-Yates step loop, and ``randranges`` makes many ``randrange`` draws at
+once; all must give the same values as the per-call loops and leave the
+stream at the same place.
 The generators built on ``randranges`` are compared with the per-element
 comprehensions they replaced, and ``spencer_independent`` with its set-based
 form. ``keyed_coloring`` copies one keyed hash state per query; it is compared
@@ -26,7 +27,13 @@ from ordersize.core import Hypergraph, OrderedGraph, Tournament
 from ordersize.rng import SeededRNG, keyed_coloring
 from ordersize.search import spencer_independent
 
-from helpers import loop_sample, loop_sorted_sample, per_call_keyed_coloring, set_spencer_independent
+from helpers import (
+    chance,
+    loop_sample,
+    loop_sorted_sample,
+    per_call_keyed_coloring,
+    set_spencer_independent,
+)
 
 SEEDS = st.integers(0, 2**64)
 
@@ -43,7 +50,7 @@ def draws(draw):
 @settings(max_examples=300, deadline=None)
 @given(SEEDS, st.lists(draws(), min_size=1, max_size=8))
 def test_sample_plan_matches_loop(seed, requests):
-    """Consecutive draws on one generator, switching the plan as (n, k) changes."""
+    """Consecutive draws on one generator, with (n, k) changing between them."""
     got, want = SeededRNG(seed), SeededRNG(seed)
     for population, k, ordered in requests:
         if ordered:
@@ -56,7 +63,7 @@ def test_sample_plan_matches_loop(seed, requests):
 @settings(max_examples=100, deadline=None)
 @given(SEEDS, st.integers(1, 64), st.data())
 def test_repeated_plan_matches_loop(seed, n, data):
-    """The same (n, k) again and again, as a sampled scan asks for it."""
+    """The same (n, k) again and again, as a sampled scan draws it."""
     k = data.draw(st.integers(0, n))
     got, want = SeededRNG(seed), SeededRNG(seed)
     for _ in range(20):
@@ -71,6 +78,59 @@ def test_sample_copies_the_plan_template():
     assert first == loop_sample(want, 12, 12)
     first.reverse()
     assert got.sample(12, 12) == loop_sample(want, 12, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SEEDS, st.integers(0, 64), st.data())
+def test_sorted_samples_match_the_call_loop(seed, n, data):
+    k = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(0, 40))
+    got, want = SeededRNG(seed), SeededRNG(seed)
+    assert list(got.sorted_samples(n, k, count)) == [loop_sorted_sample(want, n, k)
+                                                       for _ in range(count)]
+    assert got._mt.getstate() == want._mt.getstate()
+
+
+# the draws made between two subsets: (kind, argument)
+BETWEEN = st.lists(st.one_of(st.tuples(st.just("randrange"), st.integers(1, 2**40)),
+                             st.tuples(st.just("bits"), st.integers(1, 64))), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(0, 40), st.data())
+def test_sorted_samples_draw_lazily(seed, n, data):
+    """Draws made on the generator between two subsets of the stream land
+    where they land between two ``sorted_sample`` calls."""
+    k = data.draw(st.integers(0, n))
+    count = data.draw(st.integers(0, 12))
+    between = data.draw(st.lists(BETWEEN, min_size=count + 1, max_size=count + 1))
+
+    def draw_between(rng, draws):
+        return [rng.randrange(x) if kind == "randrange" else rng.bits(x) for kind, x in draws]
+
+    got, want = SeededRNG(seed), SeededRNG(seed)
+    stream = got.sorted_samples(n, k, count)
+    got_out = [draw_between(got, between[0])]
+    for subset, draws in zip(stream, between[1:]):
+        got_out += [subset, draw_between(got, draws)]
+    want_out = [draw_between(want, between[0])]
+    for draws in between[1:]:
+        want_out += [loop_sorted_sample(want, n, k), draw_between(want, draws)]
+    assert got_out == want_out
+    assert got._mt.getstate() == want._mt.getstate()
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5, -1, 3), "sample size must be nonnegative"),
+    ((3, 4, 2), "sample larger than population"),
+    ((0, 1, 0), "sample larger than population"),
+    ((5, 2, -1), "sorted_samples needs count >= 0"),
+])
+def test_sorted_samples_check_at_the_call(args, message):
+    rng, fresh = SeededRNG(9), SeededRNG(9)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rng.sorted_samples(*args)  # never iterated
+    assert rng._mt.getstate() == fresh._mt.getstate()
 
 
 @pytest.mark.parametrize("call", [
@@ -114,7 +174,7 @@ def test_randranges_matches_randrange_loop(seed, n, count):
 @given(st.integers(2, 5), st.integers(0, 14), st.integers(0, 100), SEEDS)
 def test_random_hypergraph_matches_comprehension(r, n, pct, seed):
     rng = SeededRNG(seed)
-    want = Hypergraph(r, n, [e for e in combinations(range(n), r) if rng.chance(pct, 100)])
+    want = Hypergraph(r, n, [e for e in combinations(range(n), r) if chance(rng, pct, 100)])
     assert random_hypergraph(r, n, pct, seed) == want
 
 
@@ -122,7 +182,7 @@ def test_random_hypergraph_matches_comprehension(r, n, pct, seed):
 @given(st.integers(0, 30), st.integers(0, 100), SEEDS)
 def test_random_ordered_graph_matches_comprehension(n, pct, seed):
     rng = SeededRNG(seed)
-    want = OrderedGraph(n, [p for p in combinations(range(n), 2) if rng.chance(pct, 100)])
+    want = OrderedGraph(n, [p for p in combinations(range(n), 2) if chance(rng, pct, 100)])
     assert random_ordered_graph(n, pct, seed) == want
 
 

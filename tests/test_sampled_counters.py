@@ -1,10 +1,12 @@
 """Differential tests of the table-driven counters of the sampled path.
 
-The oracles are the implementations the tables replaced, kept here as they
-were: the per-edge mask scan of ``edge_count_mask`` and the color-by-color
-backtracking of ``count_in_subset`` and ``materialize``. The ``randrange``
-loop of ``SeededRNG.sample`` is ``helpers.loop_sample``. Sampled reports are
-compared with a per-subset recount over the same seeded draws. The index
+The oracles are the implementations the tables replaced, kept as they were:
+the per-edge mask scan of ``edge_count_mask`` (``helpers.old_edge_count_mask``)
+and, here, the color-by-color backtracking of ``count_in_subset`` and
+``materialize``. The ``randrange`` loop of ``SeededRNG.sample`` is
+``helpers.loop_sample``. Sampled reports are compared with a per-subset
+recount over the same seeded draws (for ``size_spectrum``,
+``helpers.old_sampled_spectrum``). The index
 build with its own DFS and the two-loop ``check_fact_gr`` and
 ``scan_counterexample`` are ``helpers.old_index_positions``,
 ``old_check_fact_gr`` and ``old_scan_counterexample``.
@@ -43,7 +45,9 @@ from helpers import (
     loop_sample,
     loop_sorted_sample,
     old_check_fact_gr,
+    old_edge_count_mask,
     old_index_positions,
+    old_sampled_spectrum,
     old_scan_counterexample,
 )
 
@@ -51,10 +55,6 @@ MAX_N = 14
 
 
 # --- the replaced implementations ----------------------------------------------
-
-
-def old_edge_count_mask(h: Hypergraph, smask: int) -> int:
-    return sum(1 for m in h._edge_masks if m & ~smask == 0)
 
 
 def old_count_in_subset(inst: GrInstance, subset) -> int:
@@ -481,14 +481,10 @@ def test_sampled_spectrum_matches_recount(h, samples, seed, data):
     if h.n < h.r:
         return
     m = data.draw(st.integers(h.r, h.n))
-    rng = SeededRNG(seed)
-    witnesses: dict[int, tuple[int, ...]] = {}
-    for _ in range(samples):
-        s = loop_sorted_sample(rng, h.n, m)
-        witnesses.setdefault(old_edge_count_mask(h, mask_of(s)), s)
     rep = size_spectrum(h, m, mode="sampled", samples=samples, seed=seed)
-    assert rep.witnesses == witnesses
-    assert rep.achieved == sorted(witnesses)
+    old = old_sampled_spectrum(h, m, samples, seed)
+    assert rep.witnesses == old.witnesses  # tuples, which to_json_obj turns into lists
+    assert rep.to_json_obj() == old.to_json_obj()
     assert rep.subsets_examined == rep.samples == samples
 
 

@@ -19,6 +19,7 @@ from ordersize.search import (
 
 from helpers import (
     center_in_first_leaf_set,
+    chance,
     count_independent_tsets,
     count_induced_ktt,
     enumerate_induced_ktt,
@@ -29,13 +30,13 @@ from helpers import (
 
 def seeded_3graph(n, seed, pct=50):
     rng = SeededRNG(seed)
-    edges = [e for e in combinations(range(n), 3) if rng.chance(pct, 100)]
+    edges = [e for e in combinations(range(n), 3) if chance(rng, pct, 100)]
     return Hypergraph(3, n, edges)
 
 
 def seeded_graph(n, seed, pct=50):
     rng = SeededRNG(seed)
-    edges = [p for p in combinations(range(n), 2) if rng.chance(pct, 100)]
+    edges = [p for p in combinations(range(n), 2) if chance(rng, pct, 100)]
     return OrderedGraph(n, edges)
 
 

@@ -88,6 +88,41 @@ def test_small_threaded_scan_starts_no_pool(monkeypatch):
                 == size_spectrum(h, 6).to_json_obj())
 
 
+@pytest.mark.parametrize("r, name, other", [
+    (3, "_PARALLEL_MIN_SUBSETS", "_PARALLEL_MIN_SUBSETS_R4"),
+    (4, "_PARALLEL_MIN_SUBSETS_R4", "_PARALLEL_MIN_SUBSETS"),
+])
+def test_threaded_scan_one_subset_below_the_threshold_starts_no_pool(monkeypatch, r, name, other):
+    """The scan consults its own rank's threshold: one subset below it stays
+    serial whatever the other threshold is, and at it the pool starts."""
+    import multiprocessing
+
+    from ordersize import spectrum
+
+    h = random_hypergraph(r, 10, 50, 3)
+    total = comb(10, 5)
+    serial = size_spectrum(h, 5).to_json_obj()
+    real_pool = multiprocessing.Pool
+    started = []
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("worker pool started")
+
+    def spy_pool(*args, **kwargs):
+        started.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, name, total + 1)
+    monkeypatch.setattr(spectrum, other, 0)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert size_spectrum(h, 5, threads=2).to_json_obj() == serial
+    monkeypatch.setattr(spectrum, name, total)
+    monkeypatch.setattr(spectrum, other, 10**12)
+    monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
+    assert size_spectrum(h, 5, threads=2).to_json_obj() == serial
+    assert started == [(2,)]
+
+
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_size_spectrum_rejects_nonpositive_threads(mode):
     h = random_hypergraph(3, 8, 50, 3)
@@ -101,8 +136,8 @@ def test_large_threaded_scan_matches_serial(monkeypatch):
 
     from ordersize import spectrum
 
-    h = random_hypergraph(3, 21, 50, 3)
-    total = comb(21, 7)
+    h = random_hypergraph(3, 24, 50, 3)
+    total = comb(24, 8)
     assert total >= spectrum._PARALLEL_MIN_SUBSETS
     started = []
     real_pool = multiprocessing.Pool
@@ -112,9 +147,9 @@ def test_large_threaded_scan_matches_serial(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(multiprocessing, "Pool", spy_pool)
-    par = size_spectrum(h, 7, threads=2)
+    par = size_spectrum(h, 8, threads=2)
     assert started == [(2,)]
-    seq = size_spectrum(h, 7)
+    seq = size_spectrum(h, 8)
     assert par.witnesses == seq.witnesses
     assert par.subsets_examined == seq.subsets_examined == total
 

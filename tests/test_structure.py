@@ -23,10 +23,12 @@ from ordersize.structure import (
     star_free_subset,
 )
 
+from helpers import chance
+
 
 def seeded_3graph(n, seed, pct=50):
     rng = SeededRNG(seed)
-    edges = [e for e in combinations(range(n), 3) if rng.chance(pct, 100)]
+    edges = [e for e in combinations(range(n), 3) if chance(rng, pct, 100)]
     return Hypergraph(3, n, edges)
 
 
