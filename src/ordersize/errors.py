@@ -62,12 +62,16 @@ class SearchFailed(OrderSizeError):
 class Budget:
     """Evaluation budget shared across the stages of a search.
 
-    ``limit=None`` means unlimited. ``spend`` raises once the limit is passed,
-    so callers can distinguish "proven absent" from "gave up".
+    ``limit=None`` means unlimited, and a negative limit is invalid. ``spend``
+    raises once the limit is passed, so callers can tell "absent" from "gave up".
     """
 
     limit: int | None = None
     used: int = field(default=0)
+
+    def __post_init__(self) -> None:
+        if self.limit is not None:
+            at_least(0, budget=self.limit)
 
     def spend(self, amount: int = 1) -> None:
         """Spend ``amount`` units as that many single-unit spends would: the

@@ -14,6 +14,8 @@ import random
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .errors import at_least
+
 
 class SeededRNG:
     """Deterministic RNG; same seed, same call sequence, same outputs."""
@@ -133,12 +135,19 @@ def keyed_coloring(seed: int, palette: int = 2) -> Callable[[Iterable[int]], int
 
     The color of a tuple is a pure function of (seed, tuple), so colorings over
     vertex ranges far too large to tabulate can still be queried consistently.
+    The key is the elements' ``str`` forms joined by commas, one format per length.
     """
+    at_least(1, palette=palette)
     keyed = hashlib.blake2b(key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big"), digest_size=8)
+    formats: dict[int, str] = {}
 
     def color(t: Iterable[int]) -> int:
+        t = tuple(t)
+        fmt = formats.get(len(t))
+        if fmt is None:
+            fmt = formats[len(t)] = ",".join(["%s"] * len(t))
         h = keyed.copy()  # the keyed state, set up once per coloring
-        h.update(",".join(map(str, t)).encode())
+        h.update((fmt % t).encode())
         return int.from_bytes(h.digest(), "big") % palette
 
     return color

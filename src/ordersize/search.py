@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import ceil
+from typing import NamedTuple
 
 from .core import Hypergraph, OrderedGraph, bits_of
 from .errors import Budget, ensure
@@ -33,12 +34,12 @@ class HomogeneousWitness:
         return h.is_independent(self.set)
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(NamedTuple):
     """(center, leaves) with every leaf pair forming an edge with the center.
 
     ``anti`` flips all conditions to the complement; ``induced`` additionally
     requires the leaf set to span no edges (all edges for an antistar).
+    A star is a named tuple: it unpacks, and equals the plain 4-tuple.
     """
 
     center: int
@@ -320,18 +321,20 @@ def find_stars(
     row (independent sets for antistars); each extension step spends one unit.
 
     Every star, of a truncated list too, is checked on the center's pair-link
-    row before it is built. Leaf sets that differ only in their top leaf x
-    come in a run and share the prefix below it, which is checked once per
-    run, leaf by leaf as each star's x is; each star then adds the tests of x
-    against the prefix.
+    row, into one flag that a single ``ensure`` reads. Leaf sets that differ
+    only in their top leaf x come in a run and share the prefix below it,
+    which is checked once per run, leaf by leaf as each star's x is; each
+    star then adds the tests of x against the prefix.
     """
     bud, full = Budget(budget), (1 << h.n) - 1
     groups, complete = _star_sets(h, full, s, want_induced, want_anti, bud)
+    make = Star._make
     if s == 0:  # each center alone, with no leaf pair to check
-        return StarSearchResult(tuple(Star(v, (), want_induced, want_anti) for v, _ in groups),
+        return StarSearchResult(tuple([make((v, (), want_induced, want_anti)) for v, _ in groups]),
                                 complete, bud.used)
     links, flip = h._pair_links, -1 if want_anti else 0
     stars: list[Star] = []
+    ok = True  # every star so far passed its check
     for v, masks in groups:
         row, outside = links[v], ~(full ^ (1 << v))
         pre = -1
@@ -346,9 +349,10 @@ def find_stars(
                         not want_induced or _spans_no_edge(links, flip, below, lead[:i], u))
                     below |= 1 << u
             # x joins every prefix leaf through v, and closes no edge with two
-            ensure(pre_ok and not mask & outside and not pre & ~(row[x] ^ flip) and (
-                not want_induced or _spans_no_edge(links, flip, pre, lead, x)), "star")
-            stars.append(Star(v, lead + (x,), want_induced, want_anti))
+            ok = ok and pre_ok and not mask & outside and not pre & ~(row[x] ^ flip) and (
+                not want_induced or _spans_no_edge(links, flip, pre, lead, x))
+            stars.append(make((v, lead + (x,), want_induced, want_anti)))
+    ensure(ok, "star")
     return StarSearchResult(tuple(stars), complete, bud.used)
 
 

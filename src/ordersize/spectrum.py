@@ -238,14 +238,16 @@ def find_mf_subset(
     Scans subsets lexicographically, spending one budget unit per subset, and
     returns the first witness in that order. Returns None when the scan
     completed without finding one (absence proven). Raises BudgetExhausted
-    when the budget ran out first.
+    when the budget ran out first, and ValueError on a negative budget.
     """
     if not 0 <= f <= comb(m, h.r):
         raise ValueError(f"f={f} out of range")
     if not h.r <= m <= h.n:
         raise ValueError(f"m={m} out of range")
+    if budget is not None:
+        at_least(0, budget=budget)
     total = comb(h.n, m)
-    limit = total if budget is None else max(0, min(budget, total))
+    limit = total if budget is None else min(budget, total)
     for count, subset in iter_subset_counts(h, m, 0, limit):
         if count == f:
             return tuple(subset)

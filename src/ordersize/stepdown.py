@@ -10,7 +10,10 @@ coloring factor through the recorded lower-arity coloring chi.
 Repeating the stage r-2 times reduces an r-coloring to a pair coloring. A
 stage run under the reversed vertex order strips the first coordinate
 instead of the last; r-k-1 forward stages followed by k-1 reversed stages
-land the pair at positions (k, k+1).
+land the pair at positions (k, k+1). A stage works on vertex ids: a query
+is a new subset's id tuple, built once, extended by the candidate's id (in
+front of it in a reversed stage), and chi is keyed in ids as it is recorded;
+transcript rows record positions in the stage's own order.
 """
 
 from __future__ import annotations
@@ -57,68 +60,50 @@ class StepResult:
 def _wrap_coloring(coloring, n: int | None, r: int | None) -> tuple[ColorFn, int, int]:
     if isinstance(coloring, Hypergraph):
         h = coloring
-        return (lambda t: 1 if t in h.edges else 0), h.n, h.r
-    if n is None or r is None:
+        coloring, n, r = (lambda t: 1 if t in h.edges else 0), h.n, h.r
+    elif n is None or r is None:
         raise ValueError("callable colorings need explicit n and r")
+    if r < 3:
+        raise ValueError("stepping down needs r >= 3")
     return coloring, n, r
 
 
-def _reduce_stage(colorfn: ColorFn, n: int, q: int, want: int | None) -> tuple[list[int], dict, list[dict]]:
-    """One greedy stage over positions 0..n-1; returns (chosen, chi, rows)."""
-    candidates = list(range(n))
-    chosen: list[int] = []
+def _reduce_stage(verts: list[int], lookup: ColorFn, q: int, want: int | None,
+                  reverse: bool = False) -> tuple[list[int], dict, list[dict]]:
+    """One greedy stage over the ascending vertex ids ``verts``, in forward or
+    reversed order; returns (kept ids ascending, chi, rows). In a reversed
+    stage the factorization strips the first coordinate.
+    """
+    order = verts[::-1] if reverse else verts
+    candidates = list(range(len(order)))
+    picked: list[int] = []  # the chosen ids, in stage order
     chi: dict[tuple[int, ...], int] = {}
     rows: list[dict] = []
     while candidates:
         x = candidates.pop(0)
-        chosen.append(x)
-        row = {"step": len(chosen), "vertex": x, "candidates": len(candidates)}
+        xid = order[x]
+        picked.append(xid)
+        row = {"step": len(picked), "vertex": x, "candidates": len(candidates)}
         rows.append(row)
-        if want is not None and len(chosen) >= want:
+        if want is not None and len(picked) >= want:
             break
-        if len(chosen) >= q - 1 and candidates:
-            new_subsets = [s + (x,) for s in combinations(chosen[:-1], q - 2)]
+        if len(picked) >= q - 1 and candidates:
+            low = combinations(picked[:-1], q - 2)  # in stage order: descending ids if reversed
+            new_subsets = [(xid, *s[::-1]) for s in low] if reverse else [(*s, xid) for s in low]
             groups: dict[tuple[int, ...], list[int]] = {}
             for y in candidates:
-                key = tuple(colorfn(s + (y,)) for s in new_subsets)
+                vy = order[y]
+                key = (tuple([lookup((vy, *ids)) for ids in new_subsets]) if reverse
+                       else tuple([lookup((*ids, vy)) for ids in new_subsets]))
                 groups.setdefault(key, []).append(y)
             best = max(groups, key=lambda kk: (len(groups[kk]), tuple(-c for c in kk)))
-            for s, c in zip(new_subsets, best):
-                chi[s] = c
+            chi.update(zip(new_subsets, best))
             candidates = groups[best]
             row["classes"] = len(groups)
             row["kept"] = len(candidates)
-    for s in combinations(chosen, q - 1):
-        chi.setdefault(s, 0)
-    return chosen, chi, rows
-
-
-def _run_stage(
-    verts: list[int], lookup: ColorFn, q: int, want: int | None, reverse: bool
-) -> tuple[list[int], dict[tuple[int, ...], int], list[dict]]:
-    """Run a stage on the current vertex list, in forward or reversed order.
-
-    Returns kept vertex ids (ascending) and chi keyed by ascending id tuples.
-    In a reversed stage the factorization strips the first coordinate.
-    """
-    if not reverse:
-        def posfn(t: tuple[int, ...]) -> int:
-            return lookup(tuple(map(verts.__getitem__, t)))
-
-        kept, chi_pos, rows = _reduce_stage(posfn, len(verts), q, want)
-        ids = [verts[p] for p in kept]
-        chi = {tuple(verts[p] for p in s): c for s, c in chi_pos.items()}
-        return ids, chi, rows
-
-    rev = list(reversed(verts))
-
-    def posfn(t: tuple[int, ...]) -> int:
-        return lookup(tuple(rev[p] for p in reversed(t)))
-
-    kept, chi_pos, rows = _reduce_stage(posfn, len(rev), q, want)
-    ids = sorted(rev[p] for p in kept)
-    chi = {tuple(sorted(rev[p] for p in s)): c for s, c in chi_pos.items()}
-    return ids, chi, rows
+    for s in combinations(picked, q - 1):
+        chi.setdefault(s[::-1] if reverse else s, 0)
+    return (picked[::-1] if reverse else picked), chi, rows
 
 
 def step_once(coloring, ell: int | None = None, *, n: int | None = None, r: int | None = None) -> StepResult:
@@ -131,11 +116,9 @@ def step_once(coloring, ell: int | None = None, *, n: int | None = None, r: int 
     r-tuple of the result.
     """
     colorfn, n, r = _wrap_coloring(coloring, n, r)
-    if r < 3:
-        raise ValueError("stepping down needs r >= 3")
     if ell is not None:
         at_least(1, ell=ell)
-    chosen, chi, rows = _reduce_stage(colorfn, n, r, ell)
+    chosen, chi, rows = _reduce_stage(list(range(n)), colorfn, r, ell)
     result = StepResult(tuple(chosen), r - 1, chi, [{"direction": "F", "rows": rows}])
     if ell is not None and len(chosen) < ell:
         raise SearchFailed(
@@ -187,8 +170,6 @@ def step_to_pairs(
     increasing r-tuple of the result against the original coloring.
     """
     colorfn, n, r = _wrap_coloring(coloring, n, r)
-    if r < 3:
-        raise ValueError("stepping down needs r >= 3")
     if not 1 <= k <= r - 1:
         raise ValueError(f"k={k} out of range [1, {r - 1}]")
     if ell is not None:
@@ -198,14 +179,11 @@ def step_to_pairs(
     verts = list(range(n))
     lookup: ColorFn = colorfn
     transcript: list[dict] = []
-    q = r
-    for direction, cap in zip(schedule, caps):
-        verts, chi, rows = _run_stage(verts, lookup, q, cap, direction == "R")
+    for q, direction, cap in zip(range(r, 2, -1), schedule, caps):
+        verts, chi, rows = _reduce_stage(verts, lookup, q, cap, direction == "R")
         transcript.append({"direction": direction, "uniformity": q, "kept": len(verts), "rows": rows})
-        table = dict(chi)
-        lookup = table.__getitem__
-        q -= 1
-    result = StepResult(tuple(verts), 2, table, transcript, k=k)
+        lookup = chi.__getitem__
+    result = StepResult(tuple(verts), 2, chi, transcript, k=k)
     if ell is not None and len(verts) < ell:
         raise SearchFailed(
             f"stages exhausted at {len(verts)} of {ell} vertices",

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .blowups import FAMILY_TYPES, PAIR_TYPES
 from .core import Hypergraph, OrderedGraph, bits_of, mask_of, maybe_density, vertex_set
-from .errors import Budget, BudgetExhausted, SearchFailed, ensure
+from .errors import Budget, BudgetExhausted, SearchFailed, at_least, ensure
 from .search import (
     DEFAULT_EXACT_LIMIT,
     HomogeneousWitness,
@@ -553,6 +553,8 @@ def main_structure(
         raise ValueError("main_structure is defined for 3-graphs")
     if m < 1:
         raise ValueError(f"m must be at least 1, got m={m}")
+    if budget is not None:
+        at_least(0, budget=budget)
     s = max(part_size or m, 3)
     trace: list[str] = []
     hom = max_homogeneous(h, exact_limit)

@@ -24,7 +24,7 @@ from ordersize.core import (
     vertex_set,
 )
 from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
-from ordersize import hbuilder
+from ordersize import hbuilder, search, stepdown
 from ordersize.hbuilder import (
     BuildError,
     CertNode,
@@ -61,7 +61,7 @@ from ordersize.spectrum import (
     _weighted_r3_m5f5,
     weighted_total,
 )
-from ordersize.stepdown import DEFAULT_INTERMEDIATE_CAP
+from ordersize.stepdown import DEFAULT_INTERMEDIATE_CAP, StepResult, step_once, step_to_pairs
 from ordersize.structure import HomogenizedFamily, PairFamily, _density01, _uniform, maybe_density
 from ordersize.values import (
     CubicParams,
@@ -1638,3 +1638,149 @@ def old_realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> Reali
         )
     return RealizeResult(u, True, complemented, k, x)
 
+
+# --- stepping-down on positions, with per-query remaps ------------------------------
+
+
+def old_reduce_stage(colorfn, n: int, q: int, want: int | None) -> tuple[list[int], dict, list[dict]]:
+    """One greedy stage over positions 0..n-1; returns (chosen, chi, rows)."""
+    candidates = list(range(n))
+    chosen: list[int] = []
+    chi: dict[tuple[int, ...], int] = {}
+    rows: list[dict] = []
+    while candidates:
+        x = candidates.pop(0)
+        chosen.append(x)
+        row = {"step": len(chosen), "vertex": x, "candidates": len(candidates)}
+        rows.append(row)
+        if want is not None and len(chosen) >= want:
+            break
+        if len(chosen) >= q - 1 and candidates:
+            new_subsets = [s + (x,) for s in combinations(chosen[:-1], q - 2)]
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for y in candidates:
+                key = tuple(colorfn(s + (y,)) for s in new_subsets)
+                groups.setdefault(key, []).append(y)
+            best = max(groups, key=lambda kk: (len(groups[kk]), tuple(-c for c in kk)))
+            for s, c in zip(new_subsets, best):
+                chi[s] = c
+            candidates = groups[best]
+            row["classes"] = len(groups)
+            row["kept"] = len(candidates)
+    for s in combinations(chosen, q - 1):
+        chi.setdefault(s, 0)
+    return chosen, chi, rows
+
+
+def old_run_stage(
+    verts: list[int], lookup, q: int, want: int | None, reverse: bool
+) -> tuple[list[int], dict[tuple[int, ...], int], list[dict]]:
+    """Run a stage on the current vertex list, in forward or reversed order.
+
+    Returns kept vertex ids (ascending) and chi keyed by ascending id tuples.
+    In a reversed stage the factorization strips the first coordinate.
+    """
+    if not reverse:
+        def posfn(t: tuple[int, ...]) -> int:
+            return lookup(tuple(map(verts.__getitem__, t)))
+
+        kept, chi_pos, rows = old_reduce_stage(posfn, len(verts), q, want)
+        ids = [verts[p] for p in kept]
+        chi = {tuple(verts[p] for p in s): c for s, c in chi_pos.items()}
+        return ids, chi, rows
+
+    rev = list(reversed(verts))
+
+    def posfn(t: tuple[int, ...]) -> int:
+        return lookup(tuple(rev[p] for p in reversed(t)))
+
+    kept, chi_pos, rows = old_reduce_stage(posfn, len(rev), q, want)
+    ids = sorted(rev[p] for p in kept)
+    chi = {tuple(sorted(rev[p] for p in s)): c for s, c in chi_pos.items()}
+    return ids, chi, rows
+
+
+def _position_stage(verts, lookup, q, want, reverse=False):
+    """The id-keyed stage's interface over ``old_run_stage``; a forward stage
+    over 0..n-1 is the position stage that ``step_once`` ran on its own."""
+    return old_run_stage(verts, lookup, q, want, reverse)
+
+
+def old_step_once(coloring, ell=None, **kw) -> StepResult:
+    """``step_once`` with the stage that ran on positions."""
+    with mock.patch.object(stepdown, "_reduce_stage", _position_stage):
+        return step_once(coloring, ell, **kw)
+
+
+def old_step_to_pairs(coloring, k=1, ell=None, **kw) -> StepResult:
+    """``step_to_pairs`` with the stages that ran on positions and remapped
+    every query and every chi key to vertex ids."""
+    with mock.patch.object(stepdown, "_reduce_stage", _position_stage):
+        return step_to_pairs(coloring, k, ell, **kw)
+
+
+# --- the star search that built a frozen-dataclass Star per star -----------------
+
+
+@dataclass(frozen=True)
+class DataclassStar:
+    """(center, leaves) with every leaf pair forming an edge with the center.
+
+    ``anti`` flips all conditions to the complement; ``induced`` additionally
+    requires the leaf set to span no edges (all edges for an antistar).
+    """
+
+    center: int
+    leaves: tuple[int, ...]
+    induced: bool
+    anti: bool
+
+    def verify(self, h: Hypergraph) -> bool:
+        verts = (self.center,) + self.leaves
+        if len(set(verts)) != len(verts) or min(verts) < 0 or max(verts) >= h.n:
+            return False
+        c, edges, anti = self.center, h.edges, self.anti
+        leaves = sorted(self.leaves)
+        for u, v in combinations(leaves, 2):
+            if (((u, v, c) if c > v else (u, c, v) if c > u else (c, u, v)) in edges) == anti:
+                return False
+        # a star spans no edge among its leaves, an antistar all of them
+        return not self.induced or all((t in edges) == anti for t in combinations(leaves, 3))
+
+
+def dataclass_find_stars(
+    h: Hypergraph,
+    s: int,
+    want_induced: bool = False,
+    want_anti: bool = False,
+    budget: int | None = None,
+) -> StarSearchResult:
+    """``find_stars`` as it checked each star with its own ``ensure`` and
+    built a frozen-dataclass star for it."""
+    _star_sets, _spans_no_edge = search._star_sets, search._spans_no_edge
+    Star = DataclassStar
+    bud, full = Budget(budget), (1 << h.n) - 1
+    groups, complete = _star_sets(h, full, s, want_induced, want_anti, bud)
+    if s == 0:  # each center alone, with no leaf pair to check
+        return StarSearchResult(tuple(Star(v, (), want_induced, want_anti) for v, _ in groups),
+                                complete, bud.used)
+    links, flip = h._pair_links, -1 if want_anti else 0
+    stars: list[Star] = []
+    for v, masks in groups:
+        row, outside = links[v], ~(full ^ (1 << v))
+        pre = -1
+        for mask in masks:
+            x = mask.bit_length() - 1
+            if mask ^ (1 << x) != pre:  # a new prefix: check its leaves in turn
+                pre = mask ^ (1 << x)
+                lead = bits_of(pre)
+                pre_ok, below = not pre & outside, 0
+                for i, u in enumerate(lead):
+                    pre_ok = pre_ok and not below & ~(row[u] ^ flip) and (
+                        not want_induced or _spans_no_edge(links, flip, below, lead[:i], u))
+                    below |= 1 << u
+            # x joins every prefix leaf through v, and closes no edge with two
+            ensure(pre_ok and not mask & outside and not pre & ~(row[x] ^ flip) and (
+                not want_induced or _spans_no_edge(links, flip, pre, lead, x)), "star")
+            stars.append(Star(v, lead + (x,), want_induced, want_anti))
+    return StarSearchResult(tuple(stars), complete, bud.used)

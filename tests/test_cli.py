@@ -168,6 +168,9 @@ def test_structure_cli(tmp_path, capsys):
     assert "variant (a) found; constants {'a': 1, 'b': 0, 'c': 1, 'd': 0}" in out
     assert run(["structure", "--in", path, "--m", "0"]) == 2
     assert capsys.readouterr().err == "error: m must be at least 1, got m=0\n"
+    # a negative budget is invalid input, not a budget that ran out
+    assert run(["--budget", "-1", "structure", "--in", path, "--m", "2"]) == 2
+    assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
 
 
 def test_unknown_flag_exits_2():

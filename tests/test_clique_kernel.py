@@ -199,14 +199,12 @@ K6 = OrderedGraph(6, list(combinations(range(6), 2)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs(), st.integers(0, 5), st.one_of(st.none(), st.integers(-2, 80)), st.booleans())
-@example(K6, 3, -2, False)
-@example(K6, 3, -1, False)
+@given(graphs(), st.integers(0, 5), st.one_of(st.none(), st.integers(0, 80)), st.booleans())
 @example(K6, 3, 0, False)
 @example(K6, 1, 1, False)
 @example(K6, 3, 1, False)
 @example(K6, 3, 5, False)  # runs out inside the last level: 2 steps down, 3 of its 4 leaves
-@example(OrderedGraph(6), 2, -1, True)
+@example(OrderedGraph(6), 2, 0, True)
 def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
     limit = [budget if budget is not None else 1 << 62]
     want, want_complete = enumerate_cliques_reference(
@@ -228,6 +226,10 @@ def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
 @example(complete_hypergraph(3, 6), 3, True, True, 1)
 @example(complete_hypergraph(3, 8), 3, True, False, 10)  # the same walk, every leaf set dropped
 def test_find_stars_matches_link_graph_search(h, s, induced, anti, budget):
+    if budget is not None and budget < 0:  # invalid input, not an empty partial result
+        with pytest.raises(ValueError, match=f"^budget must be nonnegative, got {budget}$"):
+            find_stars(h, s, induced, anti, budget)
+        return
     assert find_stars(h, s, induced, anti, budget) == find_stars_reference(h, s, induced, anti, budget)
 
 

@@ -6,8 +6,9 @@ once; all must give the same values as the per-call loops and leave the
 stream at the same place.
 The generators built on ``randranges`` are compared with the per-element
 comprehensions they replaced, and ``spencer_independent`` with its set-based
-form. ``keyed_coloring`` copies one keyed hash state per query; it is compared
-with the per-query construction it replaced.
+form. ``keyed_coloring`` copies one keyed hash state per query and formats
+its key with one format per tuple length; it is compared with the per-query
+construction and ``map(str, t)`` key it replaced.
 """
 
 from itertools import combinations
@@ -220,8 +221,18 @@ def test_spencer_independent_matches_set_form(r, pct, seed, trials, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-2**70, 2**70), st.integers(1, 7),
-       st.lists(st.lists(st.integers(-10**6, 10**6), max_size=6), min_size=1, max_size=6))
-def test_keyed_coloring_matches_per_call_construction(seed, palette, tuples):
+       st.lists(st.lists(st.one_of(st.integers(-10**6, 10**6), st.booleans()), max_size=6),
+                min_size=1, max_size=6),
+       st.sampled_from([list, tuple, iter]))
+def test_keyed_coloring_matches_per_call_construction(seed, palette, tuples, form):
+    """The same color for a query given as a list, a tuple or a one-shot
+    iterator, whose elements may be bools ("True" and "False" in the key)."""
     got, want = keyed_coloring(seed, palette), per_call_keyed_coloring(seed, palette)
     for t in tuples + tuples:  # a repeated query must not see the state of the last one
-        assert got(t) == want(t)
+        assert got(form(t)) == want(t)
+
+
+@pytest.mark.parametrize("palette", [0, -1, -5])
+def test_keyed_coloring_rejects_an_empty_palette(palette):
+    with pytest.raises(ValueError, match=f"^palette must be positive, got {palette}$"):
+        keyed_coloring(7, palette)

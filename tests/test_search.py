@@ -118,6 +118,13 @@ def test_find_stars_star_size_zero_and_negative():
         find_stars(complete_hypergraph(3, 8), -1)
 
 
+def test_find_stars_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -3$"):
+        find_stars(complete_hypergraph(3, 8), 3, budget=-3)
+    res = find_stars(complete_hypergraph(3, 8), 3, budget=0)
+    assert (res.stars, res.complete, res.examined) == ((), False, 0)
+
+
 def test_find_stars_budget_truncation():
     res = find_stars(complete_hypergraph(3, 8), 3, budget=10)
     assert (len(res.stars), res.complete, res.examined) == (7, False, 10)

@@ -179,6 +179,11 @@ def test_find_mf_subset():
     assert find_mf_subset(k6, 4, 3) is None  # proven absent exhaustively
     with pytest.raises(BudgetExhausted):
         find_mf_subset(k6, 4, 3, budget=5)
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        find_mf_subset(k6, 4, 3, budget=-1)
+    with pytest.raises(BudgetExhausted) as err:  # a budget of 0 is valid and scans nothing
+        find_mf_subset(k6, 4, 3, budget=0)
+    assert err.value.used == 0
     h = cyclic_triangle_3graph(10, 7)
     got = find_mf_subset(h, 6, 0)
     want = next((s for s in combinations(range(10), 6) if h.edge_count(s) == 0), None)
@@ -366,8 +371,7 @@ def test_weighted_scan_matches_combinations_loop(data):
     f = data.draw(st.integers(0, comb(m, r)))
     frame = WeightFrame(r, m)
     subsets = comb(mask.bit_count(), frame.size)
-    budget = data.draw(st.one_of(st.none(), st.sampled_from([-1, 0]),
-                                 st.integers(1, max(subsets, 1))))
+    budget = data.draw(st.one_of(st.none(), st.integers(0, max(subsets, 1))))
 
     def run(scan):
         bud = Budget(budget)

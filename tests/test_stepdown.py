@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import old_stage_caps
+from helpers import old_stage_caps, old_step_once, old_step_to_pairs
 from ordersize import stepdown
 from ordersize.constructions import random_hypergraph
 from ordersize.core import Hypergraph, complete_hypergraph, empty_hypergraph
@@ -167,3 +167,72 @@ def test_step_to_pairs_matches_the_uncut_caps(data):
     got = step_outcome(h, k, ell)
     with patch.object(stepdown, "_stage_caps", lambda r, ell, n: old_stage_caps(r, ell)):
         assert step_outcome(h, k, ell) == got
+
+
+class Recorder:
+    """A coloring that records every tuple it is asked for."""
+
+    def __init__(self, fn):
+        self.fn, self.queries = fn, []
+
+    def __call__(self, t):
+        self.queries.append(tuple(t))
+        return self.fn(t)
+
+
+def outcome_obj(step, coloring, *args, **kw):
+    """The result of a stepping-down call as JSON, or its failure with the
+    partial result; the queries it made, in order."""
+    rec = Recorder(coloring)
+    try:
+        res = step(rec, *args, **kw)
+    except SearchFailed as e:
+        res = e.detail["result"]
+        return ("failed", str(e), e.detail["achieved"], res.to_json_obj(), list(res.chi)), rec.queries
+    return ("ok", res.to_json_obj(), list(res.chi)), rec.queries
+
+
+@st.composite
+def colorings(draw, r):
+    """A stored r-graph's edge test on n <= 12 vertices, or a keyed coloring
+    with a palette of 1 to 3 colors on up to 40 (1 color: up to 10)."""
+    seed = draw(st.integers(0, 999))
+    if draw(st.booleans()):
+        n = draw(st.integers(r, 12))
+        density = draw(st.one_of(st.sampled_from([0, 100]), st.integers(0, 100)))
+        h = random_hypergraph(r, n, density, seed)
+        return (lambda t: 1 if t in h.edges else 0), n
+    palette = draw(st.integers(1, 3))
+    return keyed_coloring(seed, palette), draw(st.integers(r, 10 if palette == 1 else 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_id_stages_match_the_position_stages(data):
+    """Every stage, forward and reversed, gives the result, transcript, chi
+    order and failure of the stage that ran on positions, and asks the
+    coloring the same tuples in the same order."""
+    r = data.draw(st.integers(3, 5))
+    colorfn, n = data.draw(colorings(r))
+    k = data.draw(st.integers(1, r - 1))
+    ell = data.draw(st.one_of(st.none(), st.integers(1, 6 if r == 5 else 8)))
+    got = outcome_obj(step_to_pairs, colorfn, k, ell, n=n, r=r)
+    assert got == outcome_obj(old_step_to_pairs, colorfn, k, ell, n=n, r=r)
+    got = outcome_obj(step_once, colorfn, ell, n=n, r=r)
+    assert got == outcome_obj(old_step_once, colorfn, ell, n=n, r=r)
+
+
+@pytest.mark.parametrize("r,k", [(r, k) for r in (3, 4, 5) for k in range(1, r)])
+def test_id_stages_match_on_a_keyed_coloring(r, k):
+    col, n = keyed_coloring(1000 + 10 * r + k), {3: 600, 4: 512, 5: 400}[r]
+    for ell in (None, 3, 4):
+        got = outcome_obj(step_to_pairs, col, k, ell, n=n, r=r)
+        assert got == outcome_obj(old_step_to_pairs, col, k, ell, n=n, r=r)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_query_count_is_pinned(k):
+    # the count the stages made when they ran on positions
+    col = Recorder(keyed_coloring(12345))
+    step_to_pairs(col, k=k, ell=4, n=512, r=4)
+    assert len(col.queries) == 1498

@@ -271,6 +271,12 @@ def test_main_structure_type_a_round_trips():
         assert st.family.verify(h)
 
 
+def test_main_structure_rejects_a_negative_budget():
+    h, _ = build_type_family([3, 3, 3, 3], 1, 0, 1, 0)
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        main_structure(h, 2, budget=-1)
+
+
 def test_main_structure_type_b_round_trips():
     rng = SeededRNG(31)
     for _ in range(6):

@@ -9,10 +9,12 @@ passing ``Star.verify``, the star and pair chains that ran on
 ``find_stars``, which checks its stars on the pair-link rows, is checked
 against the search that checked each one through ``Star.verify`` (kept in
 ``tests/helpers.py``), both on what the walk hands back and on leaf masks
-with one leaf swapped. The star chain's common-center walk is also checked
-against a scan of every s-set on ``h.edges``, the family check on
-``verification_rows`` against ``verify``, and the homogeneous subset on a
-vertex mask against ``max_homogeneous`` of the induced copy.
+with one leaf swapped, and against the loop that checked each star with its
+own ``ensure`` and built a frozen-dataclass star for it. The star chain's
+common-center walk is also checked against a scan of every s-set on
+``h.edges``, the family check on ``verification_rows`` against ``verify``,
+and the homogeneous subset on a vertex mask against ``max_homogeneous`` of
+the induced copy.
 """
 
 from fractions import Fraction
@@ -55,7 +57,14 @@ from ordersize.structure import (
     find_star_chain,
 )
 
-from helpers import enumerate_induced_ktt, link_graph, old_find_stars, old_star_sets
+from helpers import (
+    DataclassStar,
+    dataclass_find_stars,
+    enumerate_induced_ktt,
+    link_graph,
+    old_find_stars,
+    old_star_sets,
+)
 
 MAX_N = 12
 
@@ -296,6 +305,13 @@ def test_pair_chain_matches_induced_copy_chain(data):
         outcome(lambda: oracle_pair_chain(h, ell, t, budget))
 
 
+@pytest.mark.parametrize("limit", [-1, -3])
+def test_budget_rejects_a_negative_limit(limit):
+    with pytest.raises(ValueError, match=f"^budget must be nonnegative, got {limit}$"):
+        Budget(limit)
+    assert Budget(0).limit == 0 and Budget().limit is None
+
+
 def test_budget_spends_many_units_as_single_ones():
     bud = Budget(5)
     bud.spend(3)
@@ -346,9 +362,46 @@ def star_graphs(draw):
 @example(plant([4] * 4, (1, 1, 0, 0)), 4, True, False, None)
 @example(plant([4] * 4, (1, 1, 0, 0), True), 3, True, True, 40)
 def test_find_stars_matches_the_star_verify_search(h, s, induced, anti, budget):
+    if budget is not None and budget < 0:
+        with pytest.raises(ValueError, match=f"^budget must be nonnegative, got {budget}$"):
+            find_stars(h, s, induced, anti, budget)
+        return
     got = find_stars(h, s, induced, anti, budget)
     assert got == old_find_stars(h, s, induced, anti, budget)
     assert all(x.verify(h) for x in got.stars)
+
+
+@pytest.mark.parametrize("induced,anti", [(i, a) for i in (False, True) for a in (False, True)])
+@settings(max_examples=150, deadline=None)
+@given(h=star_graphs(), s=st.integers(0, 4), budget=st.sampled_from([None, 0, 1, 7, 40]))
+def test_find_stars_matches_the_dataclass_star_loop(h, s, induced, anti, budget):
+    got = find_stars(h, s, induced, anti, budget)
+    want = dataclass_find_stars(h, s, induced, anti, budget)
+    assert [(x.center, x.leaves, x.induced, x.anti) for x in got.stars] == \
+        [(x.center, x.leaves, x.induced, x.anti) for x in want.stars]
+    assert (got.complete, got.examined) == (want.complete, want.examined)
+    assert all(type(x) is Star for x in got.stars)
+
+
+def test_star_keeps_the_dataclass_interface():
+    star, old = Star(2, (0, 5, 7), True, False), DataclassStar(2, (0, 5, 7), True, False)
+    assert Star._fields == ("center", "leaves", "induced", "anti")
+    assert repr(star) == repr(old).replace("DataclassStar", "Star")
+    assert repr(star) == "Star(center=2, leaves=(0, 5, 7), induced=True, anti=False)"
+    assert star == Star(center=2, leaves=(0, 5, 7), induced=True, anti=False)
+    assert hash(star) == hash(Star(2, (0, 5, 7), True, False))
+    with pytest.raises(AttributeError):
+        star.center = 3
+    # the API change: a star is its 4-tuple
+    assert star == (2, (0, 5, 7), True, False)
+    center, leaves, induced, anti = star
+    assert (center, leaves, induced, anti) == (old.center, old.leaves, old.induced, old.anti)
+    for seed in range(5):
+        h = random_hypergraph(3, 9, 60, seed)
+        for v in range(9):
+            for leaves in combinations([u for u in range(9) if u != v], 3):
+                for flags in ((False, False), (True, False), (False, True), (True, True)):
+                    assert Star(v, leaves, *flags).verify(h) == DataclassStar(v, leaves, *flags).verify(h)
 
 
 def all_but(n, *missing):
