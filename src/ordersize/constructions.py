@@ -361,6 +361,7 @@ def footnote_example_r3() -> GrInstance:
 
 def random_hypergraph(r: int, n: int, density_pct: int, seed: int) -> Hypergraph:
     """Each r-subset kept independently with probability density_pct / 100."""
+    at_least(0, n=n)
     if not 0 <= density_pct <= 100:
         raise ValueError("density is a percentage")
     rng = SeededRNG(seed)
@@ -370,8 +371,12 @@ def random_hypergraph(r: int, n: int, density_pct: int, seed: int) -> Hypergraph
 
 
 def random_ordered_graph(n: int, density_pct: int, seed: int):
+    """Each pair kept independently with probability density_pct / 100."""
     from .core import OrderedGraph
 
+    at_least(0, n=n)
+    if not 0 <= density_pct <= 100:
+        raise ValueError("density is a percentage")
     rng = SeededRNG(seed)
     draws = rng.randranges(100, comb(n, 2))
     edges = [p for p, x in zip(combinations(range(n), 2), draws) if x < density_pct]

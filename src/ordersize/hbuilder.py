@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
+from typing import Iterator, Sequence
 
 from .core import OrderedGraph
 from .errors import SearchFailed, ensure
@@ -82,57 +84,34 @@ class DSequence:
         return len(self.d)
 
     def weighted_sum(self) -> int:
-        return sum(di * comb(self.m - i, self.r - 2) for i, di in enumerate(self.d, start=1))
+        return sum(map(mul, self.d, position_weights(self.r, self.m)))
 
 
-def position_weight(r: int, m: int, i: int) -> int:
-    """Weight of any pair whose larger position is i (split 1)."""
-    return comb(m - i, r - 2)
+@lru_cache(maxsize=128)
+def position_weights(r: int, m: int) -> tuple[int, ...]:
+    """Entry i-1 is C(m-i, r-2), the weight of any pair whose larger position
+    is i (split 1), for i = 1..m-r+2."""
+    return tuple(comb(m - i, r - 2) for i in range(1, m - r + 3))
 
 
-def _zero_runs(d: tuple[int, ...], i_star: int, m: int, r: int) -> list[tuple[int, int]]:
-    """Maximal runs of zero positions usable as gap interiors.
-
-    A gap (k, l) needs i_star <= k < l <= m-2r+5 with zeros strictly between,
-    so interiors live in positions [i_star+1, m-2r+4]. Returns (a, b) runs,
-    inclusive."""
-    lo, hi = i_star + 1, m - 2 * r + 4
-    runs: list[tuple[int, int]] = []
+def _zero_runs(d: Sequence[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The maximal runs a..b of zero positions inside [lo, hi], in order."""
     p = lo
     while p <= hi:
-        if d[p - 1] != 0:
+        if d[p - 1]:
             p += 1
             continue
         q = p
-        while q + 1 <= hi and d[q] == 0:
+        while q < hi and not d[q]:
             q += 1
-        runs.append((p, q))
+        yield p, q
         p = q + 1
-    return runs
-
-
-def _find_gap(d: tuple[int, ...], i_star: int, m: int, r: int, min_len: int) -> tuple[int, int] | None:
-    """First (k, l) gap of length at least min_len (k = run start - 1)."""
-    for a, b in _zero_runs(d, i_star, m, r):
-        if (b - a + 2) >= min_len:
-            return (a - 1, b + 1)
-    return None
-
-
-def _best_gap(d: tuple[int, ...], i_star: int, m: int, r: int) -> tuple[int, int] | None:
-    """Longest gap (first such on ties)."""
-    best = None
-    for a, b in _zero_runs(d, i_star, m, r):
-        if best is None or (b - a) > (best[1] - best[0]):
-            best = (a, b)
-    if best is None:
-        return None
-    return (best[0] - 1, best[1] + 1)
 
 
 def d_sequence(r: int, m: int, f: int) -> DSequence:
     """Greedy-maximal degrees: d_i is the largest value in [0, i-1] keeping
-    the running weighted sum at most f."""
+    the running weighted sum at most f. For r >= 4 the gap is the first zero
+    run a..b in [i_star+1, m-2r+4] with b - a >= tail_degree_sum, as (a-1, b+1)."""
     if r < 3:
         raise ValueError("r must be >= 3")
     if m < r + 1:
@@ -142,14 +121,16 @@ def d_sequence(r: int, m: int, f: int) -> DSequence:
     length = m - r + 2
     d: list[int] = [0]
     running = 0
-    for i in range(2, length + 1):
-        w = position_weight(r, m, i)
+    for i, w in enumerate(position_weights(r, m)[1:], start=2):
         di = min(i - 1, (f - running) // w)
         d.append(di)
         running += di * w
     i_star = next((i for i in range(2, length + 1) if d[i - 1] <= i - 2), None)
     tail_sum = sum(d[i - 1] for i in range(m - 2 * r + 6, length + 1)) if r >= 4 else 0
-    gap = _find_gap(tuple(d), i_star, m, r, tail_sum + 2) if (i_star and r >= 4) else None
+    gap = None
+    if i_star and r >= 4:
+        runs = _zero_runs(d, i_star + 1, m - 2 * r + 4)
+        gap = next(((a - 1, b + 1) for a, b in runs if b - a >= tail_sum), None)
     return DSequence(r, m, f, tuple(d), i_star, gap, tail_sum)
 
 
@@ -208,7 +189,9 @@ def verify_claim_d(seq: DSequence) -> ClaimReport:
     if seq.i_star is not None:
         _, ln_up = ln_bounds(2 * (r - 2))
         threshold = 2 * (r - 2) * ln_up
-        gap = _best_gap(d, seq.i_star, m, r)
+        runs = _zero_runs(d, seq.i_star + 1, m - 2 * r + 4)
+        best = max(runs, key=lambda ab: ab[1] - ab[0], default=None)  # the first longest run
+        gap = None if best is None else (best[0] - 1, best[1] + 1)
         items["d"] = gap is not None and Fraction(gap[1] - gap[0]) >= threshold
         details["gap"] = gap
         details["gap_threshold"] = float(threshold)
@@ -460,7 +443,7 @@ def recount_construction(hc: HConstruction) -> tuple[int, dict[str, bool]]:
     end does), and whether it, the backward degrees and the expanded
     certificate match what ``hc`` claims."""
     degrees = hc.backward_degrees()
-    weight = sum(deg * position_weight(hc.r, hc.m, j + 1) for j, deg in enumerate(degrees) if deg)
+    weight = sum(map(mul, degrees, position_weights(hc.r, hc.m)))
     return weight, {"weight_ok": weight == hc.realized_weight, "degrees_ok": degrees == hc.d.d,
                     "cert_ok": expand_certificate(hc.cert) == hc.graph}
 
@@ -473,16 +456,13 @@ def _build_certificate(seq: DSequence) -> CertNode:
     pendant to position 1; V2 is the monotone star forest on i1..k, k the gap
     start; V3 nests the last r-3 positions over their leaves in the gap (the
     last position's first) around the stars U2 after them. Raises the
-    BuildError of a middle degree above 1 first, then that of a missing gap.
+    BuildError of a missing gap.
     """
     r, m, d, length, i_star = seq.r, seq.m, seq.at, seq.length, seq.i_star
     mid_hi = m - 2 * r + 5  # the last middle position; the tail follows it
-    for i in range(i_star + 1, mid_hi + 1):
-        if d(i) > 1:
-            raise BuildError(
-                f"middle position {i} has degree {d(i)} > 1",
-                reason="degree pattern violated",
-            )
+    # After i_star the greedy's leftover before position i is below w_{i-1}, and
+    # w_{i-1}/w_i = (m-i+1)/(m-i-r+3) <= 2 exactly when i <= m-2r+5, so d_i <= 1.
+    ensure(all(d(i) <= 1 for i in range(i_star + 1, mid_hi + 1)), "middle degrees are at most 1")
     if seq.gap is None:  # d_sequence's first gap of length at least tail_degree_sum + 2
         raise BuildError(
             "no zero run long enough to host the tail leaves",
@@ -513,31 +493,23 @@ def _build_certificate(seq: DSequence) -> CertNode:
 
 
 def _star_forest(seq: DSequence, lo: int, hi: int) -> CertNode | None:
-    """Monotone star forest on positions lo..hi: each zero position is a
-    center whose leaves are the positions up to the next zero (None when the
-    range is empty).
+    """Monotone star forest on positions lo..hi, lo a zero: each zero
+    position is a center whose leaves are the positions up to the next zero
+    (None when the range is empty).
 
-    One pass over the centers lays out the disjoint union's children: a run
-    of z centers without leaves is one empty leaf of size z, a center with
+    One pass over the zero runs lays out the disjoint union's children. In a
+    run a..b the centers a..b-1 have no leaves, and center b has the c-b-1
+    positions before c, the next run's start (hi+1 after the last run). A
+    stretch of z leafless centers is one empty leaf of size z, a center with
     one leaf a clique leaf of size 2, and a center with t >= 2 leaves a
     clique host over the center and an empty leaf of size t.
     """
-    d = seq.d
-    kids: list[CertNode] = []
-    bare = 0  # leafless centers not yet laid out
-    i = lo
-    while i <= hi:  # position i is a center; its leaves run up to the next zero
-        j = i + 1
-        while j <= hi and d[j - 1]:
-            j += 1
-        leaves, i = j - i - 1, j
-        if not leaves:
-            bare += 1
-            continue
-        if bare:
-            kids.append(empty_node(bare))
-            bare = 0
-        kids.append(clique_node(2) if leaves == 1 else CertNode("clique", 2, (_SINGLE, empty_node(leaves))))
-    if bare:
-        kids.append(empty_node(bare))
+    runs = list(_zero_runs(seq.d, lo, hi))
+    kids: list[CertNode | None] = []
+    for (a, b), c in zip(runs, [a for a, _b in runs[1:]] + [hi + 1]):
+        leaves = c - b - 1
+        bare = b - a if leaves else b - a + 1
+        kids.append(empty_node(bare) if bare else None)
+        if leaves:
+            kids.append(clique_node(2) if leaves == 1 else CertNode("clique", 2, (_SINGLE, empty_node(leaves))))
     return cert_disjoint(kids)

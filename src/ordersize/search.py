@@ -13,7 +13,7 @@ from math import ceil
 from typing import NamedTuple
 
 from .core import Hypergraph, OrderedGraph, bits_of
-from .errors import Budget, ensure
+from .errors import Budget, at_least, ensure
 from .rng import SeededRNG
 
 DEFAULT_EXACT_LIMIT = 40
@@ -253,6 +253,7 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
     """
     if h.r != 3:
         raise ValueError("max_homogeneous currently supports 3-graphs")
+    at_least(0, exact_limit=exact_limit)
     return _max_homogeneous_in(h, (1 << h.n) - 1, exact_limit)
 
 
@@ -409,6 +410,7 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
     the trials next to the target ceil((1 - 1/k) * n / d^(1/(k-1))). Output is
     independent on every run; the target may or may not be met.
     """
+    at_least(1, trials=trials)
     k, n = h.r, h.n
     if n == 0:
         return SpencerResult((), 0, trials, True)
@@ -423,7 +425,7 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
     best: tuple[int, ...] = ()
     # each edge in sorted order, with the vertex it deletes: its largest
     tests = [(em, 1 << (em.bit_length() - 1)) for em in h._edge_masks]
-    for _ in range(max(1, trials)):
+    for _ in range(trials):
         kept = 0
         for v, x in enumerate(rng.randranges(den, n)):
             if x < num:

@@ -382,6 +382,7 @@ def find_star_chain(
     """
     if h.r != 3:
         raise ValueError("star chains are defined for 3-graphs")
+    at_least(0, ell=ell)
     links = h._pair_links
     current = (1 << h.n) - 1
     chain: list[tuple[int, ...]] = []
@@ -497,6 +498,7 @@ def find_pair_chain(
         raise ValueError("pair chains are defined for 3-graphs")
     if t < 1:
         raise ValueError("t must be >= 1")
+    at_least(0, ell=ell)
     bud = Budget(budget)
     best = None  # (number of centers, centers, A, B) as masks
 
@@ -555,6 +557,8 @@ def main_structure(
         raise ValueError(f"m must be at least 1, got m={m}")
     if budget is not None:
         at_least(0, budget=budget)
+    if part_size is not None:
+        at_least(1, part_size=part_size)
     s = max(part_size or m, 3)
     trace: list[str] = []
     hom = max_homogeneous(h, exact_limit)

@@ -31,11 +31,12 @@ from ordersize.hbuilder import (
     ClaimReport,
     DSequence,
     HConstruction,
-    _best_gap,
+    _SINGLE,
     _nested_tree,
     build_H,
     cert_disjoint,
     cert_join,
+    clique_node,
     d_sequence,
     empty_node,
     ln_bounds,
@@ -625,6 +626,82 @@ def listed_homogenize_pair_types(h: Hypergraph, pairs, m: int) -> PairFamily:
 # --- H builder and star oracles ---------------------------------------------------
 
 
+def old_position_weight(r: int, m: int, i: int) -> int:
+    """Weight of any pair whose larger position is i (split 1)."""
+    return comb(m - i, r - 2)
+
+
+def old_zero_runs(d: tuple[int, ...], i_star: int, m: int, r: int) -> list[tuple[int, int]]:
+    """Maximal runs of zero positions usable as gap interiors.
+
+    A gap (k, l) needs i_star <= k < l <= m-2r+5 with zeros strictly between,
+    so interiors live in positions [i_star+1, m-2r+4]. Returns (a, b) runs,
+    inclusive."""
+    lo, hi = i_star + 1, m - 2 * r + 4
+    runs: list[tuple[int, int]] = []
+    p = lo
+    while p <= hi:
+        if d[p - 1] != 0:
+            p += 1
+            continue
+        q = p
+        while q + 1 <= hi and d[q] == 0:
+            q += 1
+        runs.append((p, q))
+        p = q + 1
+    return runs
+
+
+def old_find_gap(d: tuple[int, ...], i_star: int, m: int, r: int, min_len: int) -> tuple[int, int] | None:
+    """First (k, l) gap of length at least min_len (k = run start - 1)."""
+    for a, b in old_zero_runs(d, i_star, m, r):
+        if (b - a + 2) >= min_len:
+            return (a - 1, b + 1)
+    return None
+
+
+def old_best_gap(d: tuple[int, ...], i_star: int, m: int, r: int) -> tuple[int, int] | None:
+    """Longest gap (first such on ties)."""
+    best = None
+    for a, b in old_zero_runs(d, i_star, m, r):
+        if best is None or (b - a) > (best[1] - best[0]):
+            best = (a, b)
+    if best is None:
+        return None
+    return (best[0] - 1, best[1] + 1)
+
+
+def center_star_forest(seq: DSequence, lo: int, hi: int) -> CertNode | None:
+    """Monotone star forest on positions lo..hi: each zero position is a
+    center whose leaves are the positions up to the next zero (None when the
+    range is empty).
+
+    One pass over the centers lays out the disjoint union's children: a run
+    of z centers without leaves is one empty leaf of size z, a center with
+    one leaf a clique leaf of size 2, and a center with t >= 2 leaves a
+    clique host over the center and an empty leaf of size t.
+    """
+    d = seq.d
+    kids: list[CertNode] = []
+    bare = 0  # leafless centers not yet laid out
+    i = lo
+    while i <= hi:  # position i is a center; its leaves run up to the next zero
+        j = i + 1
+        while j <= hi and d[j - 1]:
+            j += 1
+        leaves, i = j - i - 1, j
+        if not leaves:
+            bare += 1
+            continue
+        if bare:
+            kids.append(empty_node(bare))
+            bare = 0
+        kids.append(clique_node(2) if leaves == 1 else CertNode("clique", 2, (_SINGLE, empty_node(leaves))))
+    if bare:
+        kids.append(empty_node(bare))
+    return cert_disjoint(kids)
+
+
 def fraction_verify_claim_d(seq: DSequence) -> ClaimReport:
     """``verify_claim_d`` with item (b) in Fractions and ln_bounds evaluated afresh."""
     r, m, f, d = seq.r, seq.m, seq.f, seq.d
@@ -657,7 +734,7 @@ def fraction_verify_claim_d(seq: DSequence) -> ClaimReport:
     if seq.i_star is not None:
         _, ln_up = ln_bounds.__wrapped__(2 * (r - 2))
         threshold = 2 * (r - 2) * ln_up
-        gap = _best_gap(d, seq.i_star, m, r)
+        gap = old_best_gap(d, seq.i_star, m, r)
         items["d"] = gap is not None and Fraction(gap[1] - gap[0]) >= threshold
         details["gap"] = gap
         details["gap_threshold"] = float(threshold)

@@ -173,6 +173,28 @@ def test_structure_cli(tmp_path, capsys):
     assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
 
 
+def test_negative_search_limits_exit_2_without_a_manifest(tmp_path, capsys):
+    from ordersize.blowups import build_type_family
+    from ordersize.core import save_hypergraph
+
+    path = str(tmp_path / "plant.hg")
+    save_hypergraph(build_type_family([3, 3, 3, 3], 1, 0, 1, 0)[0], path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"exact_limit": -2}))
+    for i, (argv, err) in enumerate((
+        (["--exact-limit", "-1", "homog", "--in", path], "exact_limit must be nonnegative, got -1"),
+        (["--exact-limit", "-1", "structure", "--in", path, "--m", "3"],
+         "exact_limit must be nonnegative, got -1"),
+        (["--config", str(cfg), "homog", "--in", path], "exact_limit must be nonnegative, got -2"),
+        (["structure", "--in", path, "--m", "3", "--part-size", "-4"], "part_size must be positive, got -4"),
+        (["structure", "--in", path, "--m", "3", "--part-size", "0"], "part_size must be positive, got 0"),
+    )):
+        out = tmp_path / f"out{i}"
+        assert run(["--out", str(out)] + argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n"
+        assert not out.exists()
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["values", "gr-table", "--bogus"])

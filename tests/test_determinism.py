@@ -149,6 +149,38 @@ def test_missing_degree_drop_is_a_fault_under_optimize():
     assert proc.stdout.startswith("raised: postcondition failed: "), proc.stdout
 
 
+MIDDLE_DEGREE_PROBE = r"""
+import dataclasses
+from ordersize import VerificationError, hbuilder
+assert False, "asserts must be stripped under -O"
+# the greedy gives every middle position after i_star degree 0 or 1
+sequence = hbuilder.d_sequence
+
+def raised(r, m, f):
+    seq = sequence(r, m, f)
+    d = list(seq.d)
+    d[seq.i_star] = 2  # position i_star + 1
+    return dataclasses.replace(seq, d=tuple(d))
+
+hbuilder.d_sequence = raised
+try:
+    hbuilder.build_H(4, 80, 7)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_middle_degree_above_one_is_a_fault_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", MIDDLE_DEGREE_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: postcondition failed: middle degrees are at most 1\n", proc.stdout
+
+
 SAMPLED_GR_PROBE = r"""
 import json
 from ordersize import build_gr, check_fact_gr

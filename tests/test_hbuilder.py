@@ -5,13 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import certify_star_forests, old_build_H, old_build_H_graph, old_star_forest
+from helpers import (
+    center_star_forest,
+    certify_star_forests,
+    fraction_verify_claim_d,
+    old_best_gap,
+    old_build_H,
+    old_build_H_graph,
+    old_find_gap,
+    old_position_weight,
+    old_star_forest,
+    old_zero_runs,
+)
 from ordersize.core import OrderedGraph
 from ordersize.hbuilder import (
     BuildError,
     CertNode,
     DSequence,
     _star_forest,
+    _zero_runs,
     build_H,
     cert_disjoint,
     cert_f0,
@@ -21,7 +33,7 @@ from ordersize.hbuilder import (
     empty_node,
     expand_certificate,
     ln_bounds,
-    position_weight,
+    position_weights,
     verify_claim_d,
 )
 from ordersize.rng import SeededRNG
@@ -187,6 +199,79 @@ def test_star_forest_lays_out_runs():
         assert _star_forest(seq, lo, hi) == old_star_forest(seq, lo, hi), (lo, hi)
 
 
+# --- the zero-run scan and the weight row against the per-pick scans -------------------
+
+
+degree_tuples = st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=1, max_size=40).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_tuples, st.data())
+def test_zero_runs_match_the_gap_window_scan(d, data):
+    lo = data.draw(st.integers(1, len(d) + 1))
+    hi = data.draw(st.integers(lo - 1, len(d)))
+    runs = list(_zero_runs(d, lo, hi))
+    # the old scan's window [i_star+1, m-2r+4] is [lo, hi] at r = 4, i_star = lo-1, m = hi+4
+    assert runs == old_zero_runs(d, lo - 1, hi + 4, 4)
+    min_len = data.draw(st.integers(0, len(d) + 2))
+    first = next(((a - 1, b + 1) for a, b in runs if b - a >= min_len - 2), None)
+    assert first == old_find_gap(d, lo - 1, hi + 4, 4, min_len)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 7), degree_tuples, st.data())
+def test_claim_d_takes_the_first_longest_run(r, d, data):
+    d = (0,) + d  # position 1 has no earlier position
+    m = len(d) + r - 2
+    i_star = data.draw(st.integers(2, len(d)))
+    seq = DSequence(r, m, data.draw(st.integers(0, 50)), d, i_star, None, 0)
+    report = verify_claim_d(seq)
+    assert report.gap == old_best_gap(d, i_star, m, r)
+    assert report == fraction_verify_claim_d(seq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 7), st.data())
+def test_builder_gap_is_the_first_long_enough_run(r, data):
+    m = data.draw(st.integers(r + 2, 5 * r * r + 5))
+    seq = d_sequence(r, m, data.draw(st.integers(0, comb(m, r) // 2)))
+    want = old_find_gap(seq.d, seq.i_star, m, r, seq.tail_degree_sum + 2) if seq.i_star else None
+    assert seq.gap == want
+
+
+@pytest.mark.parametrize("r, ms", [(4, range(6, 19)), (5, range(7, 16)), (6, range(8, 15))])
+def test_builder_gap_for_every_f(r, ms):
+    for m in ms:
+        for f in range(comb(m, r) // 2 + 1):
+            seq = d_sequence(r, m, f)
+            want = old_find_gap(seq.d, seq.i_star, m, r, seq.tail_degree_sum + 2) if seq.i_star else None
+            assert seq.gap == want, (r, m, f)
+            if seq.i_star:
+                assert verify_claim_d(seq).gap == old_best_gap(seq.d, seq.i_star, m, r), (r, m, f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_tuples, st.data())
+def test_star_forest_matches_the_center_walk(d, data):
+    lo = data.draw(st.integers(1, len(d)))
+    d = d[:lo - 1] + (0,) + d[lo:]  # the forest starts at a center
+    hi = data.draw(st.integers(lo - 1, len(d)))
+    seq = DSequence(4, len(d) + 2, 0, d, 2, None, 0)
+    got = _star_forest(seq, lo, hi)
+    assert got == center_star_forest(seq, lo, hi) == old_star_forest(seq, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 9), st.data())
+def test_weight_row_is_the_per_position_weight(r, data):
+    m = data.draw(st.integers(r + 1, 200))
+    row = position_weights(r, m)
+    assert row == tuple(old_position_weight(r, m, i) for i in range(1, m - r + 3))
+    d = tuple(data.draw(st.lists(st.integers(0, 5), min_size=len(row), max_size=len(row))))
+    seq = DSequence(r, m, 0, d, None, None, 0)
+    assert seq.weighted_sum() == sum(di * old_position_weight(r, m, i) for i, di in enumerate(d, start=1))
+
+
 def test_certify_rejects_empty_shape():
     with pytest.raises(ValueError):
         certify_star_forests("monotone", [])
@@ -232,7 +317,7 @@ def test_build_complement_flag():
     assert hc.complemented
     # the built graph realizes the complementary weight, for the complement side
     assert hc.realized_weight == full - f == 7
-    weight = sum(position_weight(4, 80, j + 1) for _i, j in hc.graph.edges)
+    weight = sum(position_weights(4, 80)[j] for _i, j in hc.graph.edges)
     assert weight == 7
 
 

@@ -187,6 +187,22 @@ def test_random_ordered_graph_matches_comprehension(n, pct, seed):
     assert random_ordered_graph(n, pct, seed) == want
 
 
+@pytest.mark.parametrize("pct", [-5, 101, 150])
+def test_random_generators_reject_a_density_outside_a_percentage(pct):
+    with pytest.raises(ValueError, match="^density is a percentage$"):
+        random_ordered_graph(6, pct, 0)
+    with pytest.raises(ValueError, match="^density is a percentage$"):
+        random_hypergraph(3, 6, pct, 0)
+
+
+@pytest.mark.parametrize("n", [-1, -4])
+def test_random_generators_reject_a_negative_vertex_count(n):
+    with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
+        random_ordered_graph(n, 50, 0)
+    with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
+        random_hypergraph(3, n, 50, 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 30), SEEDS)
 def test_random_tournament_matches_comprehension(n, seed):
@@ -212,7 +228,7 @@ MAX_SPENCER_N = {2: 40, 3: 40, 4: 20, 5: 16}
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(MAX_SPENCER_N)), st.integers(0, 60), SEEDS, st.integers(0, 6), st.data())
+@given(st.sampled_from(sorted(MAX_SPENCER_N)), st.integers(0, 60), SEEDS, st.integers(1, 6), st.data())
 def test_spencer_independent_matches_set_form(r, pct, seed, trials, data):
     n = data.draw(st.integers(0, MAX_SPENCER_N[r]))
     h = random_hypergraph(r, n, pct, seed)
@@ -230,6 +246,14 @@ def test_keyed_coloring_matches_per_call_construction(seed, palette, tuples, for
     got, want = keyed_coloring(seed, palette), per_call_keyed_coloring(seed, palette)
     for t in tuples + tuples:  # a repeated query must not see the state of the last one
         assert got(form(t)) == want(t)
+
+
+@pytest.mark.parametrize("trials", [0, -1, -3])
+def test_spencer_independent_rejects_fewer_than_one_trial(trials):
+    # the empty and the edgeless graph return early, but not before the check
+    for h in (Hypergraph(3, 0, []), Hypergraph(3, 9, []), random_hypergraph(3, 9, 40, 2)):
+        with pytest.raises(ValueError, match=f"^trials must be positive, got {trials}$"):
+            spencer_independent(h, trials, 0)
 
 
 @pytest.mark.parametrize("palette", [0, -1, -5])

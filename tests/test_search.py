@@ -62,6 +62,13 @@ def test_max_homogeneous_heuristic_above_limit():
     assert not w.exact and w.verify(h)
 
 
+@pytest.mark.parametrize("limit", [-1, -5])
+def test_max_homogeneous_rejects_a_negative_exact_limit(limit):
+    with pytest.raises(ValueError, match=f"^exact_limit must be nonnegative, got {limit}$"):
+        max_homogeneous(seeded_3graph(8, 0), limit)
+    assert not max_homogeneous(seeded_3graph(8, 0), 0).exact
+
+
 def test_link_graph():
     k = complete_hypergraph(3, 6)
     assert len(link_graph(k, 2).edges) == comb(5, 2)

@@ -212,6 +212,21 @@ def test_pair_chain_rejects_t_below_one():
             find_pair_chain(h, 2, t)
 
 
+def test_chains_reject_a_negative_length():
+    h, _ap, _bp = build_pair_family(2, 3, 1, 1, 0, 0, (0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="^ell must be nonnegative, got -2$"):
+        find_pair_chain(h, -2, 1)
+    with pytest.raises(ValueError, match="^ell must be nonnegative, got -1$"):
+        find_star_chain(h, -1, 2)
+    assert find_pair_chain(h, 0, 1) == find_star_chain(h, 0, 2) == []
+
+
+def test_star_free_subset_rejects_fewer_than_one_trial():
+    # every leaf pair of K_6^(3) is an edge with any center: stars of size 2 abound
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        star_free_subset(complete_hypergraph(3, 6), 2, trials=0)
+
+
 def test_largest_star_without_vertices():
     with pytest.raises(ValueError):
         largest_star(empty_hypergraph(3, 0))
@@ -307,6 +322,19 @@ def test_main_structure_complete_reports_homogeneous():
     out = main_structure(complete_hypergraph(3, 9), 3)
     assert out.status == "homogeneous"
     assert out.homogeneous.kind == "clique" and out.homogeneous.size() == 9
+
+
+@pytest.mark.parametrize("part_size", [0, -4])
+def test_main_structure_rejects_a_part_size_below_one(part_size):
+    h, _ = build_type_family([3, 3, 3, 3], 1, 0, 1, 0)
+    with pytest.raises(ValueError, match=f"^part_size must be positive, got {part_size}$"):
+        main_structure(h, 3, part_size=part_size)
+
+
+def test_main_structure_rejects_a_negative_exact_limit():
+    h, _ = build_type_family([3, 3, 3, 3], 1, 0, 1, 0)
+    with pytest.raises(ValueError, match="^exact_limit must be nonnegative, got -1$"):
+        main_structure(h, 3, exact_limit=-1)
 
 
 @pytest.mark.parametrize("m", [0, -1])
