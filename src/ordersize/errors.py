@@ -80,6 +80,3 @@ class Budget:
         if self.limit is not None and self.used > self.limit:
             self.used = self.limit + 1
             raise BudgetExhausted(f"budget of {self.limit} evaluations exhausted", self.used)
-
-    def can_afford(self, amount: int) -> bool:
-        return self.limit is None or self.used + amount <= self.limit

@@ -65,7 +65,7 @@ class DSequence:
     position from 2 on where the degree drops below its cap i-1; ``gap`` is the
     first zero run (k, l) of length at least ``tail_degree_sum`` + 2, the one
     that hosts the tail leaves (r >= 4 only); ``tail_degree_sum`` is the
-    degree mass on the last r-3 positions.
+    degree mass on the last r-3 positions (on all of them when there are fewer).
     """
 
     r: int
@@ -126,7 +126,8 @@ def d_sequence(r: int, m: int, f: int) -> DSequence:
         d.append(di)
         running += di * w
     i_star = next((i for i in range(2, length + 1) if d[i - 1] <= i - 2), None)
-    tail_sum = sum(d[i - 1] for i in range(m - 2 * r + 6, length + 1)) if r >= 4 else 0
+    # d_i over the tail positions i >= m-2r+6: the last r-3, or all when m <= 2r-6
+    tail_sum = sum(d[max(m - 2 * r + 5, 0):]) if r >= 4 else 0
     gap = None
     if i_star and r >= 4:
         runs = _zero_runs(d, i_star + 1, m - 2 * r + 4)

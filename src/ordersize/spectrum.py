@@ -71,13 +71,10 @@ class WeightFrame:
             raise ValueError(f"pair ({i}, {j}) outside the weighted positions")
         return comb(i - 1, self.k - 1) * comb(self.m - j, self.r - self.k - 1)
 
-    def table(self) -> dict[tuple[int, int], int]:
-        ps = list(self.positions)
-        return {(i, j): self.weight(i, j) for i, j in combinations(ps, 2)}
-
     def total(self) -> int:
-        """Sum of the full table; each r-subset of [m] is counted once."""
-        return sum(self.table().values())
+        """Sum of w(i, j) over the weighted position pairs; each r-subset of
+        [m] is counted once."""
+        return sum(self.weight(i, j) for i, j in combinations(self.positions, 2))
 
 
 def weighted_total(g: OrderedGraph, u: Sequence[int], frame: WeightFrame) -> int:

@@ -423,6 +423,7 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
     is re-verified by re-enumerating stars inside it. Stars come as the leaf
     masks of ``search._star_sets``, so no ``Star`` and no induced copy is built.
     """
+    at_least(1, trials=trials)
     groups, _complete = _star_sets(h, (1 << h.n) - 1, s, True, False, None)
     edges = {bits_of(leaves | 1 << v) for v, masks in groups for leaves in masks}
     if not edges:

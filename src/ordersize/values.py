@@ -221,34 +221,28 @@ def _count_form_values(
     only as v*(cb - cc/2)*p2. The parts after the prefix sum to m - p1, so
     the set after (p1, p2) is the set after (p1, p1) shifted by
     (2*cb - cc)*((p2 - p1)/2)*(m - p1), an integer since p2 = p1 (mod 2).
-    ``table[p1]`` holds the set after (p1, p1), built for p1 = m, ..., 0 as
-    the union of its children's sets, each shifted by the part's increment.
+    ``sets[p1]``, offset by ``los[p1]``, is the set after (p1, p1), built for
+    p1 = m, ..., 0 as the OR of its children's sets, each shifted by the
+    part's increment plus the child's offset.
     """
     ca, cb, cc, cd, c3, ce = coeffs
     slope = 2 * cb - cc
-    # table[m] is the empty suffix, which adds 0; the rest is filled below
-    table: list[tuple[int, int]] = [(0, 1)] * (m + 1)
-
-    def step(v: int, p1: int, p2: int) -> int:
-        e2 = (p1 * p1 - p2) >> 1
-        return v * (ca * v * p1 + cb * p2 + cc * e2 + cd * v + c3 * v * v + ce * p1)
-
-    def child(v: int, p1: int, p2: int) -> tuple[int, int]:
-        # the suffix set after appending part v to the prefix (p1, p2)
-        q1, q2 = p1 + v, p2 + v * v
-        lo, bits = table[q1]
-        return lo + slope * ((q2 - q1) // 2) * (m - q1), bits
-
+    # the empty suffix after (m, m) adds 0; the rest is filled below
+    los = [0] * (m + 1)
+    sets = [1] * (m + 1)
     for p1 in range(m - 1, -1, -1):
-        kids = []
-        for v in range(1, m - p1 + 1):
-            lo, bits = child(v, p1, p1)
-            kids.append((lo + step(v, p1, p1), bits))
-        lo = min(k[0] for k in kids)
+        # after (p1, p1), part v adds v*(lin + v*(quad + v*c3)), and the child
+        # (p1 + v, p1 + v*v) sits slope*C(v, 2)*(m - p1 - v) above its table entry
+        lin = cb * p1 + cc * (p1 * (p1 - 1) >> 1) + ce * p1
+        quad = ca * p1 + cd
+        left = m - p1
+        klos = [klo + v * (lin + v * (quad + v * c3)) + slope * (v * (v - 1) >> 1) * (left - v)
+                for v, klo in enumerate(los[p1 + 1:], 1)]
+        lo = los[p1] = min(klos)
         bits = 0
-        for klo, kbits in kids:
+        for klo, kbits in zip(klos, sets[p1 + 1:]):
             bits |= kbits << (klo - lo)
-        table[p1] = (lo, bits)
+        sets[p1] = bits
 
     def witness(target: int) -> tuple[int, ...]:
         # greedy descent: the smallest part whose suffix still reaches the
@@ -256,18 +250,21 @@ def _count_form_values(
         path = []
         p1 = p2 = 0
         while p1 < m:
+            lin = cb * p2 + cc * ((p1 * p1 - p2) >> 1) + ce * p1
+            quad = ca * p1 + cd
             for v in range(1, m - p1 + 1):
-                lo, bits = child(v, p1, p2)
-                rest = target - step(v, p1, p2)
-                if rest >= lo and bits >> (rest - lo) & 1:
+                q1 = p1 + v
+                rest = target - v * (lin + v * (quad + v * c3))
+                off = rest - los[q1] - slope * ((p2 + v * v - q1) // 2) * (m - q1)
+                if off >= 0 and sets[q1] >> off & 1:
                     break
             path.append(v)
             target = rest
-            p1 += v
+            p1 = q1
             p2 += v * v
         return tuple(path)
 
-    lo, bits = table[0]
+    lo, bits = los[0], sets[0]
     hi = lo + bits.bit_length() - 1
     return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
 
@@ -414,7 +411,8 @@ def blowup_edge_count(
     a: int, b: int, c: int, part_sizes: Sequence[int], x: Sequence[int]
 ) -> tuple[int, int]:
     """Edges induced by picking x_i vertices from part i of a type blow-up
-    with densities (a, b, c, 0): the closed form and a direct count.
+    with densities (a, b, c, 0): the closed form and a direct count, each
+    increasing triple of the chosen vertices looked up in the edge set.
 
     Closed form: a*sum x_i C(x_j,2) + b*sum C(x_i,2) x_j + c*sum x_i x_j x_k.
     """
@@ -430,8 +428,8 @@ def blowup_edge_count(
     for i, j, k in combinations(range(m), 3):
         closed += c * x[i] * x[j] * x[k]
     h, parts = build_type_family(list(part_sizes), a, b, c, 0)
-    chosen = [v for part, xi in zip(parts, x) for v in part[:xi]]
-    return closed, sum(map(set(chosen).issuperset, h.edges))
+    chosen = sorted(v for part, xi in zip(parts, x) for v in part[:xi])
+    return closed, sum(map(h.edges.__contains__, combinations(chosen, 3)))
 
 
 def blowup_edge_count_mixed(
@@ -468,7 +466,7 @@ def blowup_edge_count_mixed(
         chosen.extend(b_parts[i][: x[i]])
     if eps:
         chosen.extend(a_parts[t][:1])
-    return closed, sum(map(set(chosen).issuperset, h.edges))
+    return closed, sum(map(h.edges.__contains__, combinations(sorted(chosen), 3)))
 
 
 def gr_table(r_values: Sequence[int]) -> list[dict]:

@@ -13,6 +13,7 @@ from math import ceil, comb, lcm
 from typing import Iterable, Iterator
 from unittest import mock
 
+from ordersize.blowups import build_pair_family, build_type_family
 from ordersize.constructions import GrInstance, SubsetScanReport, materialize
 from ordersize.core import (
     Hypergraph,
@@ -256,6 +257,57 @@ def pair_state_form_values(
     return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
 
 
+def tuple_table_form_values(
+    m: int,
+    coeffs: tuple[int, int, int, int, int, int],
+    const: int,
+) -> tuple[int, tuple, tuple]:
+    """``values._count_form_values`` as it was before the flat lists: one
+    ``(lo, bits)`` tuple per p1, and a ``step`` and a ``child`` call per part."""
+    ca, cb, cc, cd, c3, ce = coeffs
+    slope = 2 * cb - cc
+    table: list[tuple[int, int]] = [(0, 1)] * (m + 1)
+
+    def step(v: int, p1: int, p2: int) -> int:
+        e2 = (p1 * p1 - p2) >> 1
+        return v * (ca * v * p1 + cb * p2 + cc * e2 + cd * v + c3 * v * v + ce * p1)
+
+    def child(v: int, p1: int, p2: int) -> tuple[int, int]:
+        q1, q2 = p1 + v, p2 + v * v
+        lo, bits = table[q1]
+        return lo + slope * ((q2 - q1) // 2) * (m - q1), bits
+
+    for p1 in range(m - 1, -1, -1):
+        kids = []
+        for v in range(1, m - p1 + 1):
+            lo, bits = child(v, p1, p1)
+            kids.append((lo + step(v, p1, p1), bits))
+        lo = min(k[0] for k in kids)
+        bits = 0
+        for klo, kbits in kids:
+            bits |= kbits << (klo - lo)
+        table[p1] = (lo, bits)
+
+    def witness(target: int) -> tuple[int, ...]:
+        path = []
+        p1 = p2 = 0
+        while p1 < m:
+            for v in range(1, m - p1 + 1):
+                lo, bits = child(v, p1, p2)
+                rest = target - step(v, p1, p2)
+                if rest >= lo and bits >> (rest - lo) & 1:
+                    break
+            path.append(v)
+            target = rest
+            p1 += v
+            p2 += v * v
+        return tuple(path)
+
+    lo, bits = table[0]
+    hi = lo + bits.bit_length() - 1
+    return bits.bit_count(), (lo + const, witness(lo)), (hi + const, witness(hi))
+
+
 def _fraction_scale(fracs) -> tuple[list[int], int]:
     den = lcm(*(f.denominator for f in fracs))
     return [int(f * den) for f in fracs], den
@@ -454,6 +506,24 @@ def triple_pair_family(
         if keep:
             edges.append(t)
     return Hypergraph(3, n, edges), a_parts, b_parts
+
+
+def all_edges_type_count(part_sizes, x, a: int, b: int, c: int) -> int:
+    """The type blow-up's direct count as it was: every edge of the built
+    family tested for lying inside the chosen vertices."""
+    h, parts = build_type_family(list(part_sizes), a, b, c, 0)
+    chosen = {v for part, xi in zip(parts, x) for v in part[:xi]}
+    return sum(map(chosen.issuperset, h.edges))
+
+
+def all_edges_mixed_count(b1: int, b2: int, cs, part_size: int, x, eps: int) -> int:
+    """The paired blow-up's direct count as it was, over every built edge."""
+    t = len(x)
+    h, a_parts, b_parts = build_pair_family(t + eps, part_size, 1, 1, b1, b2, cs)
+    chosen = {v for i in range(t) for v in a_parts[i][: x[i]] + b_parts[i][: x[i]]}
+    if eps:
+        chosen.update(a_parts[t][:1])
+    return sum(map(chosen.issuperset, h.edges))
 
 
 # --- structure-finder oracles: the per-type density lists the type tables replaced ---
@@ -992,13 +1062,19 @@ def exhaustive_max_homogeneous(h: Hypergraph) -> int:
     return min(h.n, 1)
 
 
+def can_afford(bud: Budget, amount: int) -> bool:
+    """Whether ``bud`` can spend ``amount`` more units without raising (the
+    ``Budget.can_afford`` method the package no longer calls)."""
+    return bud.limit is None or bud.used + amount <= bud.limit
+
+
 def combinations_weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
                                bud: Budget) -> tuple[int, ...] | None:
     """The r >= 4 weighted base-case scan as it was before the prefix sums:
     ``weighted_total`` of each ``combinations`` subset of the vertices in
     ``mask``, one budget unit each."""
     for u in combinations(bits_of(mask), frame.size):
-        if not bud.can_afford(1):
+        if not can_afford(bud, 1):
             raise BudgetExhausted("base-case scan budget exhausted", bud.used)
         bud.spend()
         if weighted_total(g, u, frame) == f:

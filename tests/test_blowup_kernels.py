@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_edges_mixed_count,
+    all_edges_type_count,
     child_env,
     fraction_verify_claim_d,
     pairwise_star_verify,
@@ -147,6 +149,30 @@ def test_blowup_counts_reject_negative_selections():
         blowup_edge_count_mixed(1, 0, (1, 0, 1, 0, 1, 0), 3, [-1, 2], 0)
     with pytest.raises(ValueError, match="selection"):
         blowup_edge_count(1, 1, 1, [3, 3, 3], [1, -1, 2])
+
+
+def _selections(sizes):
+    # zero parts often, since an empty part must add no triple
+    return st.tuples(*[st.one_of(st.just(0), st.integers(0, s)) for s in sizes])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(flag, flag, flag), st.lists(st.integers(0, 5), max_size=6).flatmap(
+    lambda sizes: st.tuples(st.just(sizes), _selections(sizes))))
+def test_type_count_by_triples_matches_all_edges_count(abc, sizes_and_x):
+    sizes, x = sizes_and_x
+    closed, direct = blowup_edge_count(*abc, sizes, x)
+    assert direct == all_edges_type_count(sizes, x, *abc) == closed
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag, flag, st.tuples(*[flag] * 6), flag, st.integers(0, 3).flatmap(
+    lambda part: st.tuples(st.just(part), st.lists(st.one_of(st.just(0), st.integers(0, part)),
+                                                  max_size=4))))
+def test_mixed_count_by_triples_matches_all_edges_count(b1, b2, cs, eps, part_and_x):
+    part, x = part_and_x
+    closed, direct = blowup_edge_count_mixed(b1, b2, cs, part, x, eps)
+    assert direct == all_edges_mixed_count(b1, b2, cs, part, x, eps) == closed
 
 
 def _run_optimized(args):

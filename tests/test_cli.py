@@ -104,6 +104,14 @@ def test_buildh_check(capsys):
     assert "needs --f or --sweep" in capsys.readouterr().err
 
 
+def test_buildh_small_m_at_large_r_reports_or_exits_2(capsys):
+    # m <= 2r - 6 puts the whole sequence in the tail: a gap error, not a traceback
+    for r, m in ((8, 10), (10, 12), (12, 14)):
+        assert run(["buildh", "--r", str(r), "--m", str(m), "--f", "1"]) == 2
+        assert "error: no zero run long enough to host the tail leaves" in capsys.readouterr().err
+    assert run(["buildh", "--r", "8", "--m", "16", "--f", "1", "--check"]) == 0
+
+
 def test_verify_suites(capsys):
     assert run(["--seed", "7", "verify", "lift", "--trials", "40"]) == 0
     assert run(["verify", "weights", "--max-r", "4", "--max-m", "8"]) == 0

@@ -34,6 +34,7 @@ from ordersize.hbuilder import (
     expand_certificate,
     ln_bounds,
     position_weights,
+    recount_construction,
     verify_claim_d,
 )
 from ordersize.rng import SeededRNG
@@ -388,3 +389,43 @@ def test_graph_is_the_edge_loop_graph(r, data):
     m = data.draw(st.integers(r + 2, 5 * r * r + 5))
     assert_matches_oracles(r, m, data.draw(st.integers(0, comb(m, r))))
 
+
+# --- the tail degree sum when the tail covers every position -------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(4, 12), st.data())
+def test_tail_sum_is_the_mass_on_the_last_r_minus_3_positions(r, data):
+    # positions m-2r+6..m-r+2 are the last r-3; for m <= 2r-6 that is all of d
+    m = data.draw(st.integers(r + 1, 3 * r))
+    seq = d_sequence(r, m, data.draw(st.integers(0, comb(m, r) // 2)))
+    assert seq.tail_degree_sum == sum(seq.d[-(r - 3):])
+
+
+def test_tail_sum_below_the_first_tail_position():
+    assert d_sequence(8, 10, 1).tail_degree_sum == 1  # d = (0, 0, 0, 1)
+    assert d_sequence(10, 11, 1).tail_degree_sum == 1  # d = (0, 0, 1), every position in the tail
+    for args in ((8, 10, 1), (12, 14, 1)):
+        with pytest.raises(BuildError) as err:
+            build_H(*args)
+        assert err.value.reason == "gap not found" and err.value.detail == {"needed": 3}
+
+
+@pytest.mark.parametrize("r", range(8, 13))
+def test_builds_at_large_r_recount_or_miss_the_gap(r):
+    rng = SeededRNG(r)
+    built = 0
+    for m in range(r + 2, 2 * r + 4):
+        half = comb(m, r) // 2
+        for f in sorted({0, 1, half, *(rng.randrange(half + 1) for _ in range(25))}):
+            try:
+                hc = build_H(r, m, f)
+            except BuildError as e:
+                seq = d_sequence(r, m, f)
+                assert (e.reason, e.detail) == ("gap not found", {"needed": seq.tail_degree_sum + 2})
+                continue
+            weight, checks = recount_construction(hc)
+            assert all(checks.values()) and weight == hc.realized_weight, (r, m, f)
+            assert expand_certificate(hc.cert) == hc.graph
+            built += 1
+    assert built >= 1

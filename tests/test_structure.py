@@ -225,6 +225,9 @@ def test_star_free_subset_rejects_fewer_than_one_trial():
     # every leaf pair of K_6^(3) is an edge with any center: stars of size 2 abound
     with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
         star_free_subset(complete_hypergraph(3, 6), 2, trials=0)
+    # a graph without stars is checked too, before its early return
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        star_free_subset(empty_hypergraph(3, 5), 2, trials=0)
 
 
 def test_largest_star_without_vertices():

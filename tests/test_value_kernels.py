@@ -1,12 +1,12 @@
 """Differential tests of the bitset value counters and the integer-scaled forms
-against the walks, the (p1, p2) DP and the Fraction evaluations they replaced
-(kept in helpers)."""
+against the walks, the (p1, p2) DP, the tuple p1 table and the Fraction
+evaluations they replaced (kept in helpers)."""
 
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,6 +16,7 @@ from helpers import (
     old_pair_form_splits,
     pair_state_form_values,
     scan_pattern_weight_exists,
+    tuple_table_form_values,
     walk_cubic_report,
     walk_general_report,
 )
@@ -78,6 +79,16 @@ def test_p1_table_matches_pair_state_dp(coeffs, const, m):
     # six free coefficients reach forms neither counter builds (cc != 0
     # beside c3 != 0), and m runs past the walks' reach
     assert _count_form_values(m, coeffs, const) == pair_state_form_values(m, coeffs, const)
+
+
+@given(st.tuples(*[st.integers(-9, 9)] * 6), st.integers(-50, 50), st.integers(1, 40))
+@example((0, 0, 0, 0, 0, 1), 0, 12)  # ce alone: a table without ce*p1 counts one value
+@example((2, -3, 5, 1, -4, 7), -9, 40)  # cc beside c3, at the top of the range
+@settings(max_examples=150, deadline=None)
+def test_flat_p1_table_matches_tuple_table(coeffs, const, m):
+    # the inlined per-part arithmetic and the flat lists against the table of
+    # (lo, bits) tuples with its step and child calls
+    assert _count_form_values(m, coeffs, const) == tuple_table_form_values(m, coeffs, const)
 
 
 @given(cubic_params(), st.integers(1, 10))
