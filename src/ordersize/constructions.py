@@ -30,6 +30,7 @@ DEFAULT_MATERIALIZE_CAP = 10**8
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
+    at_least(0, n=n)
     rng = SeededRNG(seed)
     return Tournament(n, rng.randranges(2, comb(n, 2)))
 
@@ -199,6 +200,8 @@ def build_gr(
 ) -> GrInstance:
     """Uniform random pair coloring over C(r, 2) colors, with the pattern
     r-graph materialized when C(n, r) is within the cap."""
+    if r < 2:
+        raise ValueError(f"r must be at least 2, got {r}")
     if n < r:
         raise ValueError("n must be at least r")
     rng = SeededRNG(seed)

@@ -75,7 +75,7 @@ class SpencerResult:
     met_target: bool
 
 
-def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None, avoid=None):
+def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None):
     """Every t-clique (t = ``size``) inside the candidate mask ``cand``, by an
     exact bit-parallel branch and bound (BBMC, San Segundo et al. 2011).
 
@@ -85,23 +85,17 @@ def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None
     order, so the result, (masks of all t-cliques in lexicographic order,
     complete), lists them in lexicographic order. Each extension step spends
     one unit of ``budget``, and a step it cannot pay for ends the search with
-    complete=False and the cliques listed so far. A 3-graph's pair-link table
-    ``avoid`` keeps just the t-cliques that span no triple of it (with
-    ``flip=-1``: all of whose triples are in it); the walk and the steps it
-    spends are the same as without it.
+    complete=False and the cliques listed so far.
     """
     if size == 0:
         return [0], True
     found: list[int] = []
     last = size - 1  # the last level is settled in one pass
-    chosen: list[int] = []  # the clique so far, kept only with avoid
     # steps the budget can still pay for; the walk adds its steps to it once
     left = None if budget is None or budget.limit is None else max(budget.limit - budget.used, 0)
     steps = 0
 
-    def extend(mask: int, depth: int, cand: int, clean: int) -> bool:
-        # clean: the candidates that keep the clique so far free of avoided
-        # triples (0 once it spans one); without avoid, every candidate
+    def extend(mask: int, depth: int, cand: int) -> bool:
         nonlocal steps
         if depth == last:  # every candidate completes a t-clique
             k = cand.bit_count()
@@ -112,8 +106,7 @@ def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None
             for _ in range(k):
                 low = cand & -cand
                 cand ^= low
-                if low & clean:
-                    found.append(mask | low)
+                found.append(mask | low)
             return done
         rest = cand
         while rest:
@@ -128,21 +121,11 @@ def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None
             sub = rest & (rows[v] ^ flip)
             if depth + 1 + sub.bit_count() <= last:
                 continue  # the child could only return at once
-            sub_clean = clean if low & clean else 0
-            if avoid is None:
-                done = extend(mask | low, depth + 1, sub, sub_clean)
-            else:
-                if sub_clean:
-                    for a in chosen:
-                        sub_clean &= ~(avoid[a][v] ^ flip)
-                chosen.append(v)
-                done = extend(mask | low, depth + 1, sub, sub_clean)
-                chosen.pop()
-            if not done:
+            if not extend(mask | low, depth + 1, sub):
                 return False
         return True
 
-    complete = extend(0, 0, cand, -1)
+    complete = extend(0, 0, cand)
     if budget is not None:
         budget.used += steps
     return found, complete
@@ -274,7 +257,7 @@ def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> Homogeneo
     return w
 
 
-def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
+def _star_sets(h: Hypergraph, cand: int, s: int, anti: bool,
                budget: Budget | None) -> tuple[list[tuple[int, list[int]]], bool]:
     """Leaf masks of the stars (or antistars) of size s with center and
     leaves in the vertex mask ``cand``: (center, leaf masks) for each center
@@ -283,8 +266,7 @@ def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
 
     Leaf sets are the s-cliques of the center's pair-link row within ``cand``
     (independent sets for antistars); each extension step spends one unit of
-    ``budget``. An induced star must span no edge (an antistar every triple),
-    which the clique walk tracks on the pair-link rows as it goes.
+    ``budget``. Whether a leaf set spans an edge is left to the caller.
     """
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
@@ -294,18 +276,11 @@ def _star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
     flip = -1 if anti else 0
     groups: list[tuple[int, list[int]]] = []
     for v in bits_of(cand):
-        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
-                                      avoid=links if induced else None)
+        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget)
         groups.append((v, leafsets))
         if not complete:
             return groups, False
     return groups, True
-
-
-def _spans_no_edge(links, flip: int, pre: int, lead: tuple[int, ...], x: int) -> bool:
-    """Whether leaf x closes no edge with two of the leaves ``lead`` (mask
-    ``pre``); ``flip=-1`` reads every link complemented, for antistars."""
-    return not any((links[u][x] ^ flip) & pre & ~(1 << u) for u in lead)
 
 
 def find_stars(
@@ -320,15 +295,17 @@ def find_stars(
     Exhaustive over centers and leaf sets within budget; otherwise a truncated
     list flagged partial. Leaf sets are the s-cliques of the center's pair-link
     row (independent sets for antistars); each extension step spends one unit.
+    With ``want_induced`` a walked star is kept only when its leaves span no
+    edge (an antistar's every triple); the walk and its steps are the same.
 
-    Every star, of a truncated list too, is checked on the center's pair-link
-    row, into one flag that a single ``ensure`` reads. Leaf sets that differ
-    only in their top leaf x come in a run and share the prefix below it,
-    which is checked once per run, leaf by leaf as each star's x is; each
-    star then adds the tests of x against the prefix.
+    Every walked star, of a truncated list too, is checked on the center's
+    pair-link row, into one flag that a single ``ensure`` reads. Leaf sets
+    that differ only in their top leaf x come in a run and share the prefix
+    below it, which is checked once per run, leaf by leaf as each star's x
+    is; each star then adds the tests of x against the prefix.
     """
     bud, full = Budget(budget), (1 << h.n) - 1
-    groups, complete = _star_sets(h, full, s, want_induced, want_anti, bud)
+    groups, complete = _star_sets(h, full, s, want_anti, bud)
     make = Star._make
     if s == 0:  # each center alone, with no leaf pair to check
         return StarSearchResult(tuple([make((v, (), want_induced, want_anti)) for v, _ in groups]),
@@ -344,15 +321,20 @@ def find_stars(
             if mask ^ (1 << x) != pre:  # a new prefix: check its leaves in turn
                 pre = mask ^ (1 << x)
                 lead = bits_of(pre)
-                pre_ok, below = not pre & outside, 0
+                # closes: the vertices that close an edge (for an antistar, a
+                # non-edge) with two prefix leaves; free: no prefix leaf does
+                pre_ok, free, closes, below = not pre & outside, True, 0, 0
                 for i, u in enumerate(lead):
-                    pre_ok = pre_ok and not below & ~(row[u] ^ flip) and (
-                        not want_induced or _spans_no_edge(links, flip, below, lead[:i], u))
+                    pre_ok = pre_ok and not below & ~(row[u] ^ flip)
+                    if want_induced and pre_ok:
+                        free = free and not closes >> u & 1
+                        for a in lead[:i]:
+                            closes |= links[a][u] ^ flip
                     below |= 1 << u
-            # x joins every prefix leaf through v, and closes no edge with two
-            ok = ok and pre_ok and not mask & outside and not pre & ~(row[x] ^ flip) and (
-                not want_induced or _spans_no_edge(links, flip, pre, lead, x))
-            stars.append(make((v, lead + (x,), want_induced, want_anti)))
+            # x joins every prefix leaf through v
+            ok = ok and pre_ok and not mask & outside and not pre & ~(row[x] ^ flip)
+            if free and not closes >> x & 1:  # an induced star's leaves span no edge
+                stars.append(make((v, lead + (x,), want_induced, want_anti)))
     ensure(ok, "star")
     return StarSearchResult(tuple(stars), complete, bud.used)
 

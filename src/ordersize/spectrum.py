@@ -88,6 +88,8 @@ def weighted_total(g: OrderedGraph, u: Sequence[int], frame: WeightFrame) -> int
         raise ValueError(f"need {frame.size} vertices, got {len(u)}")
     if any(u[a] >= u[a + 1] for a in range(len(u) - 1)):
         raise ValueError("vertices must be strictly increasing")
+    if u and (u[0] < 0 or u[-1] >= g.n):
+        raise ValueError(f"vertex set {tuple(u)} out of range [0, {g.n})")
     ps = list(frame.positions)
     total = 0
     for a in range(len(u)):
@@ -237,10 +239,10 @@ def find_mf_subset(
     completed without finding one (absence proven). Raises BudgetExhausted
     when the budget ran out first, and ValueError on a negative budget.
     """
-    if not 0 <= f <= comb(m, h.r):
-        raise ValueError(f"f={f} out of range")
     if not h.r <= m <= h.n:
         raise ValueError(f"m={m} out of range")
+    if not 0 <= f <= comb(m, h.r):
+        raise ValueError(f"f={f} out of range")
     if budget is not None:
         at_least(0, budget=budget)
     total = comb(h.n, m)
@@ -306,6 +308,8 @@ def verify_lift(
     x = list(x)
     u = sorted(u)
     tail = sorted(tail)
+    if len(u) < 2:
+        raise ValueError(f"U must have at least 2 vertices, got {len(u)}")
     if len(tail) != r - 2:
         raise ValueError(f"tail must have r-2 = {r - 2} vertices")
     if any(t <= u[-1] for t in tail):
@@ -366,16 +370,16 @@ def find_weighted_mf_subset(
     induction step none of whose branches landed while one of them ran out;
     otherwise failure raises SearchFailed with the reason.
     """
+    if r < 3:
+        raise ValueError("r must be >= 3")
+    if m < r:
+        raise ValueError(f"m must be at least {r}")
     if not 0 <= f <= comb(m, r):
         raise ValueError(f"f={f} out of range [0, {comb(m, r)}]")
     if h <= 1:
         if g.n < 1:
             raise ValueError("empty graph")
         return HomogeneousWitness((0,), "clique", True)
-    if r < 3:
-        raise ValueError("r must be >= 3")
-    if r == 3 and m < 3:
-        raise ValueError("m must be at least 3")
     out = _weighted(g, (1 << g.n) - 1, r, m, f, h, budget, 5 * r * r)
     if isinstance(out, WeightedWitness):
         ensure(out.verify(g), "weighted witness")

@@ -21,8 +21,9 @@ from .errors import Budget, BudgetExhausted, SearchFailed, at_least, ensure
 from .search import (
     DEFAULT_EXACT_LIMIT,
     HomogeneousWitness,
+    _clique_bounds,
+    _first_max_clique,
     _ktt_groups,
-    _max_clique,
     _max_homogeneous_in,
     _star_groups,
     _star_sets,
@@ -389,8 +390,7 @@ def find_star_chain(
     for level in range(ell):
         if budget is not None:
             bud = Budget(budget)
-            # the induced test changes neither the walk nor its steps, so it is skipped
-            if not _star_sets(h, current, s, False, False, bud)[1]:
+            if not _star_sets(h, current, s, False, bud)[1]:
                 raise BudgetExhausted("star enumeration budget exhausted", bud.used)
         best = None  # (number of centers, centers, leaves) as masks
         for leaves, centers in _star_groups(links, current, s):
@@ -420,31 +420,37 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
 
     Builds the (s+1)-graph whose edges are the vertex sets of induced stars
     and runs the random-deletion independent-set heuristic on it; the output
-    is re-verified by re-enumerating stars inside it. Stars come as the leaf
-    masks of ``search._star_sets``, so no ``Star`` and no induced copy is built.
+    is re-verified by finding no induced star inside it. Induced stars come
+    from the common-center walk ``search._star_groups``, as (leaf mask, center
+    mask) groups, so no ``Star`` and no induced copy is built.
     """
     at_least(1, trials=trials)
-    groups, _complete = _star_sets(h, (1 << h.n) - 1, s, True, False, None)
-    edges = {bits_of(leaves | 1 << v) for v, masks in groups for leaves in masks}
+    if h.r != 3:
+        raise ValueError("stars are defined for 3-uniform hypergraphs")
+    links = h._pair_links
+    edges = {bits_of(leaves | 1 << v) for leaves, centers in _star_groups(links, (1 << h.n) - 1, s)
+             for v in bits_of(centers)}
     if not edges:
         return tuple(range(h.n))
     out = spencer_independent(Hypergraph(s + 1, h.n, edges), trials, seed).set
-    ensure(not any(masks for _v, masks in _star_sets(h, mask_of(out), s, True, False, None)[0]),
-           "star-free subset")
+    ensure(not _star_groups(links, mask_of(out), s), "star-free subset")
     return out
 
 
 def largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
     """The maximum (anti)star (center, leaves), by exact search of each
-    center's pair-link row. A graph without vertices has no star."""
+    center's pair-link row: the suffix bounds of every center, then the
+    first maximum clique of the first center whose row has the largest
+    clique number. A graph without vertices has no star."""
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
     if h.n == 0:
         raise ValueError("a 3-graph without vertices has no star")
-    full = (1 << h.n) - 1
+    full, links = (1 << h.n) - 1, h._pair_links
     flip = -1 if anti else 0
-    stars = [(v, _max_clique(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
-    return max(stars, key=lambda st: len(st[1]))  # the first center on ties
+    bounds = [_clique_bounds(links[v], full ^ (1 << v), flip, False) for v in range(h.n)]
+    v = max(range(h.n), key=lambda v: bounds[v][1])  # the first center on ties
+    return v, _first_max_clique(links[v], full ^ (1 << v), flip, False, *bounds[v])
 
 
 def no_large_star_subset(h: Hypergraph, s: int, delta: float) -> tuple[tuple[int, ...], str]:

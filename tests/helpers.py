@@ -24,8 +24,8 @@ from ordersize.core import (
     unrank_combination,
     vertex_set,
 )
-from ordersize.errors import Budget, BudgetExhausted, SearchFailed, ensure
-from ordersize import hbuilder, search, stepdown
+from ordersize.errors import Budget, BudgetExhausted, SearchFailed, at_least, ensure
+from ordersize import hbuilder, stepdown
 from ordersize.hbuilder import (
     BuildError,
     CertNode,
@@ -50,7 +50,9 @@ from ordersize.search import (
     StarSearchResult,
     _cliques,
     _greedy_clique,
+    _max_clique,
     greedy_forward_clique,
+    spencer_independent,
 )
 from ordersize.spectrum import (
     RealizeResult,
@@ -1505,16 +1507,78 @@ def center_in_first_leaf_set(walk):
     return faulty
 
 
-def old_star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
-                  budget: Budget | None) -> tuple[list[Star], bool]:
-    """Stars (or antistars) of size s with center and leaves in the vertex
-    mask ``cand``, centers in increasing order and each center's leaf sets in
-    lexicographic order; returns (stars, complete).
+def old_cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None, avoid=None):
+    """``search._cliques`` as it took an ``avoid`` table: a 3-graph's
+    pair-link table ``avoid`` keeps just the t-cliques that span no triple of
+    it (with ``flip=-1``: all of whose triples are in it); the walk and the
+    steps it spends are the same as without it."""
+    if size == 0:
+        return [0], True
+    found: list[int] = []
+    last = size - 1  # the last level is settled in one pass
+    chosen: list[int] = []  # the clique so far, kept only with avoid
+    # steps the budget can still pay for; the walk adds its steps to it once
+    left = None if budget is None or budget.limit is None else max(budget.limit - budget.used, 0)
+    steps = 0
 
-    Leaf sets are the s-cliques of the center's pair-link row within ``cand``
-    (independent sets for antistars); each extension step spends one unit of
-    ``budget``. An induced star must span no edge (an antistar every triple),
-    which the clique walk tracks on the pair-link rows as it goes.
+    def extend(mask: int, depth: int, cand: int, clean: int) -> bool:
+        # clean: the candidates that keep the clique so far free of avoided
+        # triples (0 once it spans one); without avoid, every candidate
+        nonlocal steps
+        if depth == last:  # every candidate completes a t-clique
+            k = cand.bit_count()
+            done = left is None or steps + k <= left
+            if not done:
+                k = left - steps  # the lowest candidates the budget pays for
+            steps += k
+            for _ in range(k):
+                low = cand & -cand
+                cand ^= low
+                if low & clean:
+                    found.append(mask | low)
+            return done
+        rest = cand
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest ^= low
+            if depth + 1 + rest.bit_count() <= last:
+                return True  # v and every later candidate cannot reach t
+            if steps == left:
+                return False
+            steps += 1
+            sub = rest & (rows[v] ^ flip)
+            if depth + 1 + sub.bit_count() <= last:
+                continue  # the child could only return at once
+            sub_clean = clean if low & clean else 0
+            if avoid is None:
+                done = extend(mask | low, depth + 1, sub, sub_clean)
+            else:
+                if sub_clean:
+                    for a in chosen:
+                        sub_clean &= ~(avoid[a][v] ^ flip)
+                chosen.append(v)
+                done = extend(mask | low, depth + 1, sub, sub_clean)
+                chosen.pop()
+            if not done:
+                return False
+        return True
+
+    complete = extend(0, 0, cand, -1)
+    if budget is not None:
+        budget.used += steps
+    return found, complete
+
+
+def old_star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
+                  budget: Budget | None) -> tuple[list[tuple[int, list[int]]], bool]:
+    """``search._star_sets`` as it took an ``induced`` flag: leaf masks of
+    the stars (or antistars) of size s with center and leaves in the vertex
+    mask ``cand``, as (center, leaf masks) for each center in increasing
+    order; returns (groups, complete).
+
+    An induced star must span no edge (an antistar every triple), which the
+    clique walk ``old_cliques`` tracks on the pair-link rows as it goes.
     """
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
@@ -1522,14 +1586,14 @@ def old_star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
         raise ValueError(f"star size s={s} must be nonnegative")
     links = h._pair_links
     flip = -1 if anti else 0
-    stars: list[Star] = []
+    groups: list[tuple[int, list[int]]] = []
     for v in bits_of(cand):
-        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
-                                      avoid=links if induced else None)
-        stars += [Star(v, bits_of(mask), induced, anti) for mask in leafsets]
+        leafsets, complete = old_cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget,
+                                         avoid=links if induced else None)
+        groups.append((v, leafsets))
         if not complete:
-            return stars, False
-    return stars, True
+            return groups, False
+    return groups, True
 
 
 def old_find_stars(
@@ -1544,12 +1608,29 @@ def old_find_stars(
     Exhaustive over centers and leaf sets within budget; otherwise a truncated
     list flagged partial. Leaf sets are the s-cliques of the center's pair-link
     row (independent sets for antistars); each extension step spends one unit.
+    Every ``Star`` is built and checked through ``Star.verify``.
     """
     bud = Budget(budget)
-    stars, complete = old_star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
+    groups, complete = old_star_sets(h, (1 << h.n) - 1, s, want_induced, want_anti, bud)
+    stars = [Star(v, bits_of(mask), want_induced, want_anti) for v, masks in groups for mask in masks]
     for st in stars:  # a truncated list is checked too
         ensure(st.verify(h), "star")
     return StarSearchResult(tuple(stars), complete, bud.used)
+
+
+def old_star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) -> tuple[int, ...]:
+    """``structure.star_free_subset`` as it took its induced stars from the
+    per-center walk with the ``induced`` flag, and re-checked its output by
+    walking every center again."""
+    at_least(1, trials=trials)
+    groups, _complete = old_star_sets(h, (1 << h.n) - 1, s, True, False, None)
+    edges = {bits_of(leaves | 1 << v) for v, masks in groups for leaves in masks}
+    if not edges:
+        return tuple(range(h.n))
+    out = spencer_independent(Hypergraph(s + 1, h.n, edges), trials, seed).set
+    ensure(not any(masks for _v, masks in old_star_sets(h, mask_of(out), s, True, False, None)[0]),
+           "star-free subset")
+    return out
 
 
 # --- the link graphs and counters that only the tests call -----------------------
@@ -1710,6 +1791,14 @@ def old_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int,
     full, flip = (1 << h.n) - 1, -1 if anti else 0
     stars = [(v, old_max_clique_walk(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
     return max(stars, key=lambda st: len(st[1]))
+
+
+def per_center_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
+    """``structure.largest_star`` as it ran both phases of the maximum-clique
+    kernel for every center."""
+    full, flip = (1 << h.n) - 1, -1 if anti else 0
+    stars = [(v, _max_clique(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
+    return max(stars, key=lambda st: len(st[1]))  # the first center on ties
 
 
 def with_one_more_vertex(phase2):
@@ -1901,6 +1990,12 @@ class DataclassStar:
         return not self.induced or all((t in edges) == anti for t in combinations(leaves, 3))
 
 
+def _spans_no_edge(links, flip: int, pre: int, lead: tuple[int, ...], x: int) -> bool:
+    """Whether leaf x closes no edge with two of the leaves ``lead`` (mask
+    ``pre``); ``flip=-1`` reads every link complemented, for antistars."""
+    return not any((links[u][x] ^ flip) & pre & ~(1 << u) for u in lead)
+
+
 def dataclass_find_stars(
     h: Hypergraph,
     s: int,
@@ -1908,12 +2003,12 @@ def dataclass_find_stars(
     want_anti: bool = False,
     budget: int | None = None,
 ) -> StarSearchResult:
-    """``find_stars`` as it checked each star with its own ``ensure`` and
-    built a frozen-dataclass star for it."""
-    _star_sets, _spans_no_edge = search._star_sets, search._spans_no_edge
+    """``find_stars`` as it checked each star with its own ``ensure``, built
+    a frozen-dataclass star for it, and took induced stars from the walk
+    with the ``induced`` flag (``old_star_sets``)."""
     Star = DataclassStar
     bud, full = Budget(budget), (1 << h.n) - 1
-    groups, complete = _star_sets(h, full, s, want_induced, want_anti, bud)
+    groups, complete = old_star_sets(h, full, s, want_induced, want_anti, bud)
     if s == 0:  # each center alone, with no leaf pair to check
         return StarSearchResult(tuple(Star(v, (), want_induced, want_anti) for v, _ in groups),
                                 complete, bud.used)

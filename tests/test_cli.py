@@ -287,6 +287,11 @@ def test_threads_match_sequential(tmp_path):
     assert seq.witnesses == par.witnesses
 
 
+def test_gen_gr_names_r_below_two(tmp_path, capsys):
+    assert run(["gen", "gr", "--r", "1", "--n", "5", "--to", str(tmp_path / "g.hg")]) == 2
+    assert capsys.readouterr().err == "error: r must be at least 2, got 1\n"
+
+
 def test_spectrum_rejects_nonpositive_threads(tmp_path, capsys):
     path = str(tmp_path / "g.hg")
     assert run(["gen", "cyclic", "--n", "8", "--to", path]) == 0

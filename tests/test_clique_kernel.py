@@ -4,7 +4,8 @@ t-clique walk ``search._cliques`` and the greedy pass ``search._greedy_clique``.
 Oracles: networkx clique numbers and a brute-force scan for the
 lexicographically first maximum clique or independent set; a ``combinations``
 scan for 3-graphs; ``old_max_clique_walk``, the maximum-clique walk the
-two-phase kernel replaced; ``enumerate_cliques_reference``, a copy of the
+two-phase kernel replaced; ``per_center_largest_star``, the maximum star that
+ran both phases for every center; ``enumerate_cliques_reference``, a copy of the
 t-clique enumerator the kernel replaced, with its list-cell budget; and the
 greedy procedure written out step by step.
 """
@@ -31,7 +32,13 @@ from ordersize.search import (
 )
 from ordersize.structure import largest_star
 
-from helpers import link_graph, old_largest_star, old_max_clique_walk, old_max_homogeneous_in
+from helpers import (
+    link_graph,
+    old_largest_star,
+    old_max_clique_walk,
+    old_max_homogeneous_in,
+    per_center_largest_star,
+)
 
 MAX_N = 12
 
@@ -193,6 +200,18 @@ def test_max_clique_matches_the_old_walk(data):
     assert _max_homogeneous_in(h, cand, h.n) == old_max_homogeneous_in(h, cand, h.n)
     if h.n:
         assert largest_star(h, flip == -1) == old_largest_star(h, flip == -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse(3, 14), st.booleans())
+@example(complete_hypergraph(3, 5), False)
+@example(complete_hypergraph(3, 5), True)
+def test_largest_star_runs_the_lexicographic_pass_once(h, anti):
+    """``largest_star`` takes every center's suffix bounds and runs phase 2
+    for the first center with the largest clique number alone; it finds the
+    (anti)star that running both phases for every center found."""
+    if h.n:
+        assert largest_star(h, anti) == per_center_largest_star(h, anti)
 
 
 K6 = OrderedGraph(6, list(combinations(range(6), 2)))

@@ -65,6 +65,12 @@ def test_gr_monochromatic_has_no_edges():
     assert materialize(inst).edges == frozenset()
 
 
+@pytest.mark.parametrize("r", [1, 0, -2])
+def test_build_gr_names_r_below_two(r):
+    with pytest.raises(ValueError, match=f"^r must be at least 2, got {r}$"):
+        build_gr(5, r, 0)
+
+
 def test_build_gr_colors_match_checked_constructor():
     for n, r, seed in [(4, 4, 0), (12, 3, 5), (40, 5, 1), (25, 4, 17)]:
         inst = build_gr(n, r, seed, materialize_cap=0)

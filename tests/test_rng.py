@@ -201,6 +201,8 @@ def test_random_generators_reject_a_negative_vertex_count(n):
         random_ordered_graph(n, 50, 0)
     with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
         random_hypergraph(3, n, 50, 0)
+    with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
+        random_tournament(n, 0)
 
 
 @settings(max_examples=60, deadline=None)

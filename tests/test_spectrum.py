@@ -190,6 +190,26 @@ def test_find_mf_subset():
     assert got == want
 
 
+@pytest.mark.parametrize("m", [-1, 2, 7])
+def test_find_mf_subset_checks_m_before_f(m):
+    with pytest.raises(ValueError, match=f"^m={m} out of range$"):
+        find_mf_subset(complete_hypergraph(3, 6), m, 0)
+
+
+@pytest.mark.parametrize("r,m,h,message", [
+    (3, -1, 3, "m must be at least 3"),
+    (3, 2, 1, "m must be at least 3"),
+    (4, 3, 3, "m must be at least 4"),
+    (2, 4, 1, "r must be >= 3"),
+    (1, 4, 1, "r must be >= 3"),
+    (1, -1, 3, "r must be >= 3"),
+])
+def test_weighted_search_checks_shape_before_range(r, m, h, message):
+    g = random_ordered_graph(8, 50, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        find_weighted_mf_subset(g, r, m, 0, h)
+
+
 # --- weight frames ----------------------------------------------------------------
 
 
@@ -222,6 +242,16 @@ def test_weighted_total():
     fr4 = WeightFrame(4, 10, 1)
     want = sum(comb(10 - j, 2) for i in range(1, 9) for j in range(i + 1, 9))
     assert weighted_total(complete, range(8), fr4) == want == comb(10, 4)
+
+
+@pytest.mark.parametrize("vertices", [(0, 1, 9), (0, 1, 8), (-1, 1, 2)])
+def test_weighted_total_rejects_vertices_outside_the_graph(vertices):
+    g = random_ordered_graph(8, 50, 1)
+    with pytest.raises(ValueError, match=r"^vertex set \(.*\) out of range \[0, 8\)$"):
+        weighted_total(g, vertices, WeightFrame(3, 4))
+    with pytest.raises(ValueError, match="out of range"):
+        WeightedWitness(vertices, 3, 4, 2).verify(g)
+    assert weighted_total(g, (0, 1, 7), WeightFrame(3, 4)) >= 0
 
 
 def test_weighted_total_monotone_under_edges():
@@ -268,6 +298,13 @@ def test_verify_lift_detects_bad_factorization():
     with pytest.raises(FactorizationError) as err:
         verify_lift(broken, range(6), [0, 1, 2], [5])
     assert err.value.offending == (2, 3, 4)
+
+
+@pytest.mark.parametrize("u", [[], [3]])
+def test_verify_lift_rejects_fewer_than_two_vertices_in_u(u):
+    h = graph_from_chi(OrderedGraph(5, [(0, 1)]), 3)
+    with pytest.raises(ValueError, match=f"^U must have at least 2 vertices, got {len(u)}$"):
+        verify_lift(h, range(5), u, [4])
 
 
 def test_single_edge_chi_weight():

@@ -6,15 +6,17 @@ were: the per-center link-graph grouping of ``find_pair_chain`` (one
 copy), the star search that built every candidate ``Star`` and kept those
 passing ``Star.verify``, the star and pair chains that ran on
 ``h.induced(current)`` and relabeled, and the edge-mask scans of ``density``.
-``find_stars``, which checks its stars on the pair-link rows, is checked
-against the search that checked each one through ``Star.verify`` (kept in
-``tests/helpers.py``), both on what the walk hands back and on leaf masks
-with one leaf swapped, and against the loop that checked each star with its
-own ``ensure`` and built a frozen-dataclass star for it. The star chain's
-common-center walk is also checked against a scan of every s-set on
-``h.edges``, the family check on ``verification_rows`` against ``verify``,
-and the homogeneous subset on a vertex mask against ``max_homogeneous`` of
-the induced copy.
+``find_stars``, which checks its stars on the pair-link rows and filters
+the induced ones after the walk, is checked against the search that checked
+each one through ``Star.verify`` and took induced stars from the clique walk
+with the ``avoid`` table (kept in ``tests/helpers.py``), both on what the
+walk hands back and on leaf masks with one leaf swapped, and against the
+loop that checked each star with its own ``ensure`` and built a
+frozen-dataclass star for it. ``star_free_subset`` is checked against the
+form that read that per-center walk. The star chain's common-center walk
+is also checked against a scan of every s-set on ``h.edges``, the family
+check on ``verification_rows`` against ``verify``, and the homogeneous
+subset on a vertex mask against ``max_homogeneous`` of the induced copy.
 """
 
 from fractions import Fraction
@@ -63,6 +65,7 @@ from helpers import (
     enumerate_induced_ktt,
     link_graph,
     old_find_stars,
+    old_star_free_subset,
     old_star_sets,
 )
 
@@ -337,8 +340,10 @@ def test_star_sets_match_search_on_induced_copy(data):
     current = bits_of(cand)
     want = oracle_find_stars(h.induced(current), s, induced, anti, budget)
     bud = Budget(budget)
-    groups, complete = _star_sets(h, cand, s, induced, anti, bud)
-    stars = [Star(v, bits_of(mask), induced, anti) for v, masks in groups for mask in masks]
+    groups, complete = _star_sets(h, cand, s, anti, bud)
+    # the walk hands back every star; find_stars keeps those Star.verify passes
+    stars = [x for v, masks in groups for mask in masks
+             if (x := Star(v, bits_of(mask), induced, anti)).verify(h)]
     relabeled = [Star(current[x.center], tuple(current[u] for u in x.leaves), induced, anti)
                  for x in want.stars]
     assert (stars, complete, bud.used) == (relabeled, want.complete, want.examined)
@@ -383,6 +388,57 @@ def test_find_stars_matches_the_dataclass_star_loop(h, s, induced, anti, budget)
     assert all(type(x) is Star for x in got.stars)
 
 
+CENTER_0_PREFIX_EDGE = Hypergraph(3, 5, [(0, a, b) for a, b in combinations(range(1, 5), 2)]
+                                  + [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("induced,anti", [(i, a) for i in (False, True) for a in (False, True)])
+@settings(max_examples=150, deadline=None)
+@given(h=star_graphs(), s=st.integers(0, 4), budget=st.sampled_from([None, 0, 1, 3, 17, 60]))
+@example(h=plant([4] * 4, (1, 1, 0, 0)), s=4, budget=None)
+@example(h=plant([4] * 4, (1, 1, 0, 0), True), s=3, budget=17)
+# center 0 joins every pair of 1234, whose prefix 123 is an edge that the top
+# leaf 4 closes with no pair; the complement has the antistar case
+@example(h=CENTER_0_PREFIX_EDGE, s=4, budget=None)
+@example(h=CENTER_0_PREFIX_EDGE.complement(), s=4, budget=None)
+def test_find_stars_filters_the_walk_as_the_avoid_walk_did(h, s, induced, anti, budget):
+    """Induced stars filtered after the plain walk are those the clique walk
+    with the ``avoid`` table kept, with the same completeness and units."""
+    assert find_stars(h, s, induced, anti, budget) == old_find_stars(h, s, induced, anti, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(star_graphs(), st.integers(0, 4), st.integers(1, 4), st.integers(0, 3))
+@example(plant([4] * 4, (1, 1, 0, 0)), 3, 5, 0)
+@example(plant([3] * 4, (1, 1, 0, 0), True), 2, 2, 1)
+def test_star_free_subset_reads_the_common_center_walk(h, s, trials, seed):
+    """The (s+1)-graph of induced stars read off ``_star_groups`` is the one
+    the per-center walk with the ``induced`` flag built, and the subset, or
+    the error, is the same."""
+    def result(call):
+        try:
+            return call(h, s, trials, seed)
+        except ValueError as e:
+            return str(e)
+
+    full = (1 << h.n) - 1
+    groups, _complete = old_star_sets(h, full, s, True, False, None)
+    assert {bits_of(leaves | 1 << v) for leaves, centers in _star_groups(h._pair_links, full, s)
+            for v in bits_of(centers)} == \
+        {bits_of(leaves | 1 << v) for v, masks in groups for leaves in masks}
+    assert result(structure.star_free_subset) == result(old_star_free_subset)
+
+
+def test_star_free_subset_keeps_its_argument_errors():
+    for call in (structure.star_free_subset, old_star_free_subset):
+        with pytest.raises(ValueError, match="^stars are defined for 3-uniform hypergraphs$"):
+            call(Hypergraph(2, 4, [(0, 1)]), 2)
+        with pytest.raises(ValueError, match="^star size s=-1 must be nonnegative$"):
+            call(complete_hypergraph(3, 4), -1)
+        with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+            call(Hypergraph(2, 4, [(0, 1)]), 2, trials=0)
+
+
 def test_star_keeps_the_dataclass_interface():
     star, old = Star(2, (0, 5, 7), True, False), DataclassStar(2, (0, 5, 7), True, False)
     assert Star._fields == ("center", "leaves", "induced", "anti")
@@ -419,16 +475,17 @@ def all_but(n, *missing):
 @example(all_but(5, (0, 1, 2)), 3, False, False, None, 1, 1, 1)
 # 124 becomes 134, whose prefix is joined through 0 and whose last leaf is not
 @example(all_but(5, (0, 3, 4)), 3, False, False, None, 1, 1, 3)
-# 124 becomes 123, which is joined through 0 but spans an edge
+# 124 becomes 123, which is joined through 0 but spans an edge: not induced,
+# so it is dropped
 @example(all_but(5, (1, 2, 4), (1, 3, 4), (2, 3, 4)), 3, True, False, None, 0, 2, 3)
 def test_find_stars_rejects_exactly_the_leaf_sets_star_verify_rejects(
         h, s, induced, anti, budget, spot, out, new):
     """One leaf mask the walk hands back has one leaf swapped for another
     vertex (maybe the center, or the first one past the last): find_stars
-    returns the stars with that leaf set if ``Star.verify`` passes it, and
-    raises otherwise."""
+    raises if that leaf set is no star, and otherwise returns the walked
+    stars that ``Star.verify`` passes (all of them unless ``induced``)."""
     bud = Budget(budget)
-    groups, complete = _star_sets(h, (1 << h.n) - 1, s, induced, anti, bud)
+    groups, complete = _star_sets(h, (1 << h.n) - 1, s, anti, bud)
     spots = [(v, j) for v, masks in groups for j in range(len(masks))]
     if not spots:
         return
@@ -441,11 +498,12 @@ def test_find_stars_rejects_exactly_the_leaf_sets_star_verify_rejects(
         masks, done = walk(rows, cand, *args, **kwargs)
         return (masks[:j] + [bad] + masks[j + 1:] if rows is row else masks), done
 
-    want = [Star(v, bits_of(bad if (v, i) == (center, j) else mask), induced, anti)
-            for v, masks in groups for i, mask in enumerate(masks)]
+    walked = [Star(v, bits_of(bad if (v, i) == (center, j) else mask), induced, anti)
+              for v, masks in groups for i, mask in enumerate(masks)]
+    want = [x for x in walked if x.verify(h)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "_cliques", faulty)
-        if Star(center, bits_of(bad), induced, anti).verify(h):
+        if Star(center, bits_of(bad), False, anti).verify(h):
             assert find_stars(h, s, induced, anti, budget) == \
                 StarSearchResult(tuple(want), complete, bud.used)
         else:
@@ -483,8 +541,8 @@ def test_star_chain_matches_induced_copy_chain(h, ell, s, budget):
 @example(plant([4] * 4, (1, 1, 0, 0)), 3, 3, 40)
 def test_budgeted_star_chain_keeps_its_units_and_messages(h, ell, s, budget):
     """The budget's pre-walk reads only completeness and units from
-    ``_star_sets``; with the star search that built and returned every
-    ``Star`` in its place, the chain, the errors' messages and fields, and
+    ``_star_sets``; with the star search that took an ``induced`` flag in its
+    place, the chain, the errors' messages and fields, and
     ``BudgetExhausted.used`` are the same."""
     def full_outcome():
         try:
@@ -496,7 +554,8 @@ def test_budgeted_star_chain_keeps_its_units_and_messages(h, ell, s, budget):
 
     got = full_outcome()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(structure, "_star_sets", old_star_sets)
+        mp.setattr(structure, "_star_sets", lambda h, cand, s, anti, budget:
+                   old_star_sets(h, cand, s, False, anti, budget))
         assert got == full_outcome()
 
 
