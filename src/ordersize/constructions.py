@@ -9,7 +9,8 @@ never exceed g_r(m) edges; the scanner checks the counts empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -27,6 +28,7 @@ from .rng import SeededRNG
 from .values import g_r
 
 DEFAULT_MATERIALIZE_CAP = 10**8
+_UNINDEXED = (None, -1)  # no position masks, and no visit limit tried yet
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -65,23 +67,20 @@ def pattern_color_index(p: int, q: int, r: int) -> int:
     return pair_rank(p - 1, q - 1, r)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrInstance:
     """A pair coloring plus the r-graph of its pattern copies.
 
     ``graph`` is materialized only when the number of r-tuples is within the
-    cap; otherwise membership stays implicit through ``is_edge``.
+    cap; otherwise membership stays implicit through ``is_edge``. An instance
+    is immutable, and its tables are built at most once per instance.
     """
 
     r: int
     n: int
     coloring: PalettedColoring
     seed: int | None = None
-    graph: Hypergraph | None = field(default=None)
-    # (coloring, r, pattern rows), filled by _pattern_rows
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (coloring, r, position masks or None, visit limit), filled by _index_positions
-    _pos: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    graph: Hypergraph | None = None
 
     def is_edge(self, tup: tuple[int, ...]) -> bool:
         """Membership readout straight from the pair colors."""
@@ -100,36 +99,30 @@ class GrInstance:
             raise ValueError(f"subset {tuple(subset)} out of range [0, {self.n})")
         return self._pattern_dfs(smask)
 
+    @cached_property
     def _pattern_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Entry [a][d - a - 1] is the color-table row of the pattern color
-        c_{a+1,d+1}, for positions a < d of an edge; rebuilt only when the
-        coloring or r changed."""
-        cached = self._rows
-        if cached is None or cached[0] is not self.coloring or cached[1] != self.r:
-            table = self.coloring._color_rows
-            r = self.r
-            rows = tuple(
-                tuple(table[pattern_color_index(a + 1, d + 1, r)] for d in range(a + 1, r))
-                for a in range(r - 1)
-            )
-            cached = self._rows = (self.coloring, r, rows)
-        return cached[2]
+        c_{a+1,d+1}, for positions a < d of an edge."""
+        table, r = self.coloring._color_rows, self.r
+        return tuple(
+            tuple(table[pattern_color_index(a + 1, d + 1, r)] for d in range(a + 1, r))
+            for a in range(r - 1)
+        )
 
     def _index_positions(self, limit: int) -> bool:
-        """Build the position masks, unless they are cached for the current
-        coloring and r: mask a is the OR of the a-th vertex over all pattern
-        edges. The edges come from one full pattern DFS of at most ``limit``
-        visits; past that no index is kept, and a later call with a larger
-        limit tries again. Returns whether the masks are in place."""
-        cached = self._pos
-        if (cached is not None and cached[0] is self.coloring and cached[1] == self.r
-                and (cached[2] is not None or cached[3] >= limit)):
-            return cached[2] is not None
-        edges: list[tuple[int, ...]] = []
-        found = self._pattern_dfs((1 << self.n) - 1, edges, limit) is not None
-        masks = tuple(mask_of(e[a] for e in edges) for a in range(self.r)) if found else None
-        self._pos = (self.coloring, self.r, masks, limit)
-        return found
+        """Build the position masks, unless they are in place: mask a is the
+        OR of the a-th vertex over all pattern edges. The edges come from one
+        full pattern DFS of at most ``limit`` visits; past that no index is
+        kept, and a later call with a larger limit tries again. The masks or
+        None, and the limit tried, sit under ``_pos`` in the instance dict.
+        Returns whether the masks are in place."""
+        masks, tried = self.__dict__.get("_pos", _UNINDEXED)
+        if masks is None and tried < limit:
+            edges: list[tuple[int, ...]] = []
+            if self._pattern_dfs((1 << self.n) - 1, edges, limit) is not None:
+                masks = tuple(mask_of(e[a] for e in edges) for a in range(self.r))
+            self.__dict__["_pos"] = (masks, limit)
+        return masks is not None
 
     def _pattern_dfs(self, smask: int, out: list | None = None, limit: int | None = None) -> int | None:
         """Count the edges inside the vertex mask ``smask``; with ``out``, also
@@ -137,26 +130,25 @@ class GrInstance:
         None once the walk would visit more than ``limit`` candidate vertices
         at the positions before the last.
 
-        When ``_index_positions`` has cached the position masks for the current
-        coloring and r, position a starts from ``smask`` & its mask, and a
-        subset that misses one of them has no edge. Depth a keeps one
-        candidate mask per later position d. Choosing v at depth a ANDs into
-        each of them the color-table row of v for c_{a+1,d+1}, which holds only
-        vertices above v, and drops v as soon as one mask is empty. At the last
-        position the count is the popcount of its mask.
+        When ``_index_positions`` has built the position masks, position a
+        starts from ``smask`` & its mask, and a subset that misses one of them
+        has no edge. Depth a keeps one candidate mask per later position d.
+        Choosing v at depth a ANDs into each of them the color-table row of v
+        for c_{a+1,d+1}, which holds only vertices above v, and drops v as soon
+        as one mask is empty. At the last position the count is the popcount
+        of its mask.
         """
-        indexed = self._pos
-        if (indexed is not None and indexed[0] is self.coloring and indexed[1] == self.r
-                and indexed[2] is not None):
+        masks = self.__dict__.get("_pos", _UNINDEXED)[0]
+        if masks is not None:
             starts = []
-            for p in indexed[2]:
+            for p in masks:
                 p &= smask
                 if not p:
                     return 0
                 starts.append(p)
         else:
             starts = [smask] * self.r
-        rows = self._pattern_rows()
+        rows = self._pattern_rows
         last = self.r - 1
         chosen = [0] * last
         count = 0
@@ -208,9 +200,7 @@ def build_gr(
     palette = comb(r, 2)
     coloring = PalettedColoring._from_colors(n, palette, rng.randranges(palette, comb(n, 2)))
     inst = GrInstance(r, n, coloring, seed)
-    if comb(n, r) <= materialize_cap:
-        inst.graph = materialize(inst)
-    return inst
+    return replace(inst, graph=materialize(inst)) if comb(n, r) <= materialize_cap else inst
 
 
 def materialize(inst: GrInstance) -> Hypergraph:
@@ -324,14 +314,8 @@ def scan_counterexample(
     report = check_fact_gr(inst, m, mode="auto", samples=samples, seed=seed,
                            exhaustive_cap=exhaustive_cap)
     hits = report.histogram.get(forbidden, 0)
-    violations = list(report.violations)
-    if hits:
-        violations.append({"count": forbidden, "subsets": hits})
-    return SubsetScanReport(
-        r, inst.n, m, report.mode, report.samples, report.seed,
-        report.histogram, report.max_edges, report.target, violations,
-        advisory=r < 5,
-    )
+    extra = [{"count": forbidden, "subsets": hits}] if hits else []
+    return replace(report, violations=report.violations + extra, advisory=r < 5)
 
 
 def footnote_example_r3() -> GrInstance:
@@ -358,8 +342,7 @@ def footnote_example_r3() -> GrInstance:
     colors[(3, 4)] = c12
     coloring = PalettedColoring.from_map(n, 3, colors)
     inst = GrInstance(3, n, coloring, None)
-    inst.graph = materialize(inst)
-    return inst
+    return replace(inst, graph=materialize(inst))
 
 
 def random_hypergraph(r: int, n: int, density_pct: int, seed: int) -> Hypergraph:

@@ -412,8 +412,9 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
     the greedy backward degree sequence (see ``_build_certificate``). Values
     of f above half the range are complemented (flagged) first. ``strict``
     enforces m >= 5r^2; without it the builder attempts any m and raises
-    BuildError when the structure does not fit. The backward degrees and the
-    weight are recounted from the graph before it is returned.
+    BuildError when the structure does not fit. The backward degrees, the
+    weight and the certificate are recounted from the graph before it is
+    returned; a mismatch is a program fault and raises VerificationError.
     """
     if r < 4:
         raise ValueError("the base construction needs r >= 4")
@@ -431,11 +432,9 @@ def build_H(r: int, m: int, f: int, strict: bool = False) -> HConstruction:
     cert = _build_certificate(seq)
     hc = HConstruction(r, m, f, seq, expand_certificate(cert), cert, complemented)
     weight, checks = recount_construction(hc)
-    for key, message in (("degrees_ok", "backward degrees do not match the sequence"),
-                         ("weight_ok", f"total weight {weight} != target {ftarget}"),
-                         ("cert_ok", "certificate does not expand to the built graph")):
-        if not checks[key]:
-            raise BuildError(message, reason="internal")
+    ensure(checks["degrees_ok"], "backward degrees match the sequence")
+    ensure(checks["weight_ok"], f"total weight {weight} is the target {ftarget}")
+    ensure(checks["cert_ok"], "certificate expands to the built graph")
     return hc
 
 

@@ -422,11 +422,14 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
     and runs the random-deletion independent-set heuristic on it; the output
     is re-verified by finding no induced star inside it. Induced stars come
     from the common-center walk ``search._star_groups``, as (leaf mask, center
-    mask) groups, so no ``Star`` and no induced copy is built.
+    mask) groups, so no ``Star`` and no induced copy is built. At s = 0 every
+    vertex alone is a star, so the subset is empty.
     """
     at_least(1, trials=trials)
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
+    if s == 0:
+        return ()
     links = h._pair_links
     edges = {bits_of(leaves | 1 << v) for leaves, centers in _star_groups(links, (1 << h.n) - 1, s)
              for v in bits_of(centers)}

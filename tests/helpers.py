@@ -1322,17 +1322,16 @@ def child_env(hash_seed: str) -> dict[str, str]:
 
 
 def old_index_positions(inst: GrInstance, limit: int) -> bool:
-    """Build the position masks, unless they are cached for the current
-    coloring and r: mask a is the OR of the a-th vertex over all pattern
-    edges. The build is one full pattern DFS that stops once it has
-    visited ``limit`` candidate vertices; then no index is kept, and a
-    later call with a larger limit tries again. Returns whether the
-    masks are in place."""
-    cached = inst._pos
-    if (cached is not None and cached[0] is inst.coloring and cached[1] == inst.r
-            and (cached[2] is not None or cached[3] >= limit)):
-        return cached[2] is not None
-    rows = inst._pattern_rows()
+    """Build the position masks, unless they are in place: mask a is the OR
+    of the a-th vertex over all pattern edges. The build is one full pattern
+    DFS that stops once it has visited ``limit`` candidate vertices; then no
+    index is kept, and a later call with a larger limit tries again. Stores
+    (masks or None, limit) under ``_pos`` in the instance dict. Returns
+    whether the masks are in place."""
+    cached = inst.__dict__.get("_pos")
+    if cached is not None and (cached[0] is not None or cached[1] >= limit):
+        return cached[0] is not None
+    rows = inst._pattern_rows
     last = inst.r - 1
     pos = [0] * inst.r
     visits = 0
@@ -1367,7 +1366,7 @@ def old_index_positions(inst: GrInstance, limit: int) -> bool:
         return hit
 
     extend(0, [(1 << inst.n) - 1] * inst.r)
-    inst._pos = (inst.coloring, inst.r, tuple(pos) if visits <= limit else None, limit)
+    inst.__dict__["_pos"] = (tuple(pos) if visits <= limit else None, limit)
     return visits <= limit
 
 

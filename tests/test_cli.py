@@ -181,6 +181,49 @@ def test_structure_cli(tmp_path, capsys):
     assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
 
 
+def test_structure_cli_exits_3_when_the_budget_runs_out(tmp_path, capsys):
+    from ordersize.blowups import build_pair_family
+    from ordersize.core import save_hypergraph
+
+    path = str(tmp_path / "pairs.hg")
+    save_hypergraph(build_pair_family(3, 3, 1, 1, 0, 1, (0,) * 6)[0], path)
+    assert run(["--budget", "5", "structure", "--in", path, "--m", "3"]) == 3
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "budget exhausted: star enumeration budget exhausted\n"
+        "  advisory thresholds theta=0.5, delta=0.5 (reported, not enforced)\n")
+
+
+def test_structure_cli_reports_a_homogeneous_set(tmp_path, capsys):
+    from ordersize.constructions import random_hypergraph
+    from ordersize.core import save_hypergraph
+
+    path = str(tmp_path / "random.hg")
+    save_hypergraph(random_hypergraph(3, 16, 50, 3), path)
+    out_dir = str(tmp_path / "out")
+    assert run(["--out", out_dir, "structure", "--in", path, "--m", "2"]) == 0
+    assert "no structure; homogeneous clique of size 5\n" in capsys.readouterr().out
+    report = json.load(open(os.path.join(out_dir, "structure.json")))
+    assert report["status"] != "structure"
+    assert report["homogeneous"]["kind"] == "clique" and len(report["homogeneous"]["set"]) == 5
+
+
+def test_gen_gr_writes_the_materialized_graph(tmp_path, capsys):
+    from ordersize.constructions import build_gr
+    from ordersize.core import write_hg_text
+
+    out_dir = str(tmp_path / "small")
+    assert run(["--seed", "4", "--out", out_dir, "gen", "gr", "--n", "7", "--r", "3"]) == 0
+    assert "generated r=3 n=7 with 1 edges (seed 4)\n" in capsys.readouterr().out
+    with open(os.path.join(out_dir, "generated.hg")) as f:
+        assert f.read() == write_hg_text(build_gr(7, 3, 4).graph)
+    # C(200, 5) is above the materialization cap: no graph to write
+    out_dir = str(tmp_path / "large")
+    assert run(["--out", out_dir, "gen", "gr", "--n", "200", "--r", "5"]) == 0
+    assert "instance kept implicit (above the materialization cap)\n" in capsys.readouterr().out
+    assert not [name for name in os.listdir(out_dir) if name.endswith(".hg")]
+
+
 def test_negative_search_limits_exit_2_without_a_manifest(tmp_path, capsys):
     from ordersize.blowups import build_type_family
     from ordersize.core import save_hypergraph

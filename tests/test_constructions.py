@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -17,7 +18,7 @@ from ordersize.constructions import (
     random_tournament,
     scan_counterexample,
 )
-from ordersize.core import PalettedColoring
+from ordersize.core import PalettedColoring, complete_hypergraph
 from ordersize.rng import SeededRNG
 from ordersize.values import g_r
 
@@ -55,8 +56,7 @@ def test_gr_canonical_pattern_single_edge():
         (i, j): pattern_color_index(i + 1, j + 1, r) for i, j in combinations(range(r), 2)
     }
     inst = GrInstance(r, r, PalettedColoring.from_map(r, comb(r, 2), colors))
-    inst.graph = materialize(inst)
-    assert inst.graph.edges == frozenset({tuple(range(r))})
+    assert materialize(inst).edges == frozenset({tuple(range(r))})
 
 
 def test_gr_monochromatic_has_no_edges():
@@ -160,6 +160,18 @@ def test_check_fact_exhaustive_doubling():
     rep = check_fact_gr(inst, 8, mode="exhaustive")
     assert rep.samples == comb(16, 8)
     assert rep.max_edges <= 16 == rep.target and rep.ok and not rep.advisory
+
+
+def test_check_fact_lists_each_subset_above_the_bound():
+    # no pattern coloring reaches it, so the graph attached is the complete one
+    r, n, m = 4, 7, 6
+    inst = replace(build_gr(n, r, 0), graph=complete_hypergraph(r, n))
+    rep = check_fact_gr(inst, m, mode="exhaustive")
+    assert rep.target == g_r(r, m) < comb(m, r)
+    assert rep.histogram == {comb(m, r): comb(n, m)}
+    assert rep.violations == [{"subset": list(s), "edges": comb(m, r)}
+                              for s in combinations(range(n), m)]
+    assert not rep.ok
 
 
 def test_reports_serialize():

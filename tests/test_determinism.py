@@ -181,13 +181,35 @@ def test_middle_degree_above_one_is_a_fault_under_optimize():
     assert proc.stdout == "raised: postcondition failed: middle degrees are at most 1\n", proc.stdout
 
 
+FAILED_RECOUNT_PROBE = r"""
+from ordersize import VerificationError, hbuilder
+assert False, "asserts must be stripped under -O"
+hbuilder.recount_construction = lambda hc: (3, {"degrees_ok": True, "weight_ok": False, "cert_ok": True})
+try:
+    hbuilder.build_H(4, 80, 7)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_failed_recount_is_a_fault_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILED_RECOUNT_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised: postcondition failed: total weight 3 is the target 7\n", proc.stdout
+
+
 SAMPLED_GR_PROBE = r"""
 import json
 from ordersize import build_gr, check_fact_gr
 assert False, "asserts must be stripped under -O"
 inst = build_gr(24, 3, 0, materialize_cap=0)
 print(json.dumps(check_fact_gr(inst, 7, mode="sampled", samples=300, seed=4).to_json_obj()))
-print(inst._pos[2] is not None)
+print(inst._pos[0] is not None)
 """
 
 

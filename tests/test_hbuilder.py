@@ -18,6 +18,7 @@ from helpers import (
     old_zero_runs,
 )
 from ordersize.core import OrderedGraph
+from ordersize.errors import SearchFailed, VerificationError
 from ordersize.hbuilder import (
     BuildError,
     CertNode,
@@ -337,24 +338,40 @@ def test_build_small_m_advisory_runs():
     check_construction(hc, 200)
 
 
-@pytest.mark.parametrize("failing, message", [
-    ("degrees_ok", "backward degrees do not match the sequence"),
-    ("weight_ok", "total weight 3 != target 7"),
-    ("cert_ok", "certificate does not expand to the built graph"),
-])
-def test_build_reports_a_failed_recount(monkeypatch, failing, message):
+RECOUNT_CHECKS = {
+    "degrees_ok": "backward degrees match the sequence",
+    "weight_ok": "total weight 3 is the target 7",
+    "cert_ok": "certificate expands to the built graph",
+}
+
+
+@pytest.mark.parametrize("failing", RECOUNT_CHECKS)
+def test_build_reports_a_failed_recount(monkeypatch, failing):
     # build_H and the buildh --check oracle share one recount; a failed flag
-    # stops the build with that check's message
+    # is a program fault, not a failed search, and names that check
     from ordersize import hbuilder
 
     def recount(hc):
-        return 3, {"weight_ok": failing != "weight_ok", "degrees_ok": failing != "degrees_ok",
-                   "cert_ok": failing != "cert_ok"}
+        return 3, {key: key != failing for key in RECOUNT_CHECKS}
 
     monkeypatch.setattr(hbuilder, "recount_construction", recount)
-    with pytest.raises(hbuilder.BuildError) as err:
+    with pytest.raises(VerificationError) as err:
         build_H(4, 80, 7)
-    assert str(err.value) == message and err.value.reason == "internal"
+    assert str(err.value) == f"postcondition failed: {RECOUNT_CHECKS[failing]}"
+    assert not isinstance(err.value, SearchFailed)
+
+
+def test_induction_step_does_not_swallow_a_failed_recount(monkeypatch):
+    # the r >= 4 induction step skips a branch whose search failed; a recount
+    # fault in its base case is not such a failure and stops the search
+    from ordersize import hbuilder, spectrum
+    from ordersize.constructions import random_ordered_graph
+
+    monkeypatch.setattr(hbuilder, "recount_construction",
+                        lambda hc: (0, {"weight_ok": False, "degrees_ok": True, "cert_ok": True}))
+    g = random_ordered_graph(40, 50, 0)
+    with pytest.raises(VerificationError, match="^postcondition failed: total weight 0 is the target"):
+        spectrum._weighted(g, (1 << g.n) - 1, 4, 9, 0, 3, 2000, 8)
 
 
 # --- the construction against the edge-by-edge graph and the star-by-star certificate -------

@@ -12,6 +12,7 @@ build with its own DFS and the two-loop ``check_fact_gr`` and
 ``old_check_fact_gr`` and ``old_scan_counterexample``.
 """
 
+from dataclasses import FrozenInstanceError, replace
 from itertools import combinations
 from math import comb
 
@@ -252,6 +253,12 @@ def test_materialize_matches_backtracking(inst):
     assert all(inst.is_edge(e) for e in got.edges)
 
 
+def index_of(inst: GrInstance) -> tuple | None:
+    """The (position masks or None, visit limit) pair ``_index_positions``
+    left in the instance dict, or None before any build."""
+    return inst.__dict__.get("_pos")
+
+
 def position_masks_of(inst: GrInstance) -> tuple[int, ...]:
     """Mask a ORs the a-th vertex of every edge of the materialized graph."""
     masks = [0] * inst.r
@@ -265,7 +272,7 @@ def position_masks_of(inst: GrInstance) -> tuple[int, ...]:
 @given(st.one_of(instances(ranks=(3, 4, 5, 6)), blocked_instances()), st.data())
 def test_masked_dfs_matches_backtracking(inst, data):
     assert inst._index_positions(10**9)
-    assert inst._pos[2] == position_masks_of(inst)
+    assert index_of(inst)[0] == position_masks_of(inst)
     for s in (data.draw(subsets(inst.n)), set(range(inst.n)), set()):
         subset = tuple(sorted(s))
         assert inst.count_in_subset(subset) == old_count_in_subset(inst, subset)
@@ -280,9 +287,9 @@ def test_sampled_report_is_the_same_with_and_without_the_index(inst, samples, se
     got = check_fact_gr(inst, m, mode="sampled", samples=samples, seed=seed)
     assert got.to_json_obj() == want
     bare = GrInstance(inst.r, inst.n, inst.coloring)
-    bare._index_positions = lambda limit: False  # the unmasked DFS throughout
+    bare.__dict__["_pos"] = (None, samples * m)  # a failed build: the unmasked DFS throughout
     assert check_fact_gr(bare, m, mode="sampled", samples=samples, seed=seed).to_json_obj() == want
-    assert bare._pos is None
+    assert index_of(bare) == (None, samples * m)
 
 
 def test_index_falls_back_when_it_would_cost_more_than_the_scan():
@@ -293,11 +300,11 @@ def test_index_falls_back_when_it_would_cost_more_than_the_scan():
         inst = build_gr(14, r, r, materialize_cap=0)
         for seed in range(5):
             got = check_fact_gr(inst, r + 2, mode="sampled", samples=1, seed=seed)
-            assert inst._pos[2] is None
+            assert index_of(inst)[0] is None
             assert got.to_json_obj() == recount_fact_gr(inst, r + 2, 1, seed).to_json_obj()
         assert not inst._index_positions(13)
         got = check_fact_gr(inst, r + 2, mode="sampled", samples=200, seed=9)
-        assert inst._pos[2] == position_masks_of(inst)
+        assert index_of(inst)[0] == position_masks_of(inst)
         assert got.to_json_obj() == recount_fact_gr(inst, r + 2, 200, seed=9).to_json_obj()
 
 
@@ -316,15 +323,14 @@ def test_index_build_stops_at_its_visit_limit():
     build cut at ``limit`` visits reads at most limit * (r - 1) of them."""
     for n, r in ((60, 3), (40, 4), (30, 5)):
         inst = build_gr(n, r, 5, materialize_cap=0)
-        rows = inst._pattern_rows()
-        counting = tuple(tuple(CountingRow(row) for row in later) for later in rows)
-        inst._rows = (inst.coloring, r, counting)
+        counting = tuple(tuple(CountingRow(row) for row in later) for later in inst._pattern_rows)
+        inst.__dict__["_pattern_rows"] = counting
         for limit in (1, 7, 30):
             CountingRow.reads = 0
             assert not inst._index_positions(limit)
             assert 0 < CountingRow.reads <= limit * (r - 1)
         assert inst._index_positions(10**6)
-        assert inst._pos[2] == position_masks_of(inst)
+        assert index_of(inst)[0] == position_masks_of(inst)
 
 
 @settings(max_examples=60, deadline=None)
@@ -343,9 +349,9 @@ def test_index_matches_the_old_build_at_every_limit(inst):
         new = GrInstance(inst.r, inst.n, inst.coloring)
         built = old_index_positions(old, limit)
         assert new._index_positions(limit) == built
-        assert new._pos == old._pos
+        assert index_of(new) == index_of(old)
         assert old_index_positions(kept_old, limit) == kept_new._index_positions(limit) == built
-        assert kept_new._pos == kept_old._pos
+        assert index_of(kept_new) == index_of(kept_old)
         walked = GrInstance(inst.r, inst.n, inst.coloring)._pattern_dfs(full, None, limit)
         assert walked == (count if built else None)
         past_full += built
@@ -361,8 +367,8 @@ def test_limited_walk_gives_up_past_its_visits(inst, indexed, data):
     depth once, so counting those reads counts the visits."""
     if indexed:
         assert inst._index_positions(10**9)
-    rows = inst._pattern_rows()
-    inst._rows = (inst.coloring, inst.r, tuple((CountingRow(later[0]),) + later[1:] for later in rows))
+    rows = inst._pattern_rows
+    inst.__dict__["_pattern_rows"] = tuple((CountingRow(later[0]),) + later[1:] for later in rows)
     for smask in (mask_of(data.draw(subsets(inst.n))), (1 << inst.n) - 1):
         edges: list = []
         CountingRow.reads = 0
@@ -385,7 +391,7 @@ def test_scan_reports_match_the_old_scan_layer(inst, samples, seed, materialized
     both ways, give the old layer's report JSON and leave the same index,
     on materialized and on implicit instances."""
     if materialized:
-        inst.graph = materialize(inst)
+        inst = replace(inst, graph=materialize(inst))
     m = data.draw(st.integers(inst.r, inst.n))
     cap = data.draw(st.sampled_from((0, comb(inst.n, m), 10**6)))
     twin = GrInstance(inst.r, inst.n, inst.coloring, graph=inst.graph)
@@ -393,7 +399,7 @@ def test_scan_reports_match_the_old_scan_layer(inst, samples, seed, materialized
         got = check_fact_gr(inst, m, mode, samples, seed, exhaustive_cap=cap)
         want = old_check_fact_gr(twin, m, mode, samples, seed, exhaustive_cap=cap)
         assert got.to_json_obj() == want.to_json_obj()
-        assert inst._pos == twin._pos
+        assert index_of(inst) == index_of(twin)
     if inst.n >= 2 * inst.r:
         for cap in (0, 10**6):
             got = scan_counterexample(inst, samples, seed, exhaustive_cap=cap)
@@ -402,11 +408,12 @@ def test_scan_reports_match_the_old_scan_layer(inst, samples, seed, materialized
 
 
 def test_index_follows_the_coloring():
-    """An index built on an edgeless coloring is ignored, then rebuilt, once
-    the instance gets a coloring with edges."""
+    """An instance made by ``replace`` with a coloring that has edges counts
+    and indexes on that coloring, while the edgeless original keeps its own
+    index; the two share no table."""
     r, n = 4, 12
     inst = GrInstance(r, n, PalettedColoring(n, comb(r, 2), [5] * comb(n, 2)))
-    assert inst._index_positions(10**6) and inst._pos[2] == (0,) * r
+    assert inst._index_positions(10**6) and index_of(inst)[0] == (0,) * r
     assert check_fact_gr(inst, 8, mode="sampled", samples=30, seed=1).histogram == {0: 30}
 
     def block_color(i, j):  # blocks of three consecutive vertices
@@ -414,14 +421,20 @@ def test_index_follows_the_coloring():
         return pattern_color_index(p + 1, q + 1, r) if p < q else 0
 
     # one vertex from each block is an edge
-    inst.coloring = PalettedColoring.from_map(n, comb(r, 2), block_color)
+    other = replace(inst, coloring=PalettedColoring.from_map(n, comb(r, 2), block_color))
+    assert index_of(other) is None
     everything = tuple(range(n))
-    want = old_count_in_subset(inst, everything)
+    want = old_count_in_subset(other, everything)
     assert want == 3**r
-    assert inst.count_in_subset(everything) == want
-    got = check_fact_gr(inst, 8, mode="sampled", samples=30, seed=1)
-    assert got.to_json_obj() == recount_fact_gr(inst, 8, 30, 1).to_json_obj()
-    assert inst._pos[2] == position_masks_of(inst)
+    assert other.count_in_subset(everything) == want
+    assert inst.count_in_subset(everything) == 0
+    got = check_fact_gr(other, 8, mode="sampled", samples=30, seed=1)
+    assert got.to_json_obj() == recount_fact_gr(other, 8, 30, 1).to_json_obj()
+    assert index_of(other)[0] == position_masks_of(other)
+    assert index_of(inst)[0] == (0,) * r
+    assert other._pattern_rows is not inst._pattern_rows
+    with pytest.raises(FrozenInstanceError):
+        inst.coloring = other.coloring
 
 
 def test_count_in_subset_rejects_vertices_out_of_range():
@@ -432,13 +445,21 @@ def test_count_in_subset_rejects_vertices_out_of_range():
 
 
 def test_pattern_rows_follow_the_coloring():
-    """Swapping the coloring of an instance rebuilds the cached rows."""
+    """An instance made by ``replace`` with another coloring builds its own
+    pattern rows and counts on them; the original keeps its rows, and no
+    field of either can be assigned."""
     inst = build_gr(9, 3, 1, materialize_cap=0)
     other = build_gr(9, 3, 2, materialize_cap=0)
     everything = tuple(range(9))
     assert inst.count_in_subset(everything) == old_count_in_subset(inst, everything)
-    inst.coloring = other.coloring
-    assert inst.count_in_subset(everything) == old_count_in_subset(other, everything)
+    swapped = replace(inst, coloring=other.coloring)
+    assert swapped.count_in_subset(everything) == old_count_in_subset(other, everything)
+    assert swapped._pattern_rows == other._pattern_rows
+    assert swapped._pattern_rows is not inst._pattern_rows
+    assert inst.count_in_subset(everything) == old_count_in_subset(inst, everything)
+    for name, value in (("coloring", other.coloring), ("r", 4), ("graph", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(inst, name, value)
 
 
 # --- the sampler -------------------------------------------------------------------

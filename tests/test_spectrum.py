@@ -338,6 +338,25 @@ def test_weighted_search_m4_f2_case():
         assert out.size() >= 2
 
 
+@pytest.mark.parametrize("g, m, f, kind, size", [
+    # m=4, f=2: a backward non-neighborhood of h vertices holds no edge
+    (OrderedGraph(9), 4, 2, "independent", 8),
+    # m=5, f=5: the forward neighbors of v' in the backward non-neighborhood
+    # of the isolated top vertex hold no non-edge
+    (OrderedGraph(10, combinations(range(9), 2)), 5, 5, "clique", 8),
+    # m=5, f=5: no v' has h forward neighbors, so the inner stage falls back
+    # to the greedy independent set
+    (OrderedGraph(28), 5, 5, "independent", 27),
+    # m=5, f=5: no backward non-neighborhood reaches h^2, so the outer stage
+    # falls back to the greedy clique
+    (OrderedGraph(27, combinations(range(27), 2)), 5, 5, "clique", 27),
+], ids=["m4f2-independent", "m5f5-clique", "m5f5-inner-greedy", "m5f5-outer-greedy"])
+def test_weighted_search_base_case_homogeneous_exits(g, m, f, kind, size):
+    out = find_weighted_mf_subset(g, 3, m, f, 3)
+    assert isinstance(out, HomogeneousWitness) and out.verify(g)
+    assert out.kind == kind and out.size() == size >= 3
+
+
 def test_weighted_search_suite():
     rng = SeededRNG(5)
     for trial in range(40):

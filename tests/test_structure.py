@@ -176,6 +176,14 @@ def test_star_free_subset():
     assert not find_stars(h.induced(out), 2, want_induced=True).stars
 
 
+def test_star_free_subset_of_size_zero_stars_is_empty():
+    # at s = 0 every vertex alone is a star
+    for h in (Hypergraph(3, 1), empty_hypergraph(3, 4), complete_hypergraph(3, 5)):
+        assert star_free_subset(h, 0) == ()
+    with pytest.raises(ValueError, match="^trials must be positive, got 0$"):
+        star_free_subset(Hypergraph(3, 1), 0, trials=0)
+
+
 def test_no_large_star_subset():
     # empty graph has induced antistars, so the precondition rejects it
     with pytest.raises(SearchFailed):
