@@ -35,10 +35,8 @@ from .search import (
     HomogeneousWitness,
     Star,
     find_stars,
-    greedy_forward_clique,
     max_clique,
     max_homogeneous,
-    max_independent_set,
     spencer_independent,
 )
 from .spectrum import (

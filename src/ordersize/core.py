@@ -125,6 +125,14 @@ class Hypergraph:
         return tuple(tuple(row) for row in rows)
 
     @cached_property
+    def _co_pair_links(self) -> tuple[tuple[int, ...], ...]:
+        """3-uniform: the complement's ``_pair_links``, built without it: entry
+        [a][b], a != b, masks the w not in {a, b} with {a, b, w} a non-edge."""
+        full = (1 << self.n) - 1
+        return tuple(tuple(0 if a == b else x ^ (full ^ (1 << a | 1 << b)) for b, x in enumerate(row))
+                     for a, row in enumerate(self._pair_links))
+
+    @cached_property
     def _pair_tops(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """3-uniform: (width, rows). Entry [a][b], a < b, packs a 1 into the
         width-bit field of each c with (a, b, c) an edge; the width holds

@@ -75,17 +75,17 @@ class SpencerResult:
     met_target: bool
 
 
-def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None):
+def _cliques(rows, cand: int, size: int, budget: Budget | None = None):
     """Every t-clique (t = ``size``) inside the candidate mask ``cand``, by an
     exact bit-parallel branch and bound (BBMC, San Segundo et al. 2011).
 
     After v is taken, a candidate u stays when u is in rows[v], the
-    adjacency rows of a 2-graph; ``flip=-1`` reads every row complemented,
-    so cliques become independent sets. Vertices are taken in increasing
-    order, so the result, (masks of all t-cliques in lexicographic order,
-    complete), lists them in lexicographic order. Each extension step spends
-    one unit of ``budget``, and a step it cannot pay for ends the search with
-    complete=False and the cliques listed so far.
+    adjacency rows of a 2-graph (for independent sets, those of its
+    complement). Vertices are taken in increasing order, so the result,
+    (masks of all t-cliques in lexicographic order, complete), lists them in
+    lexicographic order. Each extension step spends one unit of ``budget``,
+    and a step it cannot pay for ends the search with complete=False and the
+    cliques listed so far.
     """
     if size == 0:
         return [0], True
@@ -118,7 +118,7 @@ def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None
             if steps == left:
                 return False
             steps += 1
-            sub = rest & (rows[v] ^ flip)
+            sub = rest & rows[v]
             if depth + 1 + sub.bit_count() <= last:
                 continue  # the child could only return at once
             if not extend(mask | low, depth + 1, sub):
@@ -131,43 +131,48 @@ def _cliques(rows, cand: int, flip: int, size: int, budget: Budget | None = None
     return found, complete
 
 
-def _clique_search(rows, flip: int, pairs: bool, c: list[int], chosen: list[int]):
-    """The walk of both phases of ``_max_clique``: extend(need, rest) tells
-    whether need >= 1 vertices of the mask ``rest``, all above the clique
-    ``chosen``, extend it, and leaves the lexicographically first such
-    extension in ``chosen``.
+def _clique_search(rows, pairs: bool, c: list[int], out: list[int]):
+    """The walk of both phases of ``_max_clique``: extend(need, rest, filt)
+    tells whether need >= 1 vertices of the mask ``rest`` extend the clique
+    taken so far, and on success writes the lexicographically first such
+    extension to ``out``, highest vertex first.
 
-    After v is taken, a candidate u stays when u is in rows[v] (a 2-graph's
-    adjacency rows) or, with ``pairs``, in rows[a][v] for every vertex a
-    taken before v (a 3-graph's pair-link table); ``flip=-1`` reads the rows
-    complemented, for independent sets. A branch stops once the candidates
-    left, or c[v], the most vertices a clique can add from v on, fall short.
+    After v is taken, a candidate u stays when u is in row[v] for each row in
+    ``filt``: (rows,) for a 2-graph's adjacency rows, or with ``pairs`` rows[a]
+    of a 3-graph's pair-link table for each vertex a taken so far. A branch
+    stops once the candidates left, or c[v], the most vertices a clique can add
+    from v on, fall short; a node that needs two settles on its lowest candidate.
     """
-    def extend(need: int, rest: int) -> bool:
-        while rest:
-            if rest.bit_count() < need:
-                return False
+    def extend(need: int, rest: int, filt) -> bool:
+        if need == 1:  # only a root asks for one vertex: the lowest, as every c[v] >= 1
+            if rest:
+                out.append((rest & -rest).bit_length() - 1)
+            return rest != 0
+        left = rest.bit_count()
+        while left >= need:
             low = rest & -rest
             v = low.bit_length() - 1
             if c[v] < need:
                 return False  # c only falls as v rises
             rest ^= low
-            if pairs:
-                sub = rest
-                for a in chosen:
-                    sub &= rows[a][v] ^ flip
-            else:
-                sub = rest & (rows[v] ^ flip)
-            chosen.append(v)
-            if need == 1 or sub.bit_count() >= need - 1 and extend(need - 1, sub):
+            left -= 1
+            sub = rest
+            for row in filt:
+                sub &= row[v]
+            if need == 2:
+                if sub:
+                    out.extend(((sub & -sub).bit_length() - 1, v))
+                    return True
+            elif sub.bit_count() >= need - 1 and extend(need - 1, sub,
+                                                         filt + (rows[v],) if pairs else filt):
+                out.append(v)
                 return True
-            chosen.pop()
         return False
 
     return extend
 
 
-def _clique_bounds(rows, cand: int, flip: int, pairs: bool) -> tuple[list[int], int]:
+def _clique_bounds(rows, cand: int, pairs: bool) -> tuple[list[int], int]:
     """Phase 1 of ``_max_clique`` (Östergård 2002): (c, omega), where c[w]
     is the size of a maximum clique among the vertices of ``cand`` at or
     above w, for each w in ``cand``, and omega that of ``cand`` itself.
@@ -178,42 +183,40 @@ def _clique_bounds(rows, cand: int, flip: int, pairs: bool) -> tuple[list[int], 
     at the first one.
     """
     c = [0] * len(rows)
-    chosen: list[int] = []
-    extend = _clique_search(rows, flip, pairs, c, chosen)
+    extend = _clique_search(rows, pairs, c, [])
     best = above = 0
     for w in reversed(bits_of(cand)):
-        chosen[:] = (w,)
-        if best == 0 or extend(best, above if pairs else above & (rows[w] ^ flip)):
+        if best == 0 or (extend(best, above, (rows[w],)) if pairs
+                         else extend(best, above & rows[w], (rows,))):
             best += 1
         c[w] = best
         above |= 1 << w
     return c, best
 
 
-def _first_max_clique(rows, cand: int, flip: int, pairs: bool, c: list[int],
-                      omega: int) -> tuple[int, ...]:
+def _first_max_clique(rows, cand: int, pairs: bool, c: list[int], omega: int) -> tuple[int, ...]:
     """Phase 2 of ``_max_clique``: the lexicographically first omega-clique in
     ``cand``, by one walk up from the lowest vertex that stops at the first
     one, with the table c of ``_clique_bounds`` on the same rows."""
-    chosen: list[int] = []
+    out: list[int] = []
     if omega:
-        _clique_search(rows, flip, pairs, c, chosen)(omega, cand)
-    return tuple(chosen)
+        _clique_search(rows, pairs, c, out)(omega, cand, () if pairs else (rows,))
+    return tuple(reversed(out))
 
 
-def _max_clique(rows, cand: int, flip: int = 0, pairs: bool = False) -> tuple[int, ...]:
+def _max_clique(rows, cand: int, pairs: bool = False) -> tuple[int, ...]:
     """The lexicographically first maximum clique inside the candidate mask
     ``cand``, on rows read as in ``_clique_search``: a table of suffix clique
     numbers (phase 1), then one lexicographic pass pruned by it (phase 2)."""
-    c, omega = _clique_bounds(rows, cand, flip, pairs)
-    return _first_max_clique(rows, cand, flip, pairs, c, omega)
+    c, omega = _clique_bounds(rows, cand, pairs)
+    return _first_max_clique(rows, cand, pairs, c, omega)
 
 
 def _greedy_clique(rows, cand: int, flip: int = 0, pairs: bool = False,
                    highest: bool = False) -> tuple[int, ...]:
     """One greedy pass: take the lowest (or highest) candidate, keep the
-    candidates that the rows allow beside it, as in ``_clique_search``, and
-    repeat. Returns the clique in increasing order."""
+    candidates that the rows (complemented, with ``flip=-1``) allow beside it,
+    as in ``_clique_search``, and repeat. Returns the clique in increasing order."""
     chosen: list[int] = []
     while cand:
         v = cand.bit_length() - 1 if highest else (cand & -cand).bit_length() - 1
@@ -242,17 +245,18 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
 
 def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
     """``max_homogeneous`` of the subgraph on the vertex mask ``cand``, in the
-    vertex ids of h."""
+    vertex ids of h; its independent sets are the co-link table's cliques."""
     links = h._pair_links
     exact = cand.bit_count() <= exact_limit
     if exact:  # the larger omega, the clique's on ties, picks the one side phase 2 runs on
-        cl, ind = _clique_bounds(links, cand, 0, True), _clique_bounds(links, cand, -1, True)
-        flip, (c, omega) = (0, cl) if cl[1] >= ind[1] else (-1, ind)
-        found = _first_max_clique(links, cand, flip, True, c, omega)
+        co = h._co_pair_links
+        cl, ind = _clique_bounds(links, cand, True), _clique_bounds(co, cand, True)
+        kind, rows, (c, omega) = ("clique", links, cl) if cl[1] >= ind[1] else ("independent", co, ind)
+        found = _first_max_clique(rows, cand, True, c, omega)
     else:
         cl, ind = _greedy_clique(links, cand, 0, True), _greedy_clique(links, cand, -1, True)
-        flip, found = (0, cl) if len(cl) >= len(ind) else (-1, ind)
-    w = HomogeneousWitness(found, "independent" if flip else "clique", exact)
+        kind, found = ("clique", cl) if len(cl) >= len(ind) else ("independent", ind)
+    w = HomogeneousWitness(found, kind, exact)
     ensure(w.verify(h), "homogeneous witness")
     return w
 
@@ -265,18 +269,17 @@ def _star_sets(h: Hypergraph, cand: int, s: int, anti: bool,
     complete).
 
     Leaf sets are the s-cliques of the center's pair-link row within ``cand``
-    (independent sets for antistars); each extension step spends one unit of
+    (for antistars, of its co-link row); each extension step spends one unit of
     ``budget``. Whether a leaf set spans an edge is left to the caller.
     """
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
     if s < 0:
         raise ValueError(f"star size s={s} must be nonnegative")
-    links = h._pair_links
-    flip = -1 if anti else 0
+    rows = h._co_pair_links if anti else h._pair_links
     groups: list[tuple[int, list[int]]] = []
     for v in bits_of(cand):
-        leafsets, complete = _cliques(links[v], cand ^ (1 << v), flip, size=s, budget=budget)
+        leafsets, complete = _cliques(rows[v], cand ^ (1 << v), size=s, budget=budget)
         groups.append((v, leafsets))
         if not complete:
             return groups, False
@@ -421,24 +424,9 @@ def spencer_independent(h: Hypergraph, trials: int, seed: int) -> SpencerResult:
     return SpencerResult(best, target, trials, len(best) >= target)
 
 
-def greedy_forward_clique(g: OrderedGraph) -> tuple[int, ...]:
-    """Greedy clique: take the smallest remaining vertex, drop its forward
-    non-neighbors. When every forward non-neighborhood has fewer than k
-    vertices, the clique has at least ceil(n/k).
-    """
-    chosen = _greedy_clique(g.adj, (1 << g.n) - 1)
-    ensure(g.is_clique(chosen), "greedy clique")
-    return chosen
-
-
 def max_clique(g: OrderedGraph) -> tuple[int, ...]:
     """Exact maximum clique of a 2-graph; lexicographically first optimum."""
     return _max_clique(g.adj, (1 << g.n) - 1)
-
-
-def max_independent_set(g: OrderedGraph) -> tuple[int, ...]:
-    """Exact maximum independent set of a 2-graph; lexicographically first."""
-    return _max_clique(g.adj, (1 << g.n) - 1, -1)
 
 
 def _ktt_groups(links, cand: int, t: int, visit) -> None:

@@ -407,9 +407,9 @@ def _weighted(
 
     A vertex whose forward non-neighborhood in the mask reaches the threshold
     (h^(m-3) for r = 3, m-r+1 for r >= 4) opens a branch on that
-    neighborhood. For r = 3 the first such branch decides; for r >= 4 a failed
-    branch is skipped. The base cases are m = 3, (4, 2) and (5, 5) for r = 3,
-    and m <= m0 for r >= 4.
+    neighborhood; a failed branch is skipped, though for r = 3 none fails, as
+    each base case and greedy fallback finds a witness on h^((m-1)-2) vertices.
+    The base cases are m = 3, (4, 2) and (5, 5) for r = 3, and m <= m0 for r >= 4.
     """
     total = comb(m, r)
     if 2 * f > total:
@@ -465,8 +465,6 @@ def _weighted(
             try:
                 sub = _weighted(g, fnn, r, m - 1, f, h, budget, m0)
             except (SearchFailed, BudgetExhausted) as e:
-                if r == 3:
-                    raise  # the first large branch decides
                 if isinstance(e, BudgetExhausted):
                     gave_up = gave_up or e
                 continue

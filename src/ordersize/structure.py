@@ -442,18 +442,17 @@ def star_free_subset(h: Hypergraph, s: int, trials: int = 200, seed: int = 0) ->
 
 def largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
     """The maximum (anti)star (center, leaves), by exact search of each
-    center's pair-link row: the suffix bounds of every center, then the
-    first maximum clique of the first center whose row has the largest
-    clique number. A graph without vertices has no star."""
+    center's pair-link row (co-link row for an antistar): the suffix bounds
+    of every center, then the first maximum clique of the first center whose
+    row has the largest clique number. A graph without vertices has no star."""
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
     if h.n == 0:
         raise ValueError("a 3-graph without vertices has no star")
-    full, links = (1 << h.n) - 1, h._pair_links
-    flip = -1 if anti else 0
-    bounds = [_clique_bounds(links[v], full ^ (1 << v), flip, False) for v in range(h.n)]
+    full, rows = (1 << h.n) - 1, h._co_pair_links if anti else h._pair_links
+    bounds = [_clique_bounds(rows[v], full ^ (1 << v), False) for v in range(h.n)]
     v = max(range(h.n), key=lambda v: bounds[v][1])  # the first center on ties
-    return v, _first_max_clique(links[v], full ^ (1 << v), flip, False, *bounds[v])
+    return v, _first_max_clique(rows[v], full ^ (1 << v), False, *bounds[v])
 
 
 def no_large_star_subset(h: Hypergraph, s: int, delta: float) -> tuple[tuple[int, ...], str]:

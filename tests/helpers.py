@@ -51,7 +51,6 @@ from ordersize.search import (
     _cliques,
     _greedy_clique,
     _max_clique,
-    greedy_forward_clique,
     spencer_independent,
 )
 from ordersize.spectrum import (
@@ -1064,6 +1063,21 @@ def exhaustive_max_homogeneous(h: Hypergraph) -> int:
     return min(h.n, 1)
 
 
+def greedy_forward_clique(g: OrderedGraph) -> tuple[int, ...]:
+    """Greedy clique: take the smallest remaining vertex, drop its forward
+    non-neighbors. When every forward non-neighborhood has fewer than k
+    vertices, the clique has at least ceil(n/k).
+    """
+    chosen = _greedy_clique(g.adj, (1 << g.n) - 1)
+    ensure(g.is_clique(chosen), "greedy clique")
+    return chosen
+
+
+def max_independent_set(g: OrderedGraph) -> tuple[int, ...]:
+    """Exact maximum independent set of a 2-graph; lexicographically first."""
+    return _max_clique(g.complement().adj, (1 << g.n) - 1)
+
+
 def can_afford(bud: Budget, amount: int) -> bool:
     """Whether ``bud`` can spend ``amount`` more units without raising (the
     ``Budget.can_afford`` method the package no longer calls)."""
@@ -1577,7 +1591,9 @@ def old_star_sets(h: Hypergraph, cand: int, s: int, induced: bool, anti: bool,
     order; returns (groups, complete).
 
     An induced star must span no edge (an antistar every triple), which the
-    clique walk ``old_cliques`` tracks on the pair-link rows as it goes.
+    clique walk ``old_cliques`` tracks on the pair-link rows as it goes. With
+    ``induced=False`` this is ``search._star_sets`` as it read every pair-link
+    row through ``flip``, before antistars walked the co-link rows.
     """
     if h.r != 3:
         raise ValueError("stars are defined for 3-uniform hypergraphs")
@@ -1646,7 +1662,7 @@ def count_independent_tsets(g: OrderedGraph, t: int) -> int:
     """Exact number of independent t-sets."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    return len(_cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0])
+    return len(_cliques(g.complement().adj, (1 << g.n) - 1, size=t)[0])
 
 
 def link_graph(h: Hypergraph, v: int) -> OrderedGraph:
@@ -1673,13 +1689,13 @@ def _ktt_partners(g: OrderedGraph, amask: int, t: int) -> list[int]:
         common &= g.adj[a]
     if common.bit_count() < t:
         return []
-    return _cliques(g.adj, common, -1, size=t)[0]
+    return _cliques(g.complement().adj, common, size=t)[0]
 
 
 def enumerate_induced_ktt(g: OrderedGraph, t: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All unordered induced K_{t,t} part pairs, each as (A, B) with A lex-first."""
     out = []
-    for amask in _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]:
+    for amask in _cliques(g.complement().adj, (1 << g.n) - 1, size=t)[0]:
         for bmask in _ktt_partners(g, amask, t):
             if bmask > amask:
                 out.append((bits_of(amask), bits_of(bmask)))
@@ -1704,7 +1720,7 @@ def count_induced_ktt(
         raise ValueError("t must be >= 1")
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
-    tsets = _cliques(g.adj, (1 << g.n) - 1, -1, size=t)[0]
+    tsets = _cliques(g.complement().adj, (1 << g.n) - 1, size=t)[0]
     total_pairs = len(tsets) * (len(tsets) - 1) // 2
     if budget is None or total_pairs <= budget:
         count = 0
@@ -1794,10 +1810,95 @@ def old_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int,
 
 def per_center_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
     """``structure.largest_star`` as it ran both phases of the maximum-clique
-    kernel for every center."""
-    full, flip = (1 << h.n) - 1, -1 if anti else 0
-    stars = [(v, _max_clique(h._pair_links[v], full ^ (1 << v), flip)) for v in range(h.n)]
+    kernel for every center (on the complement's pair-link rows for an
+    antistar)."""
+    full, links = (1 << h.n) - 1, (h.complement() if anti else h)._pair_links
+    stars = [(v, _max_clique(links[v], full ^ (1 << v))) for v in range(h.n)]
     return max(stars, key=lambda st: len(st[1]))  # the first center on ties
+
+
+# --- the maximum-clique kernel as it read every row through a flip ------------------
+
+
+def flip_clique_search(rows, flip: int, pairs: bool, c: list[int], chosen: list[int]):
+    """``search._clique_search`` as it read every row through ``flip``
+    (-1 for independent sets) and kept the clique in ``chosen``:
+    extend(need, rest) tells whether need >= 1 vertices of the mask ``rest``,
+    all above the clique ``chosen``, extend it, and leaves the
+    lexicographically first such extension in ``chosen``."""
+    def extend(need: int, rest: int) -> bool:
+        while rest:
+            if rest.bit_count() < need:
+                return False
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if c[v] < need:
+                return False  # c only falls as v rises
+            rest ^= low
+            if pairs:
+                sub = rest
+                for a in chosen:
+                    sub &= rows[a][v] ^ flip
+            else:
+                sub = rest & (rows[v] ^ flip)
+            chosen.append(v)
+            if need == 1 or sub.bit_count() >= need - 1 and extend(need - 1, sub):
+                return True
+            chosen.pop()
+        return False
+
+    return extend
+
+
+def flip_clique_bounds(rows, cand: int, flip: int, pairs: bool) -> tuple[list[int], int]:
+    """``search._clique_bounds`` on ``flip_clique_search``."""
+    c = [0] * len(rows)
+    chosen: list[int] = []
+    extend = flip_clique_search(rows, flip, pairs, c, chosen)
+    best = above = 0
+    for w in reversed(bits_of(cand)):
+        chosen[:] = (w,)
+        if best == 0 or extend(best, above if pairs else above & (rows[w] ^ flip)):
+            best += 1
+        c[w] = best
+        above |= 1 << w
+    return c, best
+
+
+def flip_first_max_clique(rows, cand: int, flip: int, pairs: bool, c: list[int],
+                          omega: int) -> tuple[int, ...]:
+    """``search._first_max_clique`` on ``flip_clique_search``."""
+    chosen: list[int] = []
+    if omega:
+        flip_clique_search(rows, flip, pairs, c, chosen)(omega, cand)
+    return tuple(chosen)
+
+
+def flip_max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
+    """``search._max_homogeneous_in`` as it walked both sides on the pair-link
+    table, the independent side through ``flip=-1``."""
+    links = h._pair_links
+    exact = cand.bit_count() <= exact_limit
+    if exact:  # the larger omega, the clique's on ties, picks the one side phase 2 runs on
+        cl, ind = flip_clique_bounds(links, cand, 0, True), flip_clique_bounds(links, cand, -1, True)
+        flip, (c, omega) = (0, cl) if cl[1] >= ind[1] else (-1, ind)
+        found = flip_first_max_clique(links, cand, flip, True, c, omega)
+    else:
+        cl, ind = _greedy_clique(links, cand, 0, True), _greedy_clique(links, cand, -1, True)
+        flip, found = (0, cl) if len(cl) >= len(ind) else (-1, ind)
+    w = HomogeneousWitness(found, "independent" if flip else "clique", exact)
+    ensure(w.verify(h), "homogeneous witness")
+    return w
+
+
+def flip_largest_star(h: Hypergraph, anti: bool = False) -> tuple[int, tuple[int, ...]]:
+    """``structure.largest_star`` on the walk that read every pair-link row
+    through ``flip``."""
+    full, links = (1 << h.n) - 1, h._pair_links
+    flip = -1 if anti else 0
+    bounds = [flip_clique_bounds(links[v], full ^ (1 << v), flip, False) for v in range(h.n)]
+    v = max(range(h.n), key=lambda v: bounds[v][1])  # the first center on ties
+    return v, flip_first_max_clique(links[v], full ^ (1 << v), flip, False, *bounds[v])
 
 
 def with_one_more_vertex(phase2):

@@ -5,9 +5,12 @@ Oracles: networkx clique numbers and a brute-force scan for the
 lexicographically first maximum clique or independent set; a ``combinations``
 scan for 3-graphs; ``old_max_clique_walk``, the maximum-clique walk the
 two-phase kernel replaced; ``per_center_largest_star``, the maximum star that
-ran both phases for every center; ``enumerate_cliques_reference``, a copy of the
-t-clique enumerator the kernel replaced, with its list-cell budget; and the
-greedy procedure written out step by step.
+ran both phases for every center; ``flip_max_homogeneous_in``,
+``flip_largest_star`` and ``old_star_sets``, the searches as they read every
+pair-link row through a flip before the co-link table;
+``enumerate_cliques_reference``, a copy of the t-clique enumerator the kernel
+replaced, with its list-cell budget; and the greedy procedure written out step
+by step.
 """
 
 from itertools import combinations
@@ -17,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ordersize.core import Hypergraph, OrderedGraph, bits_of, complete_hypergraph, mask_of
+from ordersize import search
 from ordersize.errors import Budget
 from ordersize.search import (
     Star,
@@ -28,15 +32,18 @@ from ordersize.search import (
     find_stars,
     max_clique,
     max_homogeneous,
-    max_independent_set,
 )
 from ordersize.structure import largest_star
 
 from helpers import (
+    flip_largest_star,
+    flip_max_homogeneous_in,
     link_graph,
+    max_independent_set,
     old_largest_star,
     old_max_clique_walk,
     old_max_homogeneous_in,
+    old_star_sets,
     per_center_largest_star,
 )
 
@@ -160,8 +167,8 @@ def test_max_clique_sizes_match_networkx():
 @given(hypergraphs())
 def test_3graph_max_clique_both_sides(h):
     full = (1 << h.n) - 1
-    cl = _max_clique(h._pair_links, full, 0, True)
-    ind = _max_clique(h._pair_links, full, -1, True)
+    cl = _max_clique(h._pair_links, full, True)
+    ind = _max_clique(h._co_pair_links, full, True)
     assert cl == first_max(h.n, lambda s: all(t in h.edges for t in combinations(s, 3)))
     assert ind == first_max(h.n, lambda s: not any(t in h.edges for t in combinations(s, 3)))
     w = max_homogeneous(h)
@@ -184,18 +191,23 @@ def dense_or_sparse(draw, r, max_n):
 @given(st.data())
 def test_max_clique_matches_the_old_walk(data):
     """``_max_clique`` on adjacency rows, on one pair-link row (as
-    ``largest_star`` reads it) and on the pair-link table, with any candidate
-    mask and either flip; the exact branch of ``_max_homogeneous_in`` and
-    ``largest_star`` beside their old code paths."""
+    ``largest_star`` reads it, without its center) and on the pair-link
+    table, with any candidate mask, of the graph or of its complement beside
+    the old walk on the flipped rows; the exact branch of
+    ``_max_homogeneous_in`` and ``largest_star`` beside their old code
+    paths."""
     g = data.draw(dense_or_sparse(2, 14))
     h = data.draw(dense_or_sparse(3, 14))
     flip = data.draw(st.sampled_from([0, -1]))
-    cases = [(g.adj, g.n, False), (h._pair_links, h.n, True)]
+    side_g, side_h = (g, h) if flip == 0 else (g.complement(), h.complement())
+    full = (1 << h.n) - 1
+    cases = [(side_g.adj, g.adj, (1 << g.n) - 1, False), (side_h._pair_links, h._pair_links, full, True)]
     if h.n:
-        cases.append((h._pair_links[data.draw(st.integers(0, h.n - 1))], h.n, False))
-    for rows, n, pairs in cases:
-        cand = data.draw(st.integers(0, (1 << n) - 1))
-        assert _max_clique(rows, cand, flip, pairs) == old_max_clique_walk(rows, cand, flip, pairs)
+        v = data.draw(st.integers(0, h.n - 1))
+        cases.append((side_h._pair_links[v], h._pair_links[v], full ^ (1 << v), False))
+    for rows, old_rows, allowed, pairs in cases:
+        cand = data.draw(st.integers(0, allowed)) & allowed
+        assert _max_clique(rows, cand, pairs) == old_max_clique_walk(old_rows, cand, flip, pairs)
     cand = data.draw(st.integers(0, (1 << h.n) - 1))
     assert _max_homogeneous_in(h, cand, h.n) == old_max_homogeneous_in(h, cand, h.n)
     if h.n:
@@ -229,7 +241,8 @@ def test_t_clique_enumeration_matches_reference(g, t, budget, independent):
     want, want_complete = enumerate_cliques_reference(
         g.complement() if independent else g, t, limit)
     bud = Budget(budget)
-    masks, complete = _cliques(g.adj, (1 << g.n) - 1, -1 if independent else 0, size=t, budget=bud)
+    rows = g.complement().adj if independent else g.adj
+    masks, complete = _cliques(rows, (1 << g.n) - 1, size=t, budget=bud)
     assert [bits_of(m) for m in masks] == want
     assert complete == want_complete
     assert bud.used == (budget if budget is not None else 1 << 62) - limit[0]
@@ -283,3 +296,46 @@ def test_greedy_pass_3graph(h, cand, highest, independent):
     got = _greedy_clique(h._pair_links, cand, -1 if independent else 0, True, highest)
     assert got == greedy_reference(stays, cand, highest)
     assert mask_of(got) & ~cand == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse(3, 12))
+@example(complete_hypergraph(3, 4))
+@example(Hypergraph(3, 0))
+def test_co_pair_links_is_the_complements_pair_link_table(h):
+    assert h._co_pair_links == h.complement()._pair_links
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_or_sparse(3, 14), st.data())
+def test_searches_match_the_flipped_walk(h, data):
+    """``max_homogeneous`` (exact, and greedy past a drawn limit), both ways
+    of ``largest_star`` and ``_max_homogeneous_in`` on a drawn mask give what
+    they gave when the independent side read the pair-link rows through a
+    flip."""
+    limit = data.draw(st.integers(0, 14))
+    assert max_homogeneous(h) == flip_max_homogeneous_in(h, (1 << h.n) - 1, 40)
+    assert max_homogeneous(h, limit) == flip_max_homogeneous_in(h, (1 << h.n) - 1, limit)
+    cand = data.draw(st.integers(0, (1 << h.n) - 1))
+    assert _max_homogeneous_in(h, cand, h.n) == flip_max_homogeneous_in(h, cand, h.n)
+    if h.n:
+        assert largest_star(h) == flip_largest_star(h)
+        assert largest_star(h, True) == flip_largest_star(h, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_or_sparse(3, 9), st.integers(0, 4), st.booleans())
+@example(Hypergraph(3, 6), 3, False)
+def test_antistars_match_the_flipped_walk(h, s, induced):
+    """``find_stars(want_anti=True)`` on the co-link rows finds the stars,
+    spends the steps and reports completeness as the star search that read
+    the pair-link rows through a flip, under every budget."""
+    def flipped(h, cand, s, anti, budget):
+        return old_star_sets(h, cand, s, False, anti, budget)
+
+    for budget in (None, 0, 3, 17, 60):
+        got = find_stars(h, s, induced, True, budget)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "_star_sets", flipped)
+            want = find_stars(h, s, induced, True, budget)
+        assert (got.stars, got.examined, got.complete) == (want.stars, want.examined, want.complete)

@@ -100,6 +100,34 @@ def test_homogeneous_witness_is_checked_under_optimize():
     assert proc.stdout == "raised: postcondition failed: homogeneous witness\n", proc.stdout
 
 
+CO_LINK_PROBE = r"""
+from ordersize import Hypergraph, VerificationError, max_homogeneous
+assert False, "asserts must be stripped under -O"
+h = Hypergraph(3, 5, [(0, 1, 2)])  # the independent set 0134 beats the clique 012
+print(max_homogeneous(h).set)
+co = [list(row) for row in h._co_pair_links]
+co[0][1] |= 1 << 2  # the edge 012 reads as a non-edge, so 01234 looks independent
+h.__dict__["_co_pair_links"] = tuple(map(tuple, co))
+try:
+    max_homogeneous(h)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_corrupt_co_link_table_is_caught_under_optimize():
+    """The witness is recounted on the edges, not on the co-link table the
+    independent side walks."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CO_LINK_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(0, 1, 3, 4)\nraised: postcondition failed: homogeneous witness\n", proc.stdout
+
+
 WEIGHTED_PROBE = r"""
 from ordersize import HomogeneousWitness, OrderedGraph, VerificationError, spectrum
 assert False, "asserts must be stripped under -O"

@@ -10,10 +10,8 @@ from ordersize.rng import SeededRNG
 from ordersize.search import (
     Star,
     find_stars,
-    greedy_forward_clique,
     max_clique,
     max_homogeneous,
-    max_independent_set,
     spencer_independent,
 )
 
@@ -24,7 +22,9 @@ from helpers import (
     count_induced_ktt,
     enumerate_induced_ktt,
     exhaustive_max_homogeneous,
+    greedy_forward_clique,
     link_graph,
+    max_independent_set,
 )
 
 

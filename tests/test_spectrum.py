@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations
 from math import comb
 
@@ -670,3 +672,25 @@ def test_pattern_weight_exists_any_split():
     assert set(splits) == {1, 2, 3, 4, 5}
     assert not any(splits.values())
     assert all(pattern_weight_exists_any_split(10, 12, 0).values())
+
+
+R3_SWEEP_GRAPHS = [(n, pct, seed) for seed, (n, pct) in enumerate(
+    (n, pct) for n in (3, 6, 9, 13, 18, 23, 28) for pct in (0, 20, 50, 80, 100))]
+
+
+def test_r3_weighted_outcomes_match_the_golden_digest():
+    """Pins the outcome of every r = 3 weighted search on a seeded sweep
+    (h = 2-3, m = 4-6, every f, budgets None and 50), errors included. An r = 3
+    branch runs on at least h^((m-1)-2) vertices, where each base case and the
+    greedy fallback always find a witness, so no branch fails and the search
+    takes the first large branch's answer."""
+    records = []
+    for n, pct, seed in R3_SWEEP_GRAPHS:
+        g = random_ordered_graph(n, pct, seed)
+        for h in (2, 3):
+            for m in (4, 5, 6):
+                for f in range(comb(m, 3) + 1):
+                    for budget in (None, 50):
+                        records.append(search_outcome(lambda: find_weighted_mf_subset(g, 3, m, f, h, budget)))
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == "28db2f64d67d3e844041dcf2876631836a8e4cd0489c4c557df8ac3dc876d2cb"

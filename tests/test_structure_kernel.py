@@ -105,12 +105,12 @@ def kernel_groups(h: Hypergraph, cand: int, t: int, bud: Budget) -> dict:
 
 def oracle_find_stars(h, s, want_induced=False, want_anti=False, budget=None):
     bud = Budget(budget)
-    flip = -1 if want_anti else 0
+    links = (h.complement() if want_anti else h)._pair_links
     full = (1 << h.n) - 1
     stars = []
     complete = True
     for v in range(h.n):
-        leafsets, complete = _cliques(h._pair_links[v], full ^ (1 << v), flip, size=s, budget=bud)
+        leafsets, complete = _cliques(links[v], full ^ (1 << v), size=s, budget=bud)
         for mask in leafsets:
             st = Star(v, bits_of(mask), want_induced, want_anti)
             if want_induced and not st.verify(h):
@@ -493,7 +493,7 @@ def test_find_stars_rejects_exactly_the_leaf_sets_star_verify_rejects(
     center, j = spots[spot % len(spots)]
     leaves = bits_of(dict(groups)[center][j])
     bad = mask_of(leaves) ^ 1 << leaves[out % len(leaves)] | 1 << new % (h.n + 1)
-    walk, row = search._cliques, h._pair_links[center]
+    walk, row = search._cliques, (h._co_pair_links if anti else h._pair_links)[center]
 
     def faulty(rows, cand, *args, **kwargs):
         masks, done = walk(rows, cand, *args, **kwargs)
