@@ -300,11 +300,15 @@ class OrderedGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return 0 <= a < self.n and b >= 0 and self.adj[a] >> b & 1 == 1
 
-    def complement(self) -> "OrderedGraph":
+    @cached_property
+    def _co_adj(self) -> tuple[int, ...]:
+        """The complement's adjacency rows: bit u of row v is set iff u != v
+        and uv is not an edge."""
         full = (1 << self.n) - 1
-        return OrderedGraph._from_rows(
-            self.n, tuple(row ^ full ^ (1 << v) for v, row in enumerate(self.adj))
-        )
+        return tuple(row ^ full ^ (1 << v) for v, row in enumerate(self.adj))
+
+    def complement(self) -> "OrderedGraph":
+        return OrderedGraph._from_rows(self.n, self._co_adj)
 
     def forward_non_neighbors(self, v: int, within: int | None = None) -> int:
         """Bitmask of u > v with uv not an edge, optionally restricted."""

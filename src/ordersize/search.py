@@ -212,20 +212,19 @@ def _max_clique(rows, cand: int, pairs: bool = False) -> tuple[int, ...]:
     return _first_max_clique(rows, cand, pairs, c, omega)
 
 
-def _greedy_clique(rows, cand: int, flip: int = 0, pairs: bool = False,
-                   highest: bool = False) -> tuple[int, ...]:
+def _greedy_clique(rows, cand: int, pairs: bool = False, highest: bool = False) -> tuple[int, ...]:
     """One greedy pass: take the lowest (or highest) candidate, keep the
-    candidates that the rows (complemented, with ``flip=-1``) allow beside it,
-    as in ``_clique_search``, and repeat. Returns the clique in increasing order."""
+    candidates that the rows allow beside it, as in ``_clique_search``, and
+    repeat. Returns the clique in increasing order."""
     chosen: list[int] = []
     while cand:
         v = cand.bit_length() - 1 if highest else (cand & -cand).bit_length() - 1
         cand ^= 1 << v
         if pairs:
             for a in chosen:
-                cand &= rows[a][v] ^ flip
+                cand &= rows[a][v]
         else:
-            cand &= rows[v] ^ flip
+            cand &= rows[v]
         chosen.append(v)
     return tuple(sorted(chosen))
 
@@ -246,15 +245,14 @@ def max_homogeneous(h: Hypergraph, exact_limit: int = DEFAULT_EXACT_LIMIT) -> Ho
 def _max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> HomogeneousWitness:
     """``max_homogeneous`` of the subgraph on the vertex mask ``cand``, in the
     vertex ids of h; its independent sets are the co-link table's cliques."""
-    links = h._pair_links
+    links, co = h._pair_links, h._co_pair_links
     exact = cand.bit_count() <= exact_limit
     if exact:  # the larger omega, the clique's on ties, picks the one side phase 2 runs on
-        co = h._co_pair_links
         cl, ind = _clique_bounds(links, cand, True), _clique_bounds(co, cand, True)
         kind, rows, (c, omega) = ("clique", links, cl) if cl[1] >= ind[1] else ("independent", co, ind)
         found = _first_max_clique(rows, cand, True, c, omega)
     else:
-        cl, ind = _greedy_clique(links, cand, 0, True), _greedy_clique(links, cand, -1, True)
+        cl, ind = _greedy_clique(links, cand, True), _greedy_clique(co, cand, True)
         kind, found = ("clique", cl) if len(cl) >= len(ind) else ("independent", ind)
     w = HomogeneousWitness(found, kind, exact)
     ensure(w.verify(h), "homogeneous witness")

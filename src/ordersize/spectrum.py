@@ -23,6 +23,7 @@ from .core import (
     mask_of,
 )
 from .errors import Budget, BudgetExhausted, FactorizationError, SearchFailed, at_least, ensure
+from .hbuilder import build_H, position_weights
 from .rng import SeededRNG
 from .search import HomogeneousWitness, _greedy_clique
 
@@ -77,25 +78,25 @@ class WeightFrame:
         return sum(self.weight(i, j) for i, j in combinations(self.positions, 2))
 
 
-def weighted_total(g: OrderedGraph, u: Sequence[int], frame: WeightFrame) -> int:
-    """Sum of w(i, j) over the edges of g among the vertices of u.
+def weighted_total(g: OrderedGraph, u: Sequence[int], r: int, m: int) -> int:
+    """Sum of the split-1 weights over the edges of g among the vertices of u:
+    an edge whose later end is the j-th vertex of u weighs C(m-j, r-2).
 
-    u lists the vertices occupying the frame's weighted positions, in
-    increasing order; its length must equal the frame size.
+    u lists the m-r+2 weighted vertices in increasing order.
     """
+    if r < 3 or m < r:
+        raise ValueError(f"bad weight frame (r={r}, m={m}, k=1)")
     u = list(u)
-    if len(u) != frame.size:
-        raise ValueError(f"need {frame.size} vertices, got {len(u)}")
+    if len(u) != m - r + 2:
+        raise ValueError(f"need {m - r + 2} vertices, got {len(u)}")
     if any(u[a] >= u[a + 1] for a in range(len(u) - 1)):
         raise ValueError("vertices must be strictly increasing")
     if u and (u[0] < 0 or u[-1] >= g.n):
         raise ValueError(f"vertex set {tuple(u)} out of range [0, {g.n})")
-    ps = list(frame.positions)
-    total = 0
-    for a in range(len(u)):
-        for b in range(a + 1, len(u)):
-            if g.has_edge(u[a], u[b]):
-                total += frame.weight(ps[a], ps[b])
+    total = prefix = 0
+    for v, w in zip(u, position_weights(r, m)):
+        total += w * (g.adj[v] & prefix).bit_count()
+        prefix |= 1 << v
     return total
 
 
@@ -107,11 +108,9 @@ class WeightedWitness:
     r: int
     m: int
     f: int
-    k: int = 1
 
     def verify(self, g: OrderedGraph) -> bool:
-        frame = WeightFrame(self.r, self.m, self.k)
-        return weighted_total(g, self.vertices, frame) == self.f
+        return weighted_total(g, self.vertices, self.r, self.m) == self.f
 
 
 # --- size spectrum ----------------------------------------------------------
@@ -321,9 +320,7 @@ def verify_lift(
     top = len(x) - (r - 2)
     if any(pos[v] >= top for v in u):
         raise ValueError("U must avoid the last r-2 positions of X")
-    m = len(u) + r - 2
-    frame = WeightFrame(r, m, 1)
-    total = weighted_total(g, [pos[v] for v in u], frame)
+    total = weighted_total(g, [pos[v] for v in u], r, len(u) + r - 2)
     return h.edge_count(tuple(u) + tuple(tail)) == total
 
 
@@ -335,10 +332,11 @@ def _flip_kind(w: HomogeneousWitness) -> HomogeneousWitness:
     return HomogeneousWitness(w.set, kind, w.exact)
 
 
-def _first_edge_in(g: OrderedGraph, mask: int) -> tuple[int, int] | None:
-    """Lexicographically first edge (a, b), a < b, inside the vertex mask."""
+def _first_edge_in(rows, mask: int) -> tuple[int, int] | None:
+    """Lexicographically first edge (a, b), a < b, inside the vertex mask, of
+    the graph with adjacency rows ``rows``."""
     for a in bits_of(mask):
-        above = g.adj[a] & mask & ~((1 << (a + 1)) - 1)
+        above = rows[a] & mask & ~((1 << (a + 1)) - 1)
         if above:
             return (a, (above & -above).bit_length() - 1)
     return None
@@ -376,6 +374,8 @@ def find_weighted_mf_subset(
         raise ValueError(f"m must be at least {r}")
     if not 0 <= f <= comb(m, r):
         raise ValueError(f"f={f} out of range [0, {comb(m, r)}]")
+    if budget is not None:
+        at_least(0, budget=budget)
     if h <= 1:
         if g.n < 1:
             raise ValueError("empty graph")
@@ -422,7 +422,7 @@ def _weighted(
 
     if r == 3:
         if m == 3:  # normalized f is 0 here
-            ne = _first_edge_in(g.complement(), mask)
+            ne = _first_edge_in(g._co_adj, mask)
             if ne is not None:
                 return WeightedWitness(ne, 3, 3, 0)
             return _large_or_fail(bits_of(mask), "clique", True, h, None,
@@ -441,18 +441,16 @@ def _weighted(
         cut = None  # set when the base-case search ran out of budget
         try:
             if m == m0:
-                from .hbuilder import build_H
-
                 # 2f <= C(m, r) here, so build_H builds for g, not its complement
                 hit = find_induced_ordered_copy(g, mask, build_H(r, m, f).graph, budget)
             else:
-                hit = _weighted_scan(g, mask, WeightFrame(r, m, 1), f, Budget(budget))
+                hit = _weighted_scan(g, mask, r, m, f, Budget(budget))
         except BudgetExhausted as e:
             cut, hit = e, None
         if hit is not None:
             return WeightedWitness(hit, r, m, f)
         clique = _greedy_clique(g.adj, mask)
-        ind = _greedy_clique(g.adj, mask, -1)
+        ind = _greedy_clique(g._co_adj, mask)
         best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
         return _large_or_fail(best, kind, False, h, cut,
                               "base-case pattern not found and no large homogeneous set",
@@ -488,7 +486,7 @@ def _weighted_r3_m4f2(g: OrderedGraph, mask: int, h: int):
     for v in sorted(bits_of(mask), reverse=True):
         bnn = g.backward_non_neighbors(v, mask)
         if bnn.bit_count() >= h:
-            edge = _first_edge_in(g, bnn)
+            edge = _first_edge_in(g.adj, bnn)
             if edge is None:
                 return HomogeneousWitness(bits_of(bnn), "independent", True)
             u1, u2 = edge
@@ -508,12 +506,12 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                 above = bnn & ~((1 << (vp + 1)) - 1)
                 np_mask = above & g.adj[vp]
                 if np_mask.bit_count() >= h:
-                    ne = _first_edge_in(g.complement(), np_mask)
+                    ne = _first_edge_in(g._co_adj, np_mask)
                     if ne is None:
                         return HomogeneousWitness(bits_of(np_mask), "clique", True)
                     u1, u2 = ne
                     return WeightedWitness((vp, u1, u2, v), 3, 5, 5)
-            return _large_or_fail(_greedy_clique(g.adj, bnn, -1), "independent", True, h, None,
+            return _large_or_fail(_greedy_clique(g._co_adj, bnn), "independent", True, h, None,
                                   "m=5, f=5: inner stage produced neither structure",
                                   {"m": 5, "f": 5, "h": h})
     return _large_or_fail(_greedy_clique(g.adj, mask, highest=True), "clique", True, h, None,
@@ -521,22 +519,21 @@ def _weighted_r3_m5f5(g: OrderedGraph, mask: int, h: int):
                           {"m": 5, "f": 5, "h": h})
 
 
-def _weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
+def _weighted_scan(g: OrderedGraph, mask: int, r: int, m: int, f: int,
                    budget: Budget) -> tuple[int, ...] | None:
-    """The lexicographically first ``frame.size``-subset of the vertices in
-    ``mask`` whose weighted total is f, or None when there is none.
+    """The lexicographically first (m-r+2)-subset of the vertices in ``mask``
+    whose ``weighted_total`` is f, or None when there is none.
 
     Each subset scanned spends one unit of ``budget``; a subset it cannot pay
-    for raises BudgetExhausted. Depth d keeps the weighted total of the prefix
-    cur[:d], so a lexicographic successor recomputes only the depths from the
-    first changed position on, as ``core.iter_subset_counts`` does.
+    for raises BudgetExhausted. Depth d keeps the mask and the weighted total
+    of the prefix cur[:d], so a lexicographic successor recomputes only the
+    depths from the first changed position on, as ``core.iter_subset_counts`` does.
     """
     verts = bits_of(mask)
-    n, size, adj = len(verts), frame.size, g.adj
+    n, size, adj = len(verts), m - r + 2, g.adj
     if size > n:
         return None
-    ps = list(frame.positions)
-    weights = [[frame.weight(ps[a], ps[d]) for a in range(d)] for d in range(size)]
+    pw = position_weights(r, m)
     left = None if budget.limit is None else max(budget.limit - budget.used, 0)
     used = 0
     succ = [0] * g.n  # the next vertex of the mask
@@ -545,6 +542,7 @@ def _weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
     last = verts[n - size:]  # the highest vertex each depth can hold
     cur = list(verts[:size])
     sums = [0] * (size + 1)
+    masks = [0] * (size + 1)
     first = 0  # shallowest depth whose prefix changed
     try:
         while True:
@@ -552,12 +550,9 @@ def _weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
                 raise BudgetExhausted("base-case scan budget exhausted", budget.used + used)
             used += 1
             for d in range(first, size):
-                row = adj[cur[d]]
-                t = sums[d]
-                for a, w in enumerate(weights[d]):
-                    if row >> cur[a] & 1:
-                        t += w
-                sums[d + 1] = t
+                v = cur[d]
+                sums[d + 1] = sums[d] + pw[d] * (adj[v] & masks[d]).bit_count()
+                masks[d + 1] = masks[d] | 1 << v
             if sums[size] == f:
                 return tuple(cur)
             first = size - 1
@@ -578,35 +573,36 @@ def find_induced_ordered_copy(
     """Order-respecting induced embedding of ``pattern`` into the vertices of
     ``mask`` in ``g``.
 
-    Backtracking over pattern positions in order; the partial map must match
-    adjacency exactly. Returns the image vertices, or None; None proves
-    absence only when the budget was not exhausted (exhaustion raises).
+    Backtracking over pattern positions in order; a candidate's row on the
+    vertices taken must be the images of the position's earlier pattern
+    neighbours. Returns the image vertices, or None; None proves absence
+    only when the budget was not exhausted (exhaustion raises).
     """
+    if mask >> g.n:
+        raise ValueError(f"vertex mask out of range [0, {g.n})")
     verts = bits_of(mask)
-    k, n = pattern.n, len(verts)
+    k, n, adj = pattern.n, len(verts), g.adj
     if k > n:
         return None
     bud = Budget(budget)
     image: list[int] = []
 
-    def extend(pos: int, start: int) -> tuple[int, ...] | None:
+    def extend(pos: int, start: int, taken: int) -> tuple[int, ...] | None:
         if pos == k:
             return tuple(image)
+        want = mask_of(image[q] for q in bits_of(pattern.adj[pos] & ((1 << pos) - 1)))
         for i in range(start, n - (k - pos) + 1):
             bud.spend()
             v = verts[i]
-            ok = all(
-                g.has_edge(image[q], v) == pattern.has_edge(q, pos) for q in range(pos)
-            )
-            if ok:
+            if adj[v] & taken == want:
                 image.append(v)
-                hit = extend(pos + 1, i + 1)
+                hit = extend(pos + 1, i + 1, taken | 1 << v)
                 if hit is not None:
                     return hit
                 image.pop()
         return None
 
-    return extend(0, 0)
+    return extend(0, 0, 0)
 
 
 # --- the m = r+1 realization ---------------------------------------------------
@@ -619,10 +615,6 @@ class RealizeResult:
     complemented: bool
     k: int
     x: tuple[int, ...]
-
-    @property
-    def absent(self) -> bool:
-        return not self.pattern_found
 
 
 def realize_r_plus_1(h: Hypergraph, f: int, ell: int | None = None) -> RealizeResult:

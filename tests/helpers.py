@@ -62,7 +62,6 @@ from ordersize.spectrum import (
     _flip_kind,
     _weighted_r3_m4f2,
     _weighted_r3_m5f5,
-    weighted_total,
 )
 from ordersize.stepdown import DEFAULT_INTERMEDIATE_CAP, StepResult, step_once, step_to_pairs
 from ordersize.structure import HomogenizedFamily, PairFamily, _density01, _uniform, maybe_density
@@ -1084,18 +1083,86 @@ def can_afford(bud: Budget, amount: int) -> bool:
     return bud.limit is None or bud.used + amount <= bud.limit
 
 
+def frame_weighted_total(g: OrderedGraph, u: Iterable[int], frame: WeightFrame) -> int:
+    """``spectrum.weighted_total`` as it summed ``frame.weight`` over every
+    pair of u, before it read the position-weight row."""
+    u = list(u)
+    if len(u) != frame.size:
+        raise ValueError(f"need {frame.size} vertices, got {len(u)}")
+    if any(u[a] >= u[a + 1] for a in range(len(u) - 1)):
+        raise ValueError("vertices must be strictly increasing")
+    if u and (u[0] < 0 or u[-1] >= g.n):
+        raise ValueError(f"vertex set {tuple(u)} out of range [0, {g.n})")
+    ps = list(frame.positions)
+    total = 0
+    for a in range(len(u)):
+        for b in range(a + 1, len(u)):
+            if g.has_edge(u[a], u[b]):
+                total += frame.weight(ps[a], ps[b])
+    return total
+
+
 def combinations_weighted_scan(g: OrderedGraph, mask: int, frame: WeightFrame, f: int,
                                bud: Budget) -> tuple[int, ...] | None:
     """The r >= 4 weighted base-case scan as it was before the prefix sums:
-    ``weighted_total`` of each ``combinations`` subset of the vertices in
-    ``mask``, one budget unit each."""
+    ``frame_weighted_total`` of each ``combinations`` subset of the vertices
+    in ``mask``, one budget unit each."""
     for u in combinations(bits_of(mask), frame.size):
         if not can_afford(bud, 1):
             raise BudgetExhausted("base-case scan budget exhausted", bud.used)
         bud.spend()
-        if weighted_total(g, u, frame) == f:
+        if frame_weighted_total(g, u, frame) == f:
             return u
     return None
+
+
+def flip_greedy_clique(rows, cand: int, flip: int = 0, pairs: bool = False,
+                       highest: bool = False) -> tuple[int, ...]:
+    """``search._greedy_clique`` as it read every row through ``flip`` (-1
+    for the independent side) before its callers passed complement rows."""
+    chosen: list[int] = []
+    while cand:
+        v = cand.bit_length() - 1 if highest else (cand & -cand).bit_length() - 1
+        cand ^= 1 << v
+        if pairs:
+            for a in chosen:
+                cand &= rows[a][v] ^ flip
+        else:
+            cand &= rows[v] ^ flip
+        chosen.append(v)
+    return tuple(sorted(chosen))
+
+
+def has_edge_induced_copy(
+    g: OrderedGraph, mask: int, pattern: OrderedGraph, budget: int | None = None
+) -> tuple[int, ...] | None:
+    """``spectrum.find_induced_ordered_copy`` as it compared ``has_edge`` with
+    the pattern for every earlier position, before the one row-mask test."""
+    verts = bits_of(mask)
+    k, n = pattern.n, len(verts)
+    if k > n:
+        return None
+    bud = Budget(budget)
+    image: list[int] = []
+
+    def extend(pos: int, start: int) -> tuple[int, ...] | None:
+        if pos == k:
+            return tuple(image)
+        for i in range(start, n - (k - pos) + 1):
+            bud.spend()
+            v = verts[i]
+            ok = all(
+                g.has_edge(image[q], v) == pattern.has_edge(q, pos) for q in range(pos)
+            )
+            if ok:
+                image.append(v)
+                hit = extend(pos + 1, i + 1)
+                if hit is not None:
+                    return hit
+                image.pop()
+        return None
+
+    return extend(0, 0)
 
 
 # --- weighted-search oracles: the recursions before they ran on vertex masks -----
@@ -1133,7 +1200,7 @@ def oracle_weighted_r3(
     nverts = mask.bit_count()
 
     if m == 3:  # normalized f is 0 here
-        ne = _first_edge_in(g.complement(), mask)
+        ne = _first_edge_in(g.complement().adj, mask)
         if ne is not None:
             return WeightedWitness(ne, 3, 3, 0)
         clique = bits_of(mask)
@@ -1225,7 +1292,7 @@ def oracle_weighted_general(g: OrderedGraph, m0: int, r: int, m: int, f: int, h:
     if hit is not None:
         return WeightedWitness(hit, r, m, f)
     clique = _greedy_clique(g.adj, (1 << g.n) - 1)
-    ind = _greedy_clique(g.adj, (1 << g.n) - 1, -1)
+    ind = flip_greedy_clique(g.adj, (1 << g.n) - 1, -1)
     best, kind = (clique, "clique") if len(clique) >= len(ind) else (ind, "independent")
     if len(best) >= h:
         return HomogeneousWitness(best, kind, False)
@@ -1793,7 +1860,7 @@ def old_max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> Homoge
     """``search._max_homogeneous_in`` as it ran both sides to the end on the
     old walk."""
     exact = cand.bit_count() <= exact_limit
-    search = old_max_clique_walk if exact else _greedy_clique
+    search = old_max_clique_walk if exact else flip_greedy_clique
     cl = search(h._pair_links, cand, 0, True)
     ind = search(h._pair_links, cand, -1, True)
     if len(cl) >= len(ind):
@@ -1884,7 +1951,7 @@ def flip_max_homogeneous_in(h: Hypergraph, cand: int, exact_limit: int) -> Homog
         flip, (c, omega) = (0, cl) if cl[1] >= ind[1] else (-1, ind)
         found = flip_first_max_clique(links, cand, flip, True, c, omega)
     else:
-        cl, ind = _greedy_clique(links, cand, 0, True), _greedy_clique(links, cand, -1, True)
+        cl, ind = flip_greedy_clique(links, cand, 0, True), flip_greedy_clique(links, cand, -1, True)
         flip, found = (0, cl) if len(cl) >= len(ind) else (-1, ind)
     w = HomogeneousWitness(found, "independent" if flip else "clique", exact)
     ensure(w.verify(h), "homogeneous witness")

@@ -7,7 +7,8 @@ scan for 3-graphs; ``old_max_clique_walk``, the maximum-clique walk the
 two-phase kernel replaced; ``per_center_largest_star``, the maximum star that
 ran both phases for every center; ``flip_max_homogeneous_in``,
 ``flip_largest_star`` and ``old_star_sets``, the searches as they read every
-pair-link row through a flip before the co-link table;
+pair-link row through a flip before the co-link table; ``flip_greedy_clique``,
+the greedy pass as it read its rows through a flip;
 ``enumerate_cliques_reference``, a copy of the t-clique enumerator the kernel
 replaced, with its list-cell budget; and the greedy procedure written out step
 by step.
@@ -36,6 +37,7 @@ from ordersize.search import (
 from ordersize.structure import largest_star
 
 from helpers import (
+    flip_greedy_clique,
     flip_largest_star,
     flip_max_homogeneous_in,
     link_graph,
@@ -281,8 +283,9 @@ def test_greedy_pass_2graph(g, cand, highest, independent):
     def stays(chosen, v, u):
         return g.has_edge(u, v) != independent
 
-    got = _greedy_clique(g.adj, cand, -1 if independent else 0, highest=highest)
+    got = _greedy_clique(g._co_adj if independent else g.adj, cand, highest=highest)
     assert got == greedy_reference(stays, cand, highest)
+    assert got == flip_greedy_clique(g.adj, cand, -1 if independent else 0, highest=highest)
 
 
 @settings(max_examples=100, deadline=None)
@@ -293,8 +296,9 @@ def test_greedy_pass_3graph(h, cand, highest, independent):
     def stays(chosen, v, u):
         return all(h.has_edge((a, v, u)) != independent for a in chosen)
 
-    got = _greedy_clique(h._pair_links, cand, -1 if independent else 0, True, highest)
+    got = _greedy_clique(h._co_pair_links if independent else h._pair_links, cand, True, highest)
     assert got == greedy_reference(stays, cand, highest)
+    assert got == flip_greedy_clique(h._pair_links, cand, -1 if independent else 0, True, highest)
     assert mask_of(got) & ~cand == 0
 
 
@@ -311,8 +315,8 @@ def test_co_pair_links_is_the_complements_pair_link_table(h):
 def test_searches_match_the_flipped_walk(h, data):
     """``max_homogeneous`` (exact, and greedy past a drawn limit), both ways
     of ``largest_star`` and ``_max_homogeneous_in`` on a drawn mask give what
-    they gave when the independent side read the pair-link rows through a
-    flip."""
+    they gave when the independent side, in the exact walk and the greedy
+    pass alike, read the pair-link rows through a flip."""
     limit = data.draw(st.integers(0, 14))
     assert max_homogeneous(h) == flip_max_homogeneous_in(h, (1 << h.n) - 1, 40)
     assert max_homogeneous(h, limit) == flip_max_homogeneous_in(h, (1 << h.n) - 1, limit)

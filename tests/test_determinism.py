@@ -128,6 +128,36 @@ def test_corrupt_co_link_table_is_caught_under_optimize():
     assert proc.stdout == "(0, 1, 3, 4)\nraised: postcondition failed: homogeneous witness\n", proc.stdout
 
 
+CO_ADJ_PROBE = r"""
+from ordersize import OrderedGraph, VerificationError, find_weighted_mf_subset
+assert False, "asserts must be stripped under -O"
+# r = 4, m = 5 scans for weighted total 2, which one edge cannot make, so the
+# search falls back to the greedy independent set
+g = OrderedGraph(6, [(0, 1)])
+print(find_weighted_mf_subset(g, 4, 5, 2, 3).set)
+co = list(g._co_adj)
+co[0] |= 1 << 1  # the edge 01 reads as a non-edge, so 012345 looks independent
+g.__dict__["_co_adj"] = tuple(co)
+try:
+    find_weighted_mf_subset(g, 4, 5, 2, 3)
+except VerificationError as e:
+    print("raised:", e)
+"""
+
+
+def test_corrupt_co_adj_rows_are_caught_under_optimize():
+    """The weighted search's homogeneous answer is recounted on the adjacency
+    rows, not on the complement rows its greedy fallback walks."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CO_ADJ_PROBE],
+        capture_output=True,
+        text=True,
+        env=child_env("0"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(0, 2, 3, 4, 5)\nraised: postcondition failed: homogeneous witness\n", proc.stdout
+
+
 WEIGHTED_PROBE = r"""
 from ordersize import HomogeneousWitness, OrderedGraph, VerificationError, spectrum
 assert False, "asserts must be stripped under -O"

@@ -71,6 +71,17 @@ def test_complement_induced_and_homogeneity_match(case):
             assert g.complement().is_clique(part) == old.complement().is_clique(part)
 
 
+@given(edge_lists(max_n=12))
+@settings(max_examples=150, deadline=None)
+@example((0, []))
+@example((12, list(combinations(range(12), 2))))
+def test_co_adj_is_the_complements_rows(case):
+    n, edges = case
+    g = OrderedGraph(n, edges)
+    assert g._co_adj == FrozensetOrderedGraph(n, edges).complement().adj
+    assert g.complement().adj is g._co_adj
+
+
 @given(edge_lists(), edge_lists())
 @settings(max_examples=150, deadline=None)
 def test_equality_and_hash_run_on_rows(one, two):
@@ -211,5 +222,5 @@ def test_first_edge_matches_pair_scans(case):
     g, old = OrderedGraph(n, edges), FrozensetOrderedGraph(n, edges)
     for s in [range(n), *subsets]:
         mask = mask_of(s)
-        assert _first_edge_in(g, mask) == first_pair_by_scan(old, mask, True)
-        assert _first_edge_in(g.complement(), mask) == first_pair_by_scan(old, mask, False)
+        assert _first_edge_in(g.adj, mask) == first_pair_by_scan(old, mask, True)
+        assert _first_edge_in(g._co_adj, mask) == first_pair_by_scan(old, mask, False)

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     combinations_weighted_scan,
+    frame_weighted_total,
+    has_edge_induced_copy,
     induced,
     old_realize_r_plus_1,
     oracle_find_induced_ordered_copy,
@@ -28,7 +31,8 @@ from ordersize.errors import (
     OrderSizeError,
     SearchFailed,
 )
-from ordersize.hbuilder import build_H
+from ordersize import spectrum
+from ordersize.hbuilder import build_H, position_weights
 from ordersize.rng import SeededRNG
 from ordersize.search import HomogeneousWitness
 from ordersize.spectrum import (
@@ -225,6 +229,15 @@ def test_weight_frame_values():
     assert frk.weight(4, 6) == comb(3, 2) * comb(5, 1)
 
 
+def test_position_weight_row_is_the_split_1_frame():
+    for r in range(3, 9):
+        for m in range(r, r + 7):
+            frame, row = WeightFrame(r, m), position_weights(r, m)
+            assert len(row) == frame.size
+            for i, j in combinations(frame.positions, 2):
+                assert row[j - 1] == frame.weight(i, j)
+
+
 def test_weight_table_counts_every_subset_once():
     # brute force: each r-subset of [m] is counted at the pair of its k-th
     # and (k+1)-th smallest elements
@@ -235,36 +248,55 @@ def test_weight_table_counts_every_subset_once():
 
 
 def test_weighted_total():
-    fr = WeightFrame(3, 5, 1)
     empty = OrderedGraph(4, ())
-    assert weighted_total(empty, range(4), fr) == 0
+    assert weighted_total(empty, range(4), 3, 5) == 0
     single = OrderedGraph(4, [(0, 1)])
-    assert weighted_total(single, range(4), fr) == 3  # positions (1, 2), w = 5-2
+    assert weighted_total(single, range(4), 3, 5) == 3  # positions (1, 2), w = 5-2
     complete = OrderedGraph(8, combinations(range(8), 2))
-    fr4 = WeightFrame(4, 10, 1)
     want = sum(comb(10 - j, 2) for i in range(1, 9) for j in range(i + 1, 9))
-    assert weighted_total(complete, range(8), fr4) == want == comb(10, 4)
+    assert weighted_total(complete, range(8), 4, 10) == want == comb(10, 4)
+    with pytest.raises(ValueError, match=r"^need 3 vertices, got 4$"):
+        weighted_total(empty, range(4), 4, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_weighted_total_matches_the_per_pair_frame_sum(data):
+    r = data.draw(st.integers(3, 6))
+    m = data.draw(st.integers(r, r + 8))
+    n = data.draw(st.integers(0, 12))
+    g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    u = data.draw(st.one_of(
+        st.lists(st.integers(-1, n), max_size=m - r + 3),
+        st.sets(st.integers(0, max(n - 1, 0)), min_size=min(n, m - r + 2), max_size=m - r + 2).map(sorted)))
+
+    def total(fn, *frame):
+        try:
+            return fn(g, u, *frame)
+        except ValueError as e:
+            return str(e)
+
+    assert total(weighted_total, r, m) == total(frame_weighted_total, WeightFrame(r, m))
 
 
 @pytest.mark.parametrize("vertices", [(0, 1, 9), (0, 1, 8), (-1, 1, 2)])
 def test_weighted_total_rejects_vertices_outside_the_graph(vertices):
     g = random_ordered_graph(8, 50, 1)
     with pytest.raises(ValueError, match=r"^vertex set \(.*\) out of range \[0, 8\)$"):
-        weighted_total(g, vertices, WeightFrame(3, 4))
+        weighted_total(g, vertices, 3, 4)
     with pytest.raises(ValueError, match="out of range"):
         WeightedWitness(vertices, 3, 4, 2).verify(g)
-    assert weighted_total(g, (0, 1, 7), WeightFrame(3, 4)) >= 0
+    assert weighted_total(g, (0, 1, 7), 3, 4) >= 0
 
 
 def test_weighted_total_monotone_under_edges():
-    fr = WeightFrame(4, 9, 1)
     rng = SeededRNG(3)
     edges = []
     g = OrderedGraph(7, edges)
-    last = weighted_total(g, range(7), fr)
+    last = weighted_total(g, range(7), 4, 9)
     for pair in combinations(range(7), 2):
         edges.append(pair)
-        now = weighted_total(OrderedGraph(7, edges), range(7), fr)
+        now = weighted_total(OrderedGraph(7, edges), range(7), 4, 9)
         assert now >= last
         last = now
 
@@ -313,8 +345,7 @@ def test_single_edge_chi_weight():
     chig = OrderedGraph(6, [(1, 2)])
     h = graph_from_chi(chig, 3)
     u, tail = [0, 1, 2, 3], [5]
-    fr = WeightFrame(3, 5, 1)
-    assert h.edge_count(tuple(u) + tuple(tail)) == weighted_total(chig, u, fr)
+    assert h.edge_count(tuple(u) + tuple(tail)) == weighted_total(chig, u, 3, 5)
     assert verify_lift(h, range(6), u, tail)
 
 
@@ -427,19 +458,18 @@ def test_weighted_scan_matches_combinations_loop(data):
     g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
     mask = data.draw(st.integers(0, (1 << n) - 1))
     f = data.draw(st.integers(0, comb(m, r)))
-    frame = WeightFrame(r, m)
-    subsets = comb(mask.bit_count(), frame.size)
+    subsets = comb(mask.bit_count(), m - r + 2)
     budget = data.draw(st.one_of(st.none(), st.integers(0, max(subsets, 1))))
 
-    def run(scan):
+    def run(scan, *shape):
         bud = Budget(budget)
         try:
-            out = scan(g, mask, frame, f, bud)
+            out = scan(g, mask, *shape, f, bud)
         except BudgetExhausted as e:
             out = ("exhausted", e.used)
         return out, bud.used
 
-    assert run(_weighted_scan) == run(combinations_weighted_scan)
+    assert run(_weighted_scan, r, m) == run(combinations_weighted_scan, WeightFrame(r, m))
 
 
 def test_weighted_search_r4_failure_outcomes():
@@ -495,6 +525,49 @@ def test_find_induced_ordered_copy():
     assert find_induced_ordered_copy(OrderedGraph(4, ()), 0b1111, OrderedGraph(2, [(0, 1)])) is None
 
 
+@pytest.mark.parametrize("mask", [1 << 9 | 1 << 12, 1 << 5])
+def test_find_induced_ordered_copy_rejects_vertices_outside_the_graph(mask):
+    g = OrderedGraph(5, [(0, 4), (1, 2)])
+    with pytest.raises(ValueError, match=r"^vertex mask out of range \[0, 5\)$"):
+        find_induced_ordered_copy(g, mask, OrderedGraph(2))
+
+
+@pytest.mark.parametrize("r,m", [(3, 4), (4, 81)])
+def test_weighted_search_rejects_a_negative_budget(r, m):
+    g = random_ordered_graph(20, 50, 1)
+    with pytest.raises(ValueError, match="^budget must be nonnegative, got -1$"):
+        find_weighted_mf_subset(g, r, m, 1, 2, budget=-1)
+
+
+def spent(module, fn):
+    """The outcome of fn and the units spent by each ``Budget`` that
+    ``module`` made during the call."""
+    made = []
+
+    def recording(limit=None):
+        made.append(Budget(limit))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "Budget", recording)
+        out = search_outcome(fn)
+    return out, [b.used for b in made]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_copy_row_test_matches_the_has_edge_walk(data):
+    n = data.draw(st.integers(0, 12))
+    g = random_ordered_graph(n, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    k = data.draw(st.integers(0, 5))
+    pattern = random_ordered_graph(k, data.draw(st.integers(0, 100)), data.draw(st.integers(0, 999)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    for budget in (None, 0, 1, 5, 50):
+        got = spent(spectrum, lambda: find_induced_ordered_copy(g, mask, pattern, budget))
+        want = spent(helpers, lambda: has_edge_induced_copy(g, mask, pattern, budget))
+        assert got == want
+
+
 def relabeled(outcome, verts):
     """An outcome of the search on ``induced(g, verts)`` in g's vertex ids."""
     if outcome[0] == "weighted":
@@ -517,7 +590,7 @@ def search_outcome(fn):
     except ValueError as e:
         return ("value", str(e))
     if isinstance(out, WeightedWitness):
-        return ("weighted", out.vertices, out.r, out.m, out.f, out.k)
+        return ("weighted", out.vertices, out.r, out.m, out.f)
     if isinstance(out, HomogeneousWitness):
         return ("homogeneous", out.set, out.kind, out.exact)
     return ("embedded", out)
@@ -693,4 +766,4 @@ def test_r3_weighted_outcomes_match_the_golden_digest():
                     for budget in (None, 50):
                         records.append(search_outcome(lambda: find_weighted_mf_subset(g, 3, m, f, h, budget)))
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
-    assert digest == "28db2f64d67d3e844041dcf2876631836a8e4cd0489c4c557df8ac3dc876d2cb"
+    assert digest == "f33546ca3f09d9d0b760adcdf457641ac075438728f5adc12eb8b129bce202b1"
